@@ -199,8 +199,8 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int) -> AttackPlan:
                    for cut in cuts[:limit]]
         return AttackPlan(targets=targets, strategy=strategy)
 
-    targets = [NodeTarget(node=v, isolation_cost=isolation_cost(g, v))
-               for v in ranked[:limit]]
+    costs = g.outbound_balances()
+    targets = [NodeTarget(node=v, isolation_cost=costs[v]) for v in ranked[:limit]]
     return AttackPlan(targets=targets, strategy=strategy)
 
 
@@ -279,11 +279,12 @@ def execute_attack(g: PcnGraph, plan: AttackPlan, constraint: tuple,
         raise ValueError("constraint must be ('count', n) or ('budget', satoshi)")
 
     # staleness check: planned node costs must match this graph
+    costs = g.outbound_balances()
     for target in plan.targets:
         if isinstance(target, NodeTarget):
             if target.node not in g.nodes:
                 raise StalePlanError(f"planned node {target.node} not in graph")
-            if isolation_cost(g, target.node) != target.isolation_cost:
+            if costs[target.node] != target.isolation_cost:
                 raise StalePlanError(
                     f"isolation cost of {target.node} changed since planning")
         else:
@@ -298,7 +299,10 @@ def execute_attack(g: PcnGraph, plan: AttackPlan, constraint: tuple,
 
     before = _measure(g, specs, flow_pairs, metric_params, seed)
 
-    current = g
+    # Costs were fixed at planning time, so the walk only picks targets;
+    # the surviving graph is built once.
+    doomed_nodes: set[str] = set()
+    doomed_channels: list[str] = []
     spent = 0
     removed = 0
     budget = value if kind == "budget" else None
@@ -310,14 +314,17 @@ def execute_attack(g: PcnGraph, plan: AttackPlan, constraint: tuple,
         if budget is not None and cost > budget - spent:
             continue
         if isinstance(target, NodeTarget):
-            if target.node in current.nodes:
-                current = remove_nodes(current, [target.node])
+            doomed_nodes.add(target.node)
         else:
-            current = current.copy()
-            for cid in target.channel_ids:
-                current.edges.pop(cid, None)
+            doomed_channels.extend(target.channel_ids)
         spent += cost
         removed += 1
+
+    current = remove_nodes(g, doomed_nodes) if doomed_nodes else g
+    if doomed_channels:
+        current = current.copy()
+        for cid in doomed_channels:
+            current.edges.pop(cid, None)
 
     after = _measure(current, specs, flow_pairs, metric_params, seed)
 

@@ -19,13 +19,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .attack_engine import MetricParams, Strategy, execute_attack, plan_targets
+from .attack_engine import (MetricParams, StalePlanError, Strategy,
+                            execute_attack, plan_targets)
 from .graph_model import SnapshotError, ValidationError, load_snapshot
 from .payment_sim import UNIT_VOLUMES, load_volumes
 from .powerlaw_fit import FitError, ccdf_table, fit_power_law, goodness_of_fit
-from .topology_metrics import (MetricReport, degree_distribution,
-                               generate_reference, metric_report,
-                               random_failure_experiment)
+from .topology_metrics import (ConvergenceError, MetricReport,
+                               degree_distribution, generate_reference,
+                               metric_report, random_failure_experiment)
 
 SWEEP_STRATEGIES = ("degree", "betweenness", "eigenvector",
                     "ranked-min-cut", "parallel-paths", "random")
@@ -263,7 +264,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, SnapshotError, ValidationError) as exc:
+    except (OSError, ValueError, KeyError, SnapshotError, ValidationError,
+            ConvergenceError, StalePlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,12 +12,18 @@ import json
 from dataclasses import dataclass, field, replace
 
 import networkx as nx
+from scipy.sparse import csr_array
 
 # Fallback policy when a snapshot omits one side (common network defaults).
 DEFAULT_BASE_FEE_MSAT = 1000
 DEFAULT_RATE_PPM = 1
 
 BALANCE_MODELS = ("capacity-both-ways", "half-split", "explicit")
+
+# scipy's maximum_flow keeps capacities and residuals in int32, and the
+# residual of an arc can reach its capacity plus that of its reverse arc, so
+# no arc of the balance view may exceed half the int32 range.
+MAX_ARC_BALANCE = 2**30 - 1
 
 
 class SnapshotError(Exception):
@@ -106,11 +112,16 @@ class PcnGraph:
     def channels_of(self, v: str) -> list[ChannelEdge]:
         return [e for e in self.edges.values() if v in (e.a, e.b)]
 
-    def degree(self, v: str) -> int:
-        return sum(1 for e in self.edges.values() if v in (e.a, e.b))
-
     def outbound_balance(self, v: str) -> int:
         return sum(e.balance(v) for e in self.channels_of(v))
+
+    def outbound_balances(self) -> dict[str, int]:
+        """`outbound_balance` of every node, in one pass over the channels."""
+        out = {v: 0 for v in self.nodes}
+        for e in self.edges.values():
+            out[e.a] += e.balance_ab
+            out[e.b] += e.balance_ba
+        return out
 
     def copy(self) -> "PcnGraph":
         return PcnGraph(
@@ -131,18 +142,37 @@ class PcnGraph:
                 g.add_edge(e.a, e.b, capacity=e.capacity)
         return g
 
-    def balance_digraph(self) -> nx.DiGraph:
-        """Directed view where the arc u->v carries the total routable
-        balance in that direction (parallel channels summed)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
+    def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
+        """Directed balance view for max flow, with the node id -> index map
+        (ids in sorted order). Entry [i, j] is the total routable balance from
+        node i to node j, parallel channels summed.
+
+        A summed balance above MAX_ARC_BALANCE is routed through relay nodes
+        appended after the real ones, one per piece of at most
+        MAX_ARC_BALANCE, so every max-flow value stays exact."""
+        index = {v: i for i, v in enumerate(sorted(self.nodes))}
+        summed: dict[tuple[int, int], int] = {}
         for e in self.edges.values():
-            for u, v, bal in ((e.a, e.b, e.balance_ab), (e.b, e.a, e.balance_ba)):
-                if g.has_edge(u, v):
-                    g[u][v]["balance"] += bal
-                else:
-                    g.add_edge(u, v, balance=bal)
-        return g
+            a, b = index[e.a], index[e.b]
+            summed[a, b] = summed.get((a, b), 0) + e.balance_ab
+            summed[b, a] = summed.get((b, a), 0) + e.balance_ba
+        rows, cols, balances = [], [], []
+        size = len(index)
+        for (u, v), bal in summed.items():
+            if bal <= MAX_ARC_BALANCE:
+                rows.append(u)
+                cols.append(v)
+                balances.append(bal)
+                continue
+            for start in range(0, bal, MAX_ARC_BALANCE):
+                piece = min(MAX_ARC_BALANCE, bal - start)
+                rows += (u, size)
+                cols += (size, v)
+                balances += (piece, piece)
+                size += 1
+        arcs = csr_array((balances, (rows, cols)), shape=(size, size),
+                         dtype="int32")
+        return arcs, index
 
     def to_snapshot_dict(self) -> dict:
         """Serialize back to the snapshot schema (with explicit balances)."""

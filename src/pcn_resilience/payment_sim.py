@@ -14,7 +14,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
+from scipy.sparse.csgraph import maximum_flow
 
 from .graph_model import ChannelEdge, PcnGraph
 
@@ -170,14 +170,13 @@ def success_ratio(g: PcnGraph, attempts: int, volumes: VolumeModel,
 
 
 def max_flow(g: PcnGraph, s: str, t: str) -> int:
-    """Exact maximum flow on the directed balance view."""
+    """Exact maximum flow on the directed balance view (Dinic's algorithm)."""
     if s not in g.nodes or t not in g.nodes:
         raise KeyError("unknown max-flow endpoint")
     if s == t:
         raise ValueError("max-flow endpoints must differ")
-    dg = g.balance_digraph()
-    value, _ = nx.maximum_flow(dg, s, t, capacity="balance")
-    return int(value)
+    arcs, index = g.balance_digraph()
+    return int(maximum_flow(arcs, index[s], index[t]).flow_value)
 
 
 def sample_pairs(nodes, rounds: int, rng: random.Random) -> list[tuple[str, str]]:

@@ -4,7 +4,7 @@ import pytest
 
 from pcn_resilience import attack_engine as ae
 from pcn_resilience import payment_sim as ps
-from pcn_resilience.graph_model import graph_from_dict
+from pcn_resilience.graph_model import graph_from_dict, remove_nodes
 from pcn_resilience.topology_metrics import generate_reference
 
 from test_graph_model import make_graph
@@ -273,3 +273,50 @@ class TestExecuteAttack:
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
         rep = ae.execute_attack(g, plan, ("count", 0), params, seed=0)
         assert rep.a_priori.g_bar is not None
+
+
+class TestSingleRemoval:
+    """execute_attack removes every chosen target at once; its report must
+    equal removing them one at a time and measuring the result."""
+
+    def stepwise_report(self, g, chosen, params, seed, spent):
+        rng = random.Random(seed)
+        specs = ps.sample_specs(g.nodes, params.attempts, params.volumes, rng)
+        pairs = ps.sample_pairs(g.nodes, params.flow_rounds, rng)
+        current = g
+        for v in chosen:
+            current = remove_nodes(current, [v])
+        before = ae._measure(g, specs, pairs, params, seed)
+        after = ae._measure(current, specs, pairs, params, seed)
+        return ae.SimReport(
+            a_priori=before, a_posteriori=after,
+            delta_s=ae.advantage(before.s, after.s),
+            delta_r=ae.advantage(before.r, after.r),
+            delta_F=ae.advantage(before.F_bar, after.F_bar),
+            delta_g=(ae.advantage(before.g_bar, after.g_bar)
+                     if before.g_bar else None),
+            spent=spent, removed=len(chosen))
+
+    def test_budget_plan_skipping_a_middle_target(self):
+        g = generate_reference("barabasi-albert", 60, 120, seed=2)
+        ranked = ae.plan_targets(g, ae.Strategy("degree"), limit=8).targets
+        cheap, dear, cheapest, rest = ranked[1], ranked[0], ranked[-1], ranked[2]
+        assert dear.isolation_cost > cheapest.isolation_cost > 0
+        plan = ae.AttackPlan(targets=[cheap, dear, cheapest, rest],
+                             strategy=ae.Strategy("degree"))
+        budget = cheap.isolation_cost + cheapest.isolation_cost
+        params = ae.MetricParams(attempts=60, flow_rounds=10)
+        rep = ae.execute_attack(g, plan, ("budget", budget), params, seed=3)
+        assert rep == self.stepwise_report(
+            g, [cheap.node, cheapest.node], params, seed=3, spent=budget)
+        assert rep.removed == 2
+
+    def test_count_plan(self):
+        g = generate_reference("barabasi-albert", 60, 120, seed=2)
+        plan = ae.plan_targets(g, ae.Strategy("betweenness"), limit=10)
+        params = ae.MetricParams(attempts=60, flow_rounds=10, hub="n0")
+        rep = ae.execute_attack(g, plan, ("count", 6), params, seed=4)
+        chosen = plan.targets[:6]
+        assert rep == self.stepwise_report(
+            g, [t.node for t in chosen], params, seed=4,
+            spent=sum(t.isolation_cost for t in chosen))

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from pcn_resilience import cli
+from pcn_resilience.attack_engine import StalePlanError
 from pcn_resilience.cli import main
 from pcn_resilience.graph_model import graph_from_dict
+from pcn_resilience.topology_metrics import ConvergenceError
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "fixture_snapshot.json")
@@ -109,6 +112,23 @@ class TestAttack:
                   "--attempts", "30", "--flow-rounds", "5", "--format", "csv"])
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("name, exc", [
+        ("plan_targets", ConvergenceError(
+            "power iteration did not converge within 1000 iterations", 1000)),
+        ("execute_attack", StalePlanError(
+            "isolation cost of n1 changed since planning")),
+    ])
+    def test_library_error_is_one_line(self, tmp_path, er_snapshot, capsys,
+                                       monkeypatch, name, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, name, fail)
+        rc = main(["attack", "--snapshot", er_snapshot,
+                   "--out", str(tmp_path / "x"), "--strategy", "eigenvector",
+                   "--n-sweep", "1:1", "--attempts", "5", "--flow-rounds", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {exc}"]
 
     def test_missing_sweep_is_error(self, tmp_path, er_snapshot):
         with pytest.raises(SystemExit):

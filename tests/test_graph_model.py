@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcn_resilience.graph_model import (PcnGraph, SnapshotError,
-                                        ValidationError, connected_components,
-                                        graph_from_dict,
+from pcn_resilience.graph_model import (MAX_ARC_BALANCE, PcnGraph,
+                                        SnapshotError, ValidationError,
+                                        connected_components, graph_from_dict,
                                         largest_connected_component,
                                         load_snapshot, remove_nodes)
 
@@ -134,6 +134,49 @@ class TestComponents:
         oracle = sorted(sorted(c) for c in union_find_components(
             g.nodes, [(e.a, e.b) for e in g.edges.values()]))
         assert ours == oracle
+
+
+def explicit_channels(channels):
+    """Graph from (channel_id, a, b, balance_ab, balance_ba) tuples."""
+    nodes = sorted({v for _, a, b, _, _ in channels for v in (a, b)})
+    return graph_from_dict({
+        "nodes": [{"pub_key": v} for v in nodes],
+        "edges": [{"channel_id": cid, "node1_pub": a, "node2_pub": b,
+                   "capacity": ab + ba, "node1_balance": ab, "node2_balance": ba}
+                  for cid, a, b, ab, ba in channels],
+    }, balance_model="explicit")
+
+
+class TestBalanceDigraph:
+    def test_parallel_channels_summed_per_direction(self):
+        g = explicit_channels([("c0", "b", "a", 7, 3), ("c1", "a", "b", 5, 2),
+                               ("c2", "b", "c", 4, 0)])
+        arcs, index = g.balance_digraph()
+        assert index == {"a": 0, "b": 1, "c": 2}
+        assert arcs.toarray().tolist() == [[0, 8, 0],
+                                           [9, 0, 4],
+                                           [0, 0, 0]]
+
+    def test_large_arc_split_through_relays(self):
+        big = 3_000_000_000
+        g = explicit_channels([("c0", "a", "b", big, 1)])
+        arcs, index = g.balance_digraph()
+        dense = arcs.toarray()
+        relays = range(len(index), dense.shape[0])
+        assert len(relays) == -(-big // MAX_ARC_BALANCE)
+        assert dense.max() <= MAX_ARC_BALANCE
+        assert dense[index["a"], index["b"]] == 0
+        assert dense[index["b"], index["a"]] == 1
+        assert [int(dense[index["a"], r]) for r in relays] == \
+               [int(dense[r, index["b"]]) for r in relays]
+        assert sum(int(dense[index["a"], r]) for r in relays) == big
+
+
+def test_outbound_balances_match_per_node_query():
+    g = explicit_channels([("c0", "b", "a", 7, 3), ("c1", "a", "b", 5, 2),
+                           ("c2", "b", "c", 4, 0)])
+    assert g.outbound_balances() == {"a": 8, "b": 13, "c": 0}
+    assert g.outbound_balances() == {v: g.outbound_balance(v) for v in g.nodes}
 
 
 class TestRemoveNodes:

@@ -9,9 +9,18 @@ from pcn_resilience.graph_model import graph_from_dict
 from pcn_resilience.topology_metrics import generate_reference
 
 from oracles import augmenting_path_max_flow
-from test_graph_model import make_graph
+from test_graph_model import explicit_channels, make_graph
 
 VOLS = ps.VolumeModel(volumes=(1000, 5000, 20000))
+
+
+def balance_caps(g):
+    """Summed balance per direction, the oracle's input."""
+    caps = {}
+    for e in g.edges.values():
+        caps[(e.a, e.b)] = caps.get((e.a, e.b), 0) + e.balance_ab
+        caps[(e.b, e.a)] = caps.get((e.b, e.a), 0) + e.balance_ba
+    return caps
 
 
 def two_node_channel(capacity=100_000):
@@ -146,12 +155,41 @@ class TestMaxFlow:
                             "capacity": rng.randint(1, 20)})
             g = graph_from_dict({
                 "nodes": [{"pub_key": v} for v in nodes], "edges": edges})
-            caps = {}
-            for e in g.edges.values():
-                caps[(e.a, e.b)] = caps.get((e.a, e.b), 0) + e.balance_ab
-                caps[(e.b, e.a)] = caps.get((e.b, e.a), 0) + e.balance_ba
             s, t = nodes[0], nodes[-1]
+            assert ps.max_flow(g, s, t) == \
+                augmenting_path_max_flow(balance_caps(g), s, t)
+
+    # scipy's solver works in int32: an arc of 2**31 or more reads as 0, and
+    # a residual (an arc plus the flow on its reverse) can wrap around.
+    def test_channel_past_int32_matches_oracle(self):
+        g = two_node_channel(capacity=3_000_000_000)
+        assert ps.max_flow(g, "a", "b") == 3_000_000_000
+        assert ps.max_flow(g, "b", "a") == \
+            augmenting_path_max_flow(balance_caps(g), "b", "a")
+
+    def test_parallel_channels_summed_past_int32_match_oracle(self):
+        g = explicit_channels([("c0", "a", "b", 1_200_000_000, 5),
+                               ("c1", "b", "a", 7, 1_200_000_000),
+                               ("c2", "b", "c", 2_500_000_000, 0)])
+        caps = balance_caps(g)
+        assert caps[("a", "b")] > 2**31
+        for s, t in (("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")):
             assert ps.max_flow(g, s, t) == augmenting_path_max_flow(caps, s, t)
+        assert ps.max_flow(g, "a", "c") == 2_400_000_000
+
+    def test_residual_past_int32_matches_oracle(self):
+        # Dinic first saturates s-a-b-t; the second path s-d-e-b-a-f-g-t
+        # needs the residual b->a = 1 + (2**31 - 1), past int32.
+        big = 2**31 - 1
+        g = explicit_channels([
+            ("sa", "s", "a", big, 0), ("ab", "a", "b", big, 1),
+            ("bt", "b", "t", big, 0), ("sd", "s", "d", 1000, 0),
+            ("de", "d", "e", 1000, 0), ("eb", "e", "b", 1000, 0),
+            ("af", "a", "f", 1000, 0), ("fg", "f", "g", 1000, 0),
+            ("gt", "g", "t", 1000, 0)])
+        assert ps.max_flow(g, "s", "t") == big + 1000
+        assert ps.max_flow(g, "s", "t") == \
+            augmenting_path_max_flow(balance_caps(g), "s", "t")
 
 
 class TestAverageMaxFlow:
