@@ -19,17 +19,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .attack_engine import (MetricParams, StalePlanError, Strategy,
-                            execute_attack, plan_targets)
-from .graph_model import SnapshotError, ValidationError, load_snapshot
+from .attack_engine import (STRATEGY_KINDS, MetricParams, StalePlanError,
+                            Strategy, execute_attack, plan_targets)
+from .graph_model import (BALANCE_MODELS, SnapshotError, ValidationError,
+                          load_snapshot)
 from .payment_sim import UNIT_VOLUMES, load_volumes
 from .powerlaw_fit import FitError, ccdf_table, fit_power_law, goodness_of_fit
 from .topology_metrics import (ConvergenceError, MetricReport,
                                degree_distribution, generate_reference,
                                metric_report, random_failure_experiment)
-
-SWEEP_STRATEGIES = ("degree", "betweenness", "eigenvector",
-                    "ranked-min-cut", "parallel-paths", "random")
 
 ATTACK_CSV_HEADER = ("strategy,constraint,n_or_budget,spent,s,s_prime,"
                      "r,r_prime,F_bar,F_bar_prime,delta_s,delta_r,delta_F")
@@ -152,7 +150,7 @@ def cmd_attack(args) -> int:
     else:
         raise SystemExit("one of --n-sweep or --budget-sweep is required")
 
-    kinds = list(SWEEP_STRATEGIES) if "all" in args.strategy else args.strategy
+    kinds = list(STRATEGY_KINDS) if "all" in args.strategy else args.strategy
     limit = args.plan_limit
     if points and points[0][0] == "count":
         limit = max(limit, max(v for _, v in points))
@@ -217,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--snapshot", required=True)
         p.add_argument("--balance-model", default="capacity-both-ways",
-                       choices=["capacity-both-ways", "half-split", "explicit"])
+                       choices=BALANCE_MODELS)
         p.add_argument("--seed", type=int, default=None,
                        help="defaults to $PCN_RESILIENCE_SEED or 0")
         p.add_argument("--out", required=True)
@@ -237,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="attack-strategy sweeps")
     common(p)
     p.add_argument("--strategy", action="append", required=True,
-                   choices=list(SWEEP_STRATEGIES) + ["all"])
+                   choices=[*STRATEGY_KINDS, "all"])
     p.add_argument("--n-sweep", help="count sweep start:end[:step]")
     p.add_argument("--budget-sweep", help="comma-separated satoshi budgets")
     p.add_argument("--volumes", help="payment volume file, one satoshi/line")

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import networkx as nx
+import numpy as np
 from scipy.sparse import csr_array
 
 # Fallback policy when a snapshot omits one side (common network defaults).
@@ -24,6 +25,10 @@ BALANCE_MODELS = ("capacity-both-ways", "half-split", "explicit")
 # residual of an arc can reach its capacity plus that of its reverse arc, so
 # no arc of the balance view may exceed half the int32 range.
 MAX_ARC_BALANCE = 2**30 - 1
+
+# No channel or balance can exceed the 21 million bitcoin ever issued; the
+# bound also keeps every balance, and sums of a few thousand, inside int64.
+MAX_SAT = 21_000_000 * 100_000_000
 
 
 class SnapshotError(Exception):
@@ -92,14 +97,113 @@ class ChannelEdge:
             raise KeyError(f"{src} is not an endpoint of channel {self.channel_id}")
 
 
+class ChannelView:
+    """Integer-indexed view of a graph's channels, for routing and max flow.
+
+    Node ids are sorted and mapped to ints, and channels are kept in
+    ``channel_id`` order. Each channel gives two directed arcs, ordered by
+    (source, destination, channel position) with a CSR row pointer by
+    source, so the first usable arc in a row reaches the smallest
+    destination id through the smallest channel id. `balance` holds the
+    routable balance per arc and changes only through `shift`.
+    """
+
+    def __init__(self, g: PcnGraph):
+        self.ids = sorted(g.nodes)
+        self.index = {v: i for i, v in enumerate(self.ids)}
+        self.channels = sorted(g.edges.values(), key=lambda e: e.channel_id)
+        m = len(self.channels)
+
+        def column(values):
+            return np.fromiter(values, np.int64, m)
+
+        a = column(self.index[e.a] for e in self.channels)
+        b = column(self.index[e.b] for e in self.channels)
+        # arcs a->b of every channel, then b->a
+        src, dst = np.concatenate((a, b)), np.concatenate((b, a))
+        channel = np.tile(np.arange(m), 2)
+        opposite = np.concatenate((np.arange(m, 2 * m), np.arange(m)))
+        balance = np.concatenate((column(e.balance_ab for e in self.channels),
+                                  column(e.balance_ba for e in self.channels)))
+        order = np.lexsort((channel, dst, src))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(2 * m)
+        self.src, self.dst = src[order], dst[order]
+        self.channel = channel[order]
+        self.balance = balance[order]
+        self.reverse = rank[opposite[order]]
+        self.indptr = np.searchsorted(self.src, np.arange(len(self.ids) + 1))
+        self._routable: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._flow: tuple[csr_array, dict[str, int]] | None = None
+
+    def routable(self, amount: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sources and destinations of the arcs with balance >= `amount`,
+        reused until the amount asked for or a balance changes."""
+        if self._routable is None or self._routable[0] != amount:
+            usable = self.balance >= amount
+            self._routable = (amount, self.src[usable], self.dst[usable])
+        return self._routable[1], self._routable[2]
+
+    def shift(self, arcs, amount: int) -> None:
+        """Move `amount` along each arc; the channels and this view's
+        balances change together."""
+        for x in arcs:
+            self.channels[self.channel[x]].shift(self.ids[self.src[x]], amount)
+            self.balance[x] -= amount
+            self.balance[self.reverse[x]] += amount
+        self._routable = None
+        self._flow = None
+
+    def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
+        """`PcnGraph.balance_digraph`, built once per balance state."""
+        if self._flow is not None:
+            return self._flow
+        # arcs are sorted by (source, destination): sum each run
+        first = np.ones(len(self.src), dtype=bool)
+        first[1:] = ((self.src[1:] != self.src[:-1])
+                     | (self.dst[1:] != self.dst[:-1]))
+        starts = np.flatnonzero(first)
+        summed = zip(self.src[starts].tolist(), self.dst[starts].tolist(),
+                     np.add.reduceat(self.balance, starts).tolist())
+        rows, cols, balances = [], [], []
+        size = len(self.ids)
+        for u, v, bal in summed:
+            if bal <= MAX_ARC_BALANCE:
+                rows.append(u)
+                cols.append(v)
+                balances.append(bal)
+                continue
+            for start in range(0, bal, MAX_ARC_BALANCE):
+                piece = min(MAX_ARC_BALANCE, bal - start)
+                rows += (u, size)
+                cols += (size, v)
+                balances += (piece, piece)
+                size += 1
+        arcs = csr_array((balances, (rows, cols)), shape=(size, size),
+                         dtype="int32")
+        self._flow = (arcs, self.index)
+        return self._flow
+
+
 @dataclass
 class PcnGraph:
     """A payment channel network. Treated as immutable by analysis code;
-    derive modified graphs via `remove_nodes` / the attack operations."""
+    derive modified graphs via `remove_nodes` / the attack operations.
+
+    Routing and max flow run on a `ChannelView` built on first use and
+    cached on the graph. Mutation contract: once the view exists, balances
+    change in place only through `payment_sim.route_payment(apply=True)`,
+    which shifts the channels and the view together; nodes and channels
+    are never added or removed in place. `copy()`, `induced_subgraph` and
+    `remove_nodes` return graphs without a view, so a graph changed right
+    after copying (as the attack operations do) builds a fresh one.
+    """
 
     nodes: set[str] = field(default_factory=set)
     edges: dict[str, ChannelEdge] = field(default_factory=dict)
     snapshot_time: str | None = None
+    _view: ChannelView | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def node_count(self) -> int:
@@ -130,6 +234,12 @@ class PcnGraph:
             snapshot_time=self.snapshot_time,
         )
 
+    def channel_view(self) -> ChannelView:
+        """The graph's cached `ChannelView`, built on first use."""
+        if self._view is None:
+            self._view = ChannelView(self)
+        return self._view
+
     def simple_graph(self) -> nx.Graph:
         """Undirected simple projection; parallel channels collapsed with
         capacities summed (stored as edge attribute `capacity`)."""
@@ -145,34 +255,13 @@ class PcnGraph:
     def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
         """Directed balance view for max flow, with the node id -> index map
         (ids in sorted order). Entry [i, j] is the total routable balance from
-        node i to node j, parallel channels summed.
+        node i to node j, parallel channels summed. Cached with the channel
+        view until a routed payment shifts a balance; read-only.
 
         A summed balance above MAX_ARC_BALANCE is routed through relay nodes
         appended after the real ones, one per piece of at most
         MAX_ARC_BALANCE, so every max-flow value stays exact."""
-        index = {v: i for i, v in enumerate(sorted(self.nodes))}
-        summed: dict[tuple[int, int], int] = {}
-        for e in self.edges.values():
-            a, b = index[e.a], index[e.b]
-            summed[a, b] = summed.get((a, b), 0) + e.balance_ab
-            summed[b, a] = summed.get((b, a), 0) + e.balance_ba
-        rows, cols, balances = [], [], []
-        size = len(index)
-        for (u, v), bal in summed.items():
-            if bal <= MAX_ARC_BALANCE:
-                rows.append(u)
-                cols.append(v)
-                balances.append(bal)
-                continue
-            for start in range(0, bal, MAX_ARC_BALANCE):
-                piece = min(MAX_ARC_BALANCE, bal - start)
-                rows += (u, size)
-                cols += (size, v)
-                balances += (piece, piece)
-                size += 1
-        arcs = csr_array((balances, (rows, cols)), shape=(size, size),
-                         dtype="int32")
-        return arcs, index
+        return self.channel_view().balance_digraph()
 
     def to_snapshot_dict(self) -> dict:
         """Serialize back to the snapshot schema (with explicit balances)."""
@@ -203,43 +292,66 @@ class PcnGraph:
 def _parse_policy(raw) -> FeePolicy:
     if not raw:
         return FeePolicy()
-    return FeePolicy(
-        base_fee_msat=int(raw.get("fee_base_msat", DEFAULT_BASE_FEE_MSAT)),
-        rate_ppm=int(raw.get("fee_rate_milli_msat", DEFAULT_RATE_PPM)),
-    )
+    if not isinstance(raw, dict):
+        raise SnapshotError(f"fee policy is not an object: {raw!r}")
+    try:
+        return FeePolicy(
+            base_fee_msat=int(raw.get("fee_base_msat", DEFAULT_BASE_FEE_MSAT)),
+            rate_ppm=int(raw.get("fee_rate_milli_msat", DEFAULT_RATE_PPM)),
+        )
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"bad fee policy {raw!r}")
+
+
+def _records(data: dict, key: str) -> list:
+    records = data.get(key, [])
+    if not isinstance(records, list):
+        raise SnapshotError(f"snapshot {key!r} is not a list")
+    return records
 
 
 def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> PcnGraph:
     if balance_model not in BALANCE_MODELS:
         raise ValueError(f"unknown balance model {balance_model!r}")
+    if not isinstance(data, dict):
+        raise SnapshotError("snapshot is not a JSON object")
 
     nodes = set()
-    for rec in data.get("nodes", []):
+    for rec in _records(data, "nodes"):
+        if not isinstance(rec, dict):
+            raise SnapshotError(f"node record is not an object: {rec!r}")
         key = rec.get("pub_key")
-        if not key:
-            raise ValidationError(f"node record without pub_key: {rec!r}")
+        if not key or not isinstance(key, str):
+            raise ValidationError(f"node record without a pub_key string: {rec!r}")
         if key in nodes:
             raise ValidationError(f"duplicate node key {key}")
         nodes.add(key)
 
     edges: dict[str, ChannelEdge] = {}
-    for rec in data.get("edges", []):
+    for rec in _records(data, "edges"):
+        if not isinstance(rec, dict):
+            raise SnapshotError(f"edge record is not an object: {rec!r}")
         cid = str(rec.get("channel_id", ""))
         if not cid:
             raise ValidationError(f"edge record without channel_id: {rec!r}")
         if cid in edges:
             raise ValidationError(f"duplicate channel_id {cid}")
         a, b = rec.get("node1_pub"), rec.get("node2_pub")
-        if a not in nodes or b not in nodes:
+        try:
+            known = a in nodes and b in nodes
+        except TypeError:  # unhashable endpoint
+            known = False
+        if not known:
             raise ValidationError(f"channel {cid} references unknown node")
         if a == b:
             raise ValidationError(f"channel {cid} is a self-loop")
         try:
             capacity = int(rec["capacity"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ValidationError(f"channel {cid} has missing or bad capacity")
-        if capacity <= 0:
-            raise ValidationError(f"channel {cid} has capacity <= 0")
+        if not 0 < capacity <= MAX_SAT:
+            raise ValidationError(
+                f"channel {cid} has capacity {capacity} outside 1..{MAX_SAT}")
 
         if balance_model == "capacity-both-ways":
             bal_ab = bal_ba = capacity
@@ -249,10 +361,11 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
             try:
                 bal_ab = int(rec["node1_balance"])
                 bal_ba = int(rec["node2_balance"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ValidationError(f"channel {cid} lacks explicit balances")
-            if bal_ab < 0 or bal_ba < 0:
-                raise ValidationError(f"channel {cid} has negative balance")
+            if not (0 <= bal_ab <= MAX_SAT and 0 <= bal_ba <= MAX_SAT):
+                raise ValidationError(
+                    f"channel {cid} has a balance outside 0..{MAX_SAT}")
 
         edges[cid] = ChannelEdge(
             channel_id=cid,
@@ -275,8 +388,6 @@ def load_snapshot(path, balance_model: str = "capacity-both-ways") -> PcnGraph:
             data = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SnapshotError(f"snapshot {path} is not a JSON object")
     return graph_from_dict(data, balance_model=balance_model)
 
 

@@ -11,12 +11,12 @@ deducted from channel balances.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.sparse.csgraph import maximum_flow
 
-from .graph_model import ChannelEdge, PcnGraph
+from .graph_model import ChannelView, PcnGraph
 
 
 @dataclass(frozen=True)
@@ -70,43 +70,39 @@ def load_volumes(path) -> VolumeModel:
     return VolumeModel(volumes=tuple(vols))
 
 
-def _routable_adjacency(g: PcnGraph, amount: int) -> dict[str, dict[str, ChannelEdge]]:
-    """For each node u: neighbor v -> channel to use for u->v at `amount`
-    (smallest channel_id among those with sufficient balance)."""
-    adj: dict[str, dict[str, ChannelEdge]] = {v: {} for v in g.nodes}
-    for e in sorted(g.edges.values(), key=lambda e: e.channel_id):
-        if e.balance_ab >= amount and e.b not in adj[e.a]:
-            adj[e.a][e.b] = e
-        if e.balance_ba >= amount and e.a not in adj[e.b]:
-            adj[e.b][e.a] = e
-    return adj
-
-
-def _shortest_path(adj, source: str, target: str) -> list[str] | None:
-    """Hop-count shortest path choosing the lexicographically smallest
-    node-id sequence among all shortest paths."""
-    # Distances toward the target over reversed arcs.
-    dist = {target: 0}
-    queue = deque([target])
-    reverse: dict[str, list[str]] = {v: [] for v in adj}
-    for u, nbrs in adj.items():
-        for v in nbrs:
-            reverse[v].append(u)
-    while queue:
-        u = queue.popleft()
-        for w in reverse[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    if source not in dist:
-        return None
-    path = [source]
+def _route_arcs(view: ChannelView, source: int, target: int,
+                amount: int) -> list[int] | None:
+    """Arcs of the hop-count shortest path from `source` to `target` over
+    arcs with balance >= `amount`, choosing the lexicographically smallest
+    node-id sequence (then the smallest channel id per hop)."""
+    src, dst = view.routable(amount)
+    n = len(view.ids)
+    # Distances toward the target, one BFS level of reversed arcs at a
+    # time; levels below the source's are complete once it is reached.
+    dist = np.full(n, -1)
+    dist[target] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[target] = True
+    level = 0
+    while dist[source] < 0:
+        reached = np.zeros(n, dtype=bool)
+        reached[src[frontier[dst]]] = True
+        reached &= dist < 0
+        if not reached.any():
+            return None
+        level += 1
+        dist[reached] = level
+        frontier = reached
+    arcs = []
     cur = source
-    while cur != target:
-        nxt = min(v for v in adj[cur] if dist.get(v, -1) == dist[cur] - 1)
-        path.append(nxt)
-        cur = nxt
-    return path
+    for hops_left in range(level - 1, -1, -1):
+        lo, hi = view.indptr[cur], view.indptr[cur + 1]
+        usable = ((view.balance[lo:hi] >= amount)
+                  & (dist[view.dst[lo:hi]] == hops_left))
+        x = int(lo + usable.argmax())
+        arcs.append(x)
+        cur = int(view.dst[x])
+    return arcs
 
 
 def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> PaymentOutcome:
@@ -114,19 +110,19 @@ def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> Paymen
     path (reverse direction credited, so per-channel funds are conserved)."""
     if spec.source not in g.nodes or spec.target not in g.nodes:
         raise KeyError("unknown payment endpoint")
-    adj = _routable_adjacency(g, spec.amount)
-    path = _shortest_path(adj, spec.source, spec.target)
-    if path is None:
+    view = g.channel_view()
+    arcs = _route_arcs(view, view.index[spec.source], view.index[spec.target],
+                       spec.amount)
+    if arcs is None:
         return PaymentOutcome(success=False)
 
+    path = [spec.source] + [view.ids[view.dst[x]] for x in arcs]
     per_hop: dict[str, int] = {}
-    for i in range(1, len(path) - 1):
-        hop = path[i]
-        channel = adj[hop][path[i + 1]]
+    for hop, x in zip(path[1:-1], arcs[1:]):
+        channel = view.channels[view.channel[x]]
         per_hop[hop] = channel.policy(hop).fee_msat(spec.amount)
     if apply:
-        for i in range(len(path) - 1):
-            adj[path[i]][path[i + 1]].shift(path[i], spec.amount)
+        view.shift(arcs, spec.amount)
     return PaymentOutcome(success=True, path=path,
                           fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
 

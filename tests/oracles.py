@@ -115,3 +115,48 @@ def augmenting_path_max_flow(capacities, s, t):
             residual[(u, v)] -= push
             residual[(v, u)] += push
         flow += push
+
+
+def reference_route(g, spec, apply=False):
+    """Single-path routing rebuilt from scratch for every payment: for each
+    node, the smallest-channel_id channel per neighbour with balance >=
+    amount; a hop-count BFS toward the target over the reversed arcs; then
+    the smallest next node id at each step. Returns a PaymentOutcome and,
+    with `apply`, shifts balances along the path."""
+    from collections import deque
+
+    from pcn_resilience.payment_sim import PaymentOutcome
+
+    if spec.source not in g.nodes or spec.target not in g.nodes:
+        raise KeyError("unknown payment endpoint")
+    adj = {v: {} for v in g.nodes}
+    for e in sorted(g.edges.values(), key=lambda e: e.channel_id):
+        if e.balance_ab >= spec.amount and e.b not in adj[e.a]:
+            adj[e.a][e.b] = e
+        if e.balance_ba >= spec.amount and e.a not in adj[e.b]:
+            adj[e.b][e.a] = e
+    reverse = {v: [] for v in adj}
+    for u, nbrs in adj.items():
+        for v in nbrs:
+            reverse[v].append(u)
+    dist = {spec.target: 0}
+    queue = deque([spec.target])
+    while queue:
+        u = queue.popleft()
+        for w in reverse[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    if spec.source not in dist:
+        return PaymentOutcome(success=False)
+    path = [spec.source]
+    while path[-1] != spec.target:
+        cur = path[-1]
+        path.append(min(v for v in adj[cur] if dist.get(v, -1) == dist[cur] - 1))
+    per_hop = {hop: adj[hop][nxt].policy(hop).fee_msat(spec.amount)
+               for hop, nxt in zip(path[1:-1], path[2:])}
+    if apply:
+        for u, v in zip(path, path[1:]):
+            adj[u][v].shift(u, spec.amount)
+    return PaymentOutcome(success=True, path=path,
+                          fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)

@@ -69,6 +69,21 @@ class TestAnalyze:
         assert rc != 0
 
 
+    @pytest.mark.parametrize("snapshot", [
+        {"nodes": ["x"]}, {"nodes": 5}, {"nodes": [], "edges": "c0"},
+        {"nodes": [{"pub_key": "a"}], "edges": [["a", "b"]]},
+    ])
+    def test_wrongly_typed_records_are_one_line(self, tmp_path, capsys,
+                                                snapshot):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(snapshot))
+        rc = main(["analyze", "--snapshot", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestAttack:
     def test_n_zero_gives_zero_deltas(self, tmp_path, er_snapshot):
         out = tmp_path / "attack.json"

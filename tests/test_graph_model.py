@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcn_resilience.graph_model import (MAX_ARC_BALANCE, PcnGraph,
-                                        SnapshotError, ValidationError,
+from pcn_resilience.graph_model import (BALANCE_MODELS, MAX_ARC_BALANCE,
+                                        MAX_SAT, PcnGraph, SnapshotError,
+                                        ValidationError,
                                         connected_components, graph_from_dict,
                                         largest_connected_component,
                                         load_snapshot, remove_nodes)
@@ -96,6 +97,90 @@ class TestLoadSnapshot:
             assert (e2.a, e2.b, e2.capacity) == (e.a, e.b, e.capacity)
             assert (e2.balance_ab, e2.balance_ba) == (e.balance_ab, e.balance_ba)
             assert e2.policy_ab == e.policy_ab and e2.policy_ba == e.policy_ba
+
+
+def _edge(**fields):
+    rec = {"channel_id": "c0", "node1_pub": "a", "node2_pub": "b",
+           "capacity": 10}
+    rec.update(fields)
+    return {"nodes": [{"pub_key": "a"}, {"pub_key": "b"}], "edges": [rec]}
+
+
+class TestRecordTypes:
+    """Wrongly typed records raise a snapshot error, never a TypeError or
+    AttributeError from deep inside ingest."""
+
+    @pytest.mark.parametrize("data", [
+        [], "nodes", {"nodes": 5}, {"nodes": ["x"]}, {"nodes": [None]},
+        {"nodes": [{"pub_key": "a"}], "edges": {"c0": {}}},
+        {"nodes": [{"pub_key": "a"}], "edges": 7},
+        {"nodes": [{"pub_key": "a"}], "edges": ["c0"]},
+        _edge(node1_policy="cheap"), _edge(node2_policy=[1, 2]),
+    ], ids=["list", "string", "nodes-int", "node-string", "node-null",
+            "edges-dict", "edges-int", "edge-string", "policy-string",
+            "policy-list"])
+    def test_wrong_container_is_snapshot_error(self, data):
+        with pytest.raises(SnapshotError):
+            graph_from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {"nodes": [{"pub_key": ["a"]}]}, {"nodes": [{"pub_key": 5}]},
+        _edge(node1_pub=["a"]), _edge(node2_pub={"k": "b"}),
+        _edge(capacity=float("inf")), _edge(capacity=[10]),
+        _edge(node1_policy={"fee_base_msat": [1]}),
+        _edge(node2_policy={"fee_rate_milli_msat": "x"}),
+    ], ids=["pub-key-list", "pub-key-int", "endpoint-list", "endpoint-dict",
+            "capacity-inf", "capacity-list", "base-fee-list", "fee-rate-text"])
+    def test_wrong_field_is_validation_error(self, data):
+        with pytest.raises(ValidationError):
+            graph_from_dict(data)
+
+    def test_explicit_balance_overflow(self):
+        with pytest.raises(ValidationError):
+            graph_from_dict(_edge(node1_balance=float("inf"), node2_balance=1),
+                            balance_model="explicit")
+
+
+class TestAmountBounds:
+    """Amounts above the bitcoin supply would overflow the int64 view."""
+
+    def test_capacity_above_supply_rejected(self):
+        graph_from_dict(_edge(capacity=MAX_SAT))
+        with pytest.raises(ValidationError, match="c0"):
+            graph_from_dict(_edge(capacity=MAX_SAT + 1))
+        with pytest.raises(ValidationError, match="c0"):
+            graph_from_dict(_edge(capacity=10**20))
+
+    def test_explicit_balance_above_supply_rejected(self):
+        with pytest.raises(ValidationError, match="c0"):
+            graph_from_dict(_edge(capacity=5, node1_balance=10**20,
+                                  node2_balance=0), balance_model="explicit")
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats()
+    | st.sampled_from(["", "a", "b", "c0", "1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["x", "fee_base_msat"]), inner, max_size=2),
+    max_leaves=6)
+_node = st.fixed_dictionaries(
+    {}, optional={"pub_key": _json | st.sampled_from(["a", "b"])})
+_edge_rec = st.fixed_dictionaries({}, optional={
+    key: _json for key in ("channel_id", "node1_pub", "node2_pub", "capacity",
+                           "node1_balance", "node2_balance",
+                           "node1_policy", "node2_policy")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+           "nodes": st.lists(_node | _json, max_size=3) | _json,
+           "edges": st.lists(_edge_rec | _json, max_size=3) | _json}),
+       st.sampled_from(BALANCE_MODELS))
+def test_any_snapshot_loads_or_raises_snapshot_error(data, balance_model):
+    try:
+        graph_from_dict(data, balance_model=balance_model)
+    except (SnapshotError, ValidationError):
+        pass
 
 
 class TestComponents:

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcn_resilience import payment_sim as ps
-from pcn_resilience.graph_model import graph_from_dict
+from pcn_resilience.graph_model import graph_from_dict, remove_nodes
 from pcn_resilience.topology_metrics import generate_reference
 
-from oracles import augmenting_path_max_flow
+from oracles import augmenting_path_max_flow, reference_route
 from test_graph_model import explicit_channels, make_graph
 
 VOLS = ps.VolumeModel(volumes=(1000, 5000, 20000))
@@ -83,6 +83,119 @@ class TestRoutePayment:
         # but b -> a now has extra headroom through h
         back = ps.route_payment(g, ps.PaymentSpec("b", "a", 60_000))
         assert back.success
+
+
+def balances(g):
+    return {cid: (e.balance_ab, e.balance_ba) for cid, e in g.edges.items()}
+
+
+# Ids whose lexicographic order differs from their numeric order, so a
+# tie-break by position instead of by id shows up.
+ROUTE_IDS = ["n0", "n1", "n10", "n2", "n9", "a", "Z"]
+
+
+@st.composite
+def routing_cases(draw):
+    """A small graph with parallel channels, tied shortest paths and
+    explicit balances, plus a sequence of read and write payments."""
+    ids = draw(st.lists(st.sampled_from(ROUTE_IDS), min_size=2, max_size=7,
+                        unique=True))
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+        lambda p: p[0] != p[1])
+    channels = draw(st.lists(
+        st.tuples(pair, st.integers(0, 12), st.integers(0, 12),
+                  st.integers(0, 3), st.integers(0, 3)),
+        max_size=14))
+    # channel ids out of insertion order exercise the smallest-id rule
+    cids = draw(st.permutations([f"ch{i}" for i in range(len(channels))]))
+    g = graph_from_dict({
+        "nodes": [{"pub_key": v} for v in ids],
+        "edges": [{"channel_id": cid, "node1_pub": a, "node2_pub": b,
+                   "capacity": ab + ba + 1, "node1_balance": ab,
+                   "node2_balance": ba,
+                   "node1_policy": {"fee_base_msat": fee,
+                                    "fee_rate_milli_msat": rate},
+                   "node2_policy": {"fee_base_msat": rate,
+                                    "fee_rate_milli_msat": fee}}
+                  for cid, ((a, b), ab, ba, fee, rate) in zip(cids, channels)],
+    }, balance_model="explicit")
+    payments = draw(st.lists(
+        st.tuples(pair, st.integers(1, 10), st.booleans()), max_size=20))
+    return g, [(ps.PaymentSpec(s, t, amount), apply)
+               for (s, t), amount, apply in payments]
+
+
+@settings(max_examples=200, deadline=None)
+@given(routing_cases())
+def test_route_payment_matches_reference_route(case):
+    g, payments = case
+    reference = g.copy()
+    for spec, apply in payments:
+        assert ps.route_payment(g, spec, apply=apply) == \
+            reference_route(reference, spec, apply=apply)
+        assert balances(g) == balances(reference)
+
+
+class TestChannelView:
+    def test_parallel_channels_use_smallest_channel_id(self):
+        # "c10" sorts before "c9"; the relay's fee comes from that channel
+        g = graph_from_dict({
+            "nodes": [{"pub_key": v} for v in "ahb"],
+            "edges": [
+                {"channel_id": "c0", "node1_pub": "a", "node2_pub": "h",
+                 "capacity": 200},
+                {"channel_id": "c9", "node1_pub": "h", "node2_pub": "b",
+                 "capacity": 100, "node1_policy": {"fee_base_msat": 9}},
+                {"channel_id": "c10", "node1_pub": "h", "node2_pub": "b",
+                 "capacity": 100, "node1_policy": {"fee_base_msat": 10}},
+            ]})
+        out = ps.route_payment(g, ps.PaymentSpec("a", "b", 60), apply=True)
+        assert out.per_hop_fees == {"h": 10}
+        assert balances(g)["c10"] == (40, 160)
+        assert balances(g)["c9"] == (100, 100)
+        # c10 no longer carries 60 from h, so the next payment takes c9
+        out = ps.route_payment(g, ps.PaymentSpec("a", "b", 60), apply=True)
+        assert out.per_hop_fees == {"h": 9}
+
+    def test_max_flow_follows_routed_balances(self):
+        g = make_graph(["a", "h", "b", "c"],
+                       [("a", "h"), ("h", "b"), ("a", "c"), ("c", "b")],
+                       capacity=50_000)
+        assert ps.max_flow(g, "a", "b") == 100_000
+        spec = ps.PaymentSpec("a", "b", 30_000)
+        assert ps.route_payment(g, spec, apply=True).path == ["a", "c", "b"]
+        for s, t in (("a", "b"), ("b", "a"), ("h", "c")):
+            assert ps.max_flow(g, s, t) == \
+                augmenting_path_max_flow(balance_caps(g), s, t)
+        assert ps.max_flow(g, "a", "b") == 70_000
+
+    def test_reads_reuse_one_view_and_writes_update_it(self):
+        g = make_graph(["a", "h", "b"], [("a", "h"), ("h", "b")],
+                       capacity=50_000)
+        view = g.channel_view()
+        ps.route_payment(g, ps.PaymentSpec("a", "b", 1))
+        ps.route_payment(g, ps.PaymentSpec("b", "a", 1))
+        assert g.channel_view() is view
+        ps.route_payment(g, ps.PaymentSpec("a", "b", 20_000), apply=True)
+        assert g.channel_view() is view
+        arc_balance = {(view.ids[u], view.ids[v]): int(bal) for u, v, bal
+                       in zip(view.src, view.dst, view.balance)}
+        assert arc_balance == {("a", "h"): 30_000, ("h", "a"): 70_000,
+                               ("h", "b"): 30_000, ("b", "h"): 70_000}
+
+    def test_copies_and_subgraphs_build_their_own_view(self):
+        g = make_graph(["a", "h", "b", "x"], [("a", "h"), ("h", "b"), ("b", "x")],
+                       capacity=50_000)
+        view = g.channel_view()
+        copied = g.copy()
+        reduced = remove_nodes(g, ["x"])
+        for h in (copied, reduced):
+            assert h.channel_view() is not view
+            ps.route_payment(h, ps.PaymentSpec("a", "b", 50_000), apply=True)
+        assert balances(g) == {"c0": (50_000, 50_000), "c1": (50_000, 50_000),
+                               "c2": (50_000, 50_000)}
+        assert ps.route_payment(g, ps.PaymentSpec("a", "b", 50_000)).success
+        assert ps.max_flow(g, "a", "b") == 50_000
 
 
 class TestSuccessRatio:
