@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import payment_sim
 from .graph_model import PcnGraph, connected_components, remove_nodes
@@ -225,29 +227,44 @@ def _rank_parallel_paths(g: PcnGraph, strategy: Strategy) -> list[str]:
 
 def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     """Sample minimum (s, t)-cuts for random terminal pairs and rank the
-    distinct cuts by occurrence count."""
+    distinct cuts by occurrence count. A cut is the sorted ids of the
+    channels between the sink side and the rest; pairs without a path
+    are skipped."""
     params = strategy.params
     rng = random.Random(params.get("seed", 0))
-    sg = g.simple_graph()
     pairs = payment_sim.sample_pairs(g.nodes, params["cut_samples"], rng)
-
-    # channel ids per simple-projection edge, for canonical cut identity
-    by_pair: dict[frozenset, list[str]] = {}
-    for e in g.edges.values():
-        by_pair.setdefault(frozenset((e.a, e.b)), []).append(e.channel_id)
+    view = g.channel_view()
+    capacity = view.capacity_digraph()
+    a = np.array([view.index[e.a] for e in view.channels], dtype=np.int64)
+    b = np.array([view.index[e.b] for e in view.channels], dtype=np.int64)
+    channel_ids = [e.channel_id for e in view.channels]  # sorted
 
     occurrences: dict[tuple[str, ...], int] = {}
     for s, t in pairs:
-        if not nx.has_path(sg, s, t):
+        sink = _sink_side(capacity, view.index[s], view.index[t])
+        if sink is None:
             continue
-        _, (side_s, side_t) = nx.minimum_cut(sg, s, t, capacity="capacity")
-        cut_ids = []
-        for u, v in sg.edges():
-            if (u in side_s) != (v in side_s):
-                cut_ids.extend(by_pair[frozenset((u, v))])
-        key = tuple(sorted(cut_ids))
+        crossing = np.flatnonzero(sink[a] != sink[b])
+        key = tuple(channel_ids[i] for i in crossing.tolist())
         occurrences[key] = occurrences.get(key, 0) + 1
     return sorted(occurrences, key=lambda c: (-occurrences[c], c))
+
+
+def _sink_side(capacity: csr_array, s: int, t: int) -> np.ndarray | None:
+    """Mask of the nodes that reach `t` in the residual of a maximum s-t
+    flow, or None when no flow passes. Every maximum flow leaves the same
+    set (the sink side of the minimum cut closest to t; Picard & Queyranne
+    1980), which is the one networkx's `minimum_cut` reports."""
+    flow = maximum_flow(capacity, s, t)
+    if flow.flow_value == 0:
+        return None
+    residual = capacity - flow.flow
+    residual.eliminate_zeros()
+    reach = breadth_first_order(residual.T, t, directed=True,
+                                return_predecessors=False)
+    sink = np.zeros(capacity.shape[0], dtype=bool)
+    sink[reach] = True
+    return sink
 
 
 def _measure(g: PcnGraph, specs, flow_pairs, params: MetricParams,

@@ -99,11 +99,11 @@ def cmd_analyze(args) -> int:
             "graphs": {name: r.to_dict() for name, r in rows},
         }))
 
+    distribution = sorted(degree_distribution(g).items())
     degrees = []
-    for deg, count in sorted(degree_distribution(g).items()):
+    for deg, count in distribution:
         degrees.extend([deg] * count)
-    dist_lines = ["degree,count"] + [
-        f"{deg},{count}" for deg, count in sorted(degree_distribution(g).items())]
+    dist_lines = ["degree,count"] + [f"{deg},{count}" for deg, count in distribution]
     _write(out / "degree_distribution.csv", "\n".join(dist_lines) + "\n")
 
     pl: dict = {"meta": meta}

@@ -23,7 +23,7 @@ BALANCE_MODELS = ("capacity-both-ways", "half-split", "explicit")
 
 # scipy's maximum_flow keeps capacities and residuals in int32, and the
 # residual of an arc can reach its capacity plus that of its reverse arc, so
-# no arc of the balance view may exceed half the int32 range.
+# no arc of the balance or capacity view may exceed half the int32 range.
 MAX_ARC_BALANCE = 2**30 - 1
 
 # No channel or balance can exceed the 21 million bitcoin ever issued; the
@@ -154,35 +154,54 @@ class ChannelView:
         self._routable = None
         self._flow = None
 
-    def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
-        """`PcnGraph.balance_digraph`, built once per balance state."""
-        if self._flow is not None:
-            return self._flow
+    def _summed_arcs(self, amounts: np.ndarray) -> csr_array:
+        """Per-arc `amounts` summed over parallel channels, as `_relay_csr`."""
         # arcs are sorted by (source, destination): sum each run
         first = np.ones(len(self.src), dtype=bool)
         first[1:] = ((self.src[1:] != self.src[:-1])
                      | (self.dst[1:] != self.dst[:-1]))
         starts = np.flatnonzero(first)
-        summed = zip(self.src[starts].tolist(), self.dst[starts].tolist(),
-                     np.add.reduceat(self.balance, starts).tolist())
-        rows, cols, balances = [], [], []
-        size = len(self.ids)
-        for u, v, bal in summed:
-            if bal <= MAX_ARC_BALANCE:
-                rows.append(u)
-                cols.append(v)
-                balances.append(bal)
-                continue
-            for start in range(0, bal, MAX_ARC_BALANCE):
-                piece = min(MAX_ARC_BALANCE, bal - start)
-                rows += (u, size)
-                cols += (size, v)
-                balances += (piece, piece)
-                size += 1
-        arcs = csr_array((balances, (rows, cols)), shape=(size, size),
-                         dtype="int32")
-        self._flow = (arcs, self.index)
+        return _relay_csr(self.src[starts], self.dst[starts],
+                         np.add.reduceat(amounts, starts), len(self.ids))
+
+    def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
+        """`PcnGraph.balance_digraph`, built once per balance state."""
+        if self._flow is None:
+            self._flow = (self._summed_arcs(self.balance), self.index)
         return self._flow
+
+    def capacity_digraph(self) -> csr_array:
+        """Symmetric capacity view for minimum cuts: entries [i, j] and
+        [j, i] both hold the summed capacity of the channels between nodes
+        i and j (ids in sorted order), split through relay nodes like the
+        balance view."""
+        capacity = np.fromiter((e.capacity for e in self.channels), np.int64,
+                               len(self.channels))
+        return self._summed_arcs(capacity[self.channel])
+
+
+def _relay_csr(src, dst, amounts, n: int) -> csr_array:
+    """int32 CSR over `n` nodes with one arc per distinct (src, dst) pair.
+
+    scipy's maximum_flow keeps residuals in int32, so an amount above
+    MAX_ARC_BALANCE is routed through relay nodes appended after the real
+    ones, one per piece of at most MAX_ARC_BALANCE; every max-flow value,
+    and the real nodes on each side of a minimum cut, stay exact."""
+    rows, cols, values = [], [], []
+    size = n
+    for u, v, amount in zip(src.tolist(), dst.tolist(), amounts.tolist()):
+        if amount <= MAX_ARC_BALANCE:
+            rows.append(u)
+            cols.append(v)
+            values.append(amount)
+            continue
+        for start in range(0, amount, MAX_ARC_BALANCE):
+            piece = min(MAX_ARC_BALANCE, amount - start)
+            rows += (u, size)
+            cols += (size, v)
+            values += (piece, piece)
+            size += 1
+    return csr_array((values, (rows, cols)), shape=(size, size), dtype="int32")
 
 
 @dataclass
@@ -366,6 +385,13 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
             if not (0 <= bal_ab <= MAX_SAT and 0 <= bal_ba <= MAX_SAT):
                 raise ValidationError(
                     f"channel {cid} has a balance outside 0..{MAX_SAT}")
+            # Balances split the capacity; both sides holding all of it is
+            # the capacity-both-ways state that `to_snapshot_dict` writes.
+            if (bal_ab + bal_ba > capacity
+                    and not bal_ab == bal_ba == capacity):
+                raise ValidationError(
+                    f"channel {cid} has balances {bal_ab} + {bal_ba} "
+                    f"above its capacity {capacity}")
 
         edges[cid] = ChannelEdge(
             channel_id=cid,

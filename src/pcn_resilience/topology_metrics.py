@@ -7,6 +7,7 @@ graph: parallel channels are collapsed and their capacities summed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -76,19 +77,126 @@ def degree_distribution(g: PcnGraph) -> dict[int, int]:
     return counts
 
 
+# Sources per Brandes block: a block runs its BFS levels together on flat
+# (source, node) arrays. 16 measured fastest at 500 nodes.
+BETWEENNESS_BLOCK = 16
+
+
 def betweenness_centrality(g: PcnGraph, normalized: bool = True,
                            sample_sources: int | None = None,
                            seed: int = 0) -> dict[str, float]:
     """Shortest-path betweenness on the simple projection.
 
     `sample_sources` switches to pivot sampling for large graphs; exact
-    (all sources) when None.
+    (all sources) when None. Brandes' algorithm, run over blocks of
+    sources, that reproduces `networkx.betweenness_centrality` on
+    `g.simple_graph()` bit for bit: the same node and adjacency order, the
+    same pivots, and every floating-point sum taken in the same order.
     """
     sg = g.simple_graph()
-    if sample_sources is not None and sample_sources < sg.number_of_nodes():
-        return nx.betweenness_centrality(
-            sg, k=sample_sources, normalized=normalized, seed=seed)
-    return nx.betweenness_centrality(sg, normalized=normalized)
+    nodes = list(sg)
+    n = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(sg.adj[v]) for v in nodes])
+    indices = np.fromiter((index[w] for v in nodes for w in sg.adj[v]),
+                          np.int64, indptr[-1])
+    sampled = sample_sources is not None and sample_sources < n
+    if sampled:
+        sources = np.array([index[v] for v in
+                            random.Random(seed).sample(nodes, sample_sources)],
+                           dtype=np.int64)
+    else:
+        sources = np.arange(n)
+    total = np.zeros(n)
+    for lo in range(0, len(sources), BETWEENNESS_BLOCK):
+        block = sources[lo:lo + BETWEENNESS_BLOCK]
+        for row in _dependencies(indptr, indices, block):
+            total += row
+    if n > 2:
+        total *= _betweenness_scale(n, sources if sampled else None,
+                                    normalized)
+    return dict(zip(nodes, total.tolist()))
+
+
+def _dependencies(indptr: np.ndarray, indices: np.ndarray,
+                  sources: np.ndarray) -> np.ndarray:
+    """Brandes dependencies of every node on each source, one row per
+    source, with a source's own entry 0.
+
+    A block of sources is searched level by level at once; index
+    ``b * n + v`` is node v as seen from the b-th source. Each level is
+    discovered in networkx's BFS order (frontier order, then adjacency
+    order), and ``pos`` is a node's place in its level. Path counts are
+    sums of integers, exact in any order. The dependency of v sums its
+    successors' terms by a bincount over the pairs sorted by the
+    successor's place, last first: the order networkx pops its stack in.
+    """
+    n = len(indptr) - 1
+    size = len(sources) * n
+    degree = np.diff(indptr)
+    dist = np.full(size, -1)
+    first = np.full(size, np.iinfo(np.int64).max)
+    pos = np.zeros(size, dtype=np.int64)
+    sigma = np.zeros(size)
+    delta = np.zeros(size)
+    frontier = np.arange(len(sources)) * n + sources
+    dist[frontier] = 0
+    pos[frontier] = np.arange(len(sources))
+    sigma[frontier] = 1.0
+    levels = []
+    while frontier.size:
+        node = frontier % n
+        counts = degree[node]
+        v = np.repeat(frontier, counts)
+        # the neighbours of each frontier node, in adjacency order
+        offsets = np.arange(counts.sum()) + np.repeat(
+            indptr[node] - (np.cumsum(counts) - counts), counts)
+        w = v - np.repeat(node, counts) + indices[offsets]
+        fresh = w[dist[w] < 0]
+        seen_at = np.arange(fresh.size)
+        np.minimum.at(first, fresh, seen_at)
+        nxt = fresh[first[fresh] == seen_at]
+        dist[nxt] = len(levels) + 1
+        pos[nxt] = np.arange(nxt.size)
+        on_path = dist[w] == len(levels) + 1
+        v, w = v[on_path], w[on_path]
+        sigma[nxt] = np.bincount(pos[w], weights=sigma[v], minlength=nxt.size)
+        levels.append((frontier, nxt, v, w))
+        frontier = nxt
+    for cur, nxt, v, w in reversed(levels):
+        coeff = (1.0 + delta[nxt]) / sigma[nxt]
+        wpos = pos[w]
+        # the narrowest key type (numpy radix-sorts 8- and 16-bit keys);
+        # pairs of one w may come in any order
+        key = wpos.astype(np.min_scalar_type(nxt.size))
+        order = np.argsort(key, kind="stable")[::-1]
+        v, wpos = v[order], wpos[order]
+        delta[cur] = np.bincount(pos[v], weights=sigma[v] * coeff[wpos],
+                                 minlength=cur.size)
+    delta[np.arange(len(sources)) * n + sources] = 0.0
+    return delta.reshape(len(sources), n)
+
+
+def _betweenness_scale(n: int, pivots: np.ndarray | None, normalized: bool):
+    """networkx 3.6's `_rescale` for undirected node betweenness without
+    endpoints, on n > 2 nodes from all sources or from `pivots`."""
+    targets = n - 1
+    if pivots is None:
+        if normalized:
+            return 1 / (targets * (targets - 1))
+        return targets / (targets * 2)
+    # a pivot is never its own target; NaN when k = 1 leaves no pairs
+    k = len(pivots)
+    if normalized:
+        scale_source = 1 / ((k - 1) * (targets - 1)) if k > 1 else math.nan
+        scale_nonsource = 1 / (k * (targets - 1))
+    else:
+        scale_source = targets / ((k - 1) * 2) if k > 1 else math.nan
+        scale_nonsource = targets / (k * 2)
+    scale = np.full(n, scale_nonsource)
+    scale[pivots] = scale_source
+    return scale
 
 
 def eigenvector_centrality(g: PcnGraph, weighted: bool = False,

@@ -1,8 +1,8 @@
 """Independent brute-force implementations used to cross-check the library.
 
-These deliberately avoid networkx and the library's own algorithms: path
-enumeration by DFS, union-find for components, a from-scratch augmenting
-path max-flow. Only usable on small graphs.
+These deliberately avoid the library's own algorithms: path enumeration by
+DFS, union-find for components, a from-scratch augmenting path max-flow,
+and networkx's preflow-push for minimum cuts. Only usable on small graphs.
 """
 
 from itertools import combinations
@@ -160,3 +160,17 @@ def reference_route(g, spec, apply=False):
             adj[u][v].shift(u, spec.amount)
     return PaymentOutcome(success=True, path=path,
                           fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
+
+
+def reference_min_cut(g, s, t):
+    """The minimum s-t cut as networkx finds it on the simple projection
+    (parallel channels summed): the sorted ids of the channels between
+    the sink side and the rest, or None when t cannot be reached."""
+    import networkx as nx
+
+    sg = g.simple_graph()
+    if not nx.has_path(sg, s, t):
+        return None
+    _, (side_s, _) = nx.minimum_cut(sg, s, t, capacity="capacity")
+    return tuple(sorted(e.channel_id for e in g.edges.values()
+                        if (e.a in side_s) != (e.b in side_s)))

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcn_resilience import attack_engine as ae
 from pcn_resilience import payment_sim as ps
 from pcn_resilience.graph_model import graph_from_dict, remove_nodes
 from pcn_resilience.topology_metrics import generate_reference
 
+from oracles import reference_min_cut
 from test_graph_model import make_graph
 
 
@@ -197,6 +200,65 @@ class TestPlanTargets:
             ae.Strategy("parallel-paths", {})
         with pytest.raises(ValueError):
             ae.Strategy("nonsense")
+
+
+def reference_ranked_cuts(g, cut_samples, seed):
+    """`_rank_min_cuts` with every cut taken from the networkx oracle."""
+    pairs = ps.sample_pairs(g.nodes, cut_samples, random.Random(seed))
+    occurrences = {}
+    for s, t in pairs:
+        cut = reference_min_cut(g, s, t)
+        if cut is not None:
+            occurrences[cut] = occurrences.get(cut, 0) + 1
+    return sorted(occurrences, key=lambda c: (-occurrences[c], c))
+
+
+def ranked_cuts(g, cut_samples, seed):
+    return ae._rank_min_cuts(
+        g, ae.Strategy("ranked-min-cut", {"cut_samples": cut_samples, "seed": seed}))
+
+
+# Small capacities tie many cuts; the large ones need relay nodes alone or
+# summed over parallel channels.
+CUT_CAPACITIES = [1, 2, 3, 2**30 - 1, 2**30, 3 * 2**30 + 7]
+
+
+@st.composite
+def cut_cases(draw):
+    """Graphs with parallel channels, several components and tied cuts."""
+    ids = [f"v{i}" for i in range(draw(st.integers(2, 8)))]
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+        lambda p: p[0] != p[1])
+    channels = draw(st.lists(st.tuples(pair, st.sampled_from(CUT_CAPACITIES)),
+                             max_size=16))
+    cids = draw(st.permutations([f"ch{i}" for i in range(len(channels))]))
+    g = graph_from_dict({
+        "nodes": [{"pub_key": v} for v in ids],
+        "edges": [{"channel_id": cid, "node1_pub": a, "node2_pub": b,
+                   "capacity": capacity}
+                  for cid, ((a, b), capacity) in zip(cids, channels)]})
+    return g, draw(st.integers(1, 12)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_cases())
+def test_rank_min_cuts_matches_reference_min_cut(case):
+    g, cut_samples, seed = case
+    assert ranked_cuts(g, cut_samples, seed) == \
+        reference_ranked_cuts(g, cut_samples, seed)
+
+
+def test_min_cut_across_parallel_channels_past_int32():
+    # the bridge is two parallel channels summing to 3 * 2**30; cutting
+    # around one cluster node costs three channels of 2**32
+    snapshot = barbell_fixture(cluster=4, bridge_capacity=2**30,
+                               cluster_capacity=2**32).to_snapshot_dict()
+    snapshot["edges"].append({"channel_id": "bridge2", "node1_pub": "r0",
+                              "node2_pub": "l0", "capacity": 2**31})
+    g = graph_from_dict(snapshot)
+    cuts = ranked_cuts(g, 60, 5)
+    assert ("bridge", "bridge2") in cuts
+    assert cuts == reference_ranked_cuts(g, 60, 5)
 
 
 class TestExecuteAttack:

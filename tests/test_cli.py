@@ -83,6 +83,18 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_balances_above_capacity_are_one_line(self, tmp_path, capsys):
+        path = tmp_path / "overdrawn.json"
+        path.write_text(json.dumps({
+            "nodes": [{"pub_key": "a"}, {"pub_key": "b"}],
+            "edges": [{"channel_id": "c0", "node1_pub": "a", "node2_pub": "b",
+                       "capacity": 5, "node1_balance": 9, "node2_balance": 9}]}))
+        rc = main(["analyze", "--snapshot", str(path), "--balance-model",
+                   "explicit", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: channel c0 has balances 9 + 9 above its capacity 5"]
+
 
 class TestAttack:
     def test_n_zero_gives_zero_deltas(self, tmp_path, er_snapshot):

@@ -156,6 +156,22 @@ class TestAmountBounds:
             graph_from_dict(_edge(capacity=5, node1_balance=10**20,
                                   node2_balance=0), balance_model="explicit")
 
+    def test_explicit_balances_above_capacity_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="c0 has balances 9 \\+ 9 above its capacity 5"):
+            graph_from_dict(_edge(capacity=5, node1_balance=9, node2_balance=9),
+                            balance_model="explicit")
+        with pytest.raises(ValidationError, match="c0"):
+            graph_from_dict(_edge(capacity=5, node1_balance=5, node2_balance=1),
+                            balance_model="explicit")
+        # a split below the capacity (in-flight funds, reserves) is legal,
+        # and so is the capacity-both-ways state `to_snapshot_dict` writes
+        for ab, ba in ((2, 2), (5, 0), (5, 5)):
+            e = graph_from_dict(_edge(capacity=5, node1_balance=ab,
+                                      node2_balance=ba),
+                                balance_model="explicit").edges["c0"]
+            assert (e.balance_ab, e.balance_ba) == (ab, ba)
+
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.floats()

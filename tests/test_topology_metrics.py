@@ -1,6 +1,7 @@
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,67 @@ class TestBetweenness:
             want = brute_betweenness(g.nodes, adjacency(g))
             for v in g.nodes:
                 assert got[v] == pytest.approx(want[v], abs=1e-9)
+
+
+def same_floats(got, want):
+    """Equal dicts in the same key order, values compared with == (NaN
+    equal to NaN)."""
+    return list(got) == list(want) and all(
+        got[v] == want[v] or (math.isnan(got[v]) and math.isnan(want[v]))
+        for v in want)
+
+
+@st.composite
+def betweenness_cases(draw):
+    """Graphs with isolated nodes, several components and parallel
+    channels, with a source count for exact mode or k in {1, 2, n - 1}."""
+    nodes = [f"v{i}" for i in draw(st.permutations(range(draw(st.integers(0, 12)))))]
+    pairs = []
+    if len(nodes) >= 2:
+        pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+            lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, max_size=30))
+    n = len(nodes)
+    k = draw(st.sampled_from([None] + [k for k in (1, 2, n - 1) if 1 <= k < n]))
+    return make_graph(nodes, pairs), k, draw(st.booleans()), draw(st.integers(0, 99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(betweenness_cases())
+def test_betweenness_matches_networkx_bit_for_bit(case):
+    g, k, normalized, seed = case
+    got = tm.betweenness_centrality(g, normalized=normalized,
+                                    sample_sources=k, seed=seed)
+    want = nx.betweenness_centrality(g.simple_graph(), k=k,
+                                     normalized=normalized, seed=seed)
+    assert same_floats(got, want)
+
+
+@pytest.mark.parametrize("sample_sources", [None, 40])
+def test_betweenness_matches_networkx_across_blocks(sample_sources):
+    # several source blocks, odd path counts and components of unequal size
+    g = tm.generate_reference("erdos-renyi", 150, 220, seed=4)
+    got = tm.betweenness_centrality(g, sample_sources=sample_sources, seed=9)
+    want = nx.betweenness_centrality(g.simple_graph(), k=sample_sources, seed=9)
+    assert same_floats(got, want)
+
+
+def test_betweenness_matches_networkx_on_levels_past_16_bits():
+    # 8,000 spokes on three hubs, with leaves behind them: seen from a block
+    # of 16 pivots, the spoke level holds more places than a 16-bit sort key
+    # names, and its path counts of 1 to 3 make the sum order matter
+    rng = random.Random(3)
+    hubs = ["h0", "h1", "h2"]
+    spokes = [f"s{i}" for i in range(8000)]
+    leaves = [f"l{i}" for i in range(3000)]
+    pairs = [(h, v) for v in spokes for h in rng.sample(hubs, rng.randint(1, 3))]
+    pairs += [tuple(rng.sample(spokes, 2)) for _ in range(2000)]
+    pairs += [(leaf, v) for leaf in leaves
+              for v in rng.sample(spokes, rng.randint(1, 2))]
+    g = make_graph(hubs + spokes + leaves, pairs)
+    got = tm.betweenness_centrality(g, sample_sources=20, seed=1)
+    want = nx.betweenness_centrality(g.simple_graph(), k=20, seed=1)
+    assert same_floats(got, want)
 
 
 class TestEigenvector:
