@@ -110,6 +110,10 @@ class MetricParams:
     volumes: VolumeModel = UNIT_VOLUMES
     hub: str | None = None
 
+    def __post_init__(self):
+        if self.attempts < 1 or self.flow_rounds < 1:
+            raise ValueError("attempts and flow rounds must be >= 1")
+
 
 def advantage(m: float, m_prime: float) -> float:
     """Relative decrease |1 - m'/m| of a metric under attack."""
@@ -176,11 +180,7 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int) -> AttackPlan:
         raise ValueError("limit must be >= 1")
 
     if strategy.kind == "degree":
-        deg = {v: 0 for v in g.nodes}
-        for e in g.edges.values():
-            deg[e.a] += 1
-            deg[e.b] += 1
-        ranked = _rank_nodes(deg)
+        ranked = _rank_nodes(g.degrees())
     elif strategy.kind == "betweenness":
         ranked = _rank_nodes(betweenness_centrality(
             g, normalized=True,
@@ -234,7 +234,7 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     rng = random.Random(params.get("seed", 0))
     pairs = payment_sim.sample_pairs(g.nodes, params["cut_samples"], rng)
     view = g.channel_view()
-    capacity = view.capacity_digraph()
+    capacity = g.simple_graph().capacity_csr()
     a = np.array([view.index[e.a] for e in view.channels], dtype=np.int64)
     b = np.array([view.index[e.b] for e in view.channels], dtype=np.int64)
     channel_ids = [e.channel_id for e in view.channels]  # sorted

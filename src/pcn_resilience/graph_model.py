@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 # Fallback policy when a snapshot omits one side (common network defaults).
 DEFAULT_BASE_FEE_MSAT = 1000
@@ -154,42 +154,72 @@ class ChannelView:
         self._routable = None
         self._flow = None
 
-    def _summed_arcs(self, amounts: np.ndarray) -> csr_array:
-        """Per-arc `amounts` summed over parallel channels, as `_relay_csr`."""
-        # arcs are sorted by (source, destination): sum each run
-        first = np.ones(len(self.src), dtype=bool)
-        first[1:] = ((self.src[1:] != self.src[:-1])
-                     | (self.dst[1:] != self.dst[:-1]))
-        starts = np.flatnonzero(first)
-        return _relay_csr(self.src[starts], self.dst[starts],
-                         np.add.reduceat(amounts, starts), len(self.ids))
-
     def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
         """`PcnGraph.balance_digraph`, built once per balance state."""
         if self._flow is None:
-            self._flow = (self._summed_arcs(self.balance), self.index)
+            n = len(self.ids)
+            # parallel arcs add up as the matrix is built
+            self._flow = (_relay_csr(csr_array(
+                (self.balance, (self.src, self.dst)), shape=(n, n))),
+                          self.index)
         return self._flow
 
-    def capacity_digraph(self) -> csr_array:
-        """Symmetric capacity view for minimum cuts: entries [i, j] and
+
+class SimpleView:
+    """Integer-indexed undirected simple projection, for the topology
+    measures and minimum cuts.
+
+    Node ids are sorted and mapped to ints as in `ChannelView`. CSR row i
+    (`rows`, `indices`, `indptr`) lists node i's neighbours once each, in
+    the order of the first channel in `edges` joining the two, with their
+    summed `capacity`, and `adjacency` holds the same entries as ones;
+    `insertion` is the node set's iteration order. These are the orders of
+    the networkx graph betweenness reproduces.
+    """
+
+    def __init__(self, g: PcnGraph):
+        self.ids = sorted(g.nodes)
+        self.index = {v: i for i, v in enumerate(self.ids)}
+        n = len(self.ids)
+        self.insertion = np.array([self.index[v] for v in g.nodes], np.int64)
+        a, b, capacity = np.array(
+            [(self.index[e.a], self.index[e.b], e.capacity)
+             for e in g.edges.values()], np.int64).reshape(-1, 3).T
+        _, first, which = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                    return_index=True, return_inverse=True)
+        summed = np.zeros(len(first), dtype=np.int64)
+        np.add.at(summed, which, capacity)
+        # both arcs of each pair, rows ordered by the pair's first channel
+        src = np.concatenate((a[first], b[first]))
+        order = np.argsort(src * len(a) + np.tile(first, 2))
+        self.rows = src[order]
+        self.indices = np.concatenate((b[first], a[first]))[order]
+        self.capacity = np.tile(summed, 2)[order]
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
+        self.adjacency = csr_array((np.ones(len(order), dtype=np.int64),
+                                    self.indices, self.indptr), shape=(n, n))
+
+    def capacity_csr(self) -> csr_array:
+        """Symmetric capacity matrix for minimum cuts: entries [i, j] and
         [j, i] both hold the summed capacity of the channels between nodes
-        i and j (ids in sorted order), split through relay nodes like the
-        balance view."""
-        capacity = np.fromiter((e.capacity for e in self.channels), np.int64,
-                               len(self.channels))
-        return self._summed_arcs(capacity[self.channel])
+        i and j, split through relay nodes like the balance view."""
+        return _relay_csr(csr_array((self.capacity, self.indices, self.indptr),
+                                    shape=self.adjacency.shape))
 
 
-def _relay_csr(src, dst, amounts, n: int) -> csr_array:
-    """int32 CSR over `n` nodes with one arc per distinct (src, dst) pair.
+def _relay_csr(summed: csr_array) -> csr_array:
+    """int32 copy of `summed`, a square int64 matrix of amounts, for
+    maximum flow.
 
     scipy's maximum_flow keeps residuals in int32, so an amount above
     MAX_ARC_BALANCE is routed through relay nodes appended after the real
     ones, one per piece of at most MAX_ARC_BALANCE; every max-flow value,
     and the real nodes on each side of a minimum cut, stay exact."""
+    summed = summed.tocoo()
     rows, cols, values = [], [], []
-    size = n
-    for u, v, amount in zip(src.tolist(), dst.tolist(), amounts.tolist()):
+    size = summed.shape[0]
+    for u, v, amount in zip(summed.row.tolist(), summed.col.tolist(),
+                            summed.data.tolist()):
         if amount <= MAX_ARC_BALANCE:
             rows.append(u)
             cols.append(v)
@@ -209,13 +239,15 @@ class PcnGraph:
     """A payment channel network. Treated as immutable by analysis code;
     derive modified graphs via `remove_nodes` / the attack operations.
 
-    Routing and max flow run on a `ChannelView` built on first use and
-    cached on the graph. Mutation contract: once the view exists, balances
-    change in place only through `payment_sim.route_payment(apply=True)`,
-    which shifts the channels and the view together; nodes and channels
-    are never added or removed in place. `copy()`, `induced_subgraph` and
-    `remove_nodes` return graphs without a view, so a graph changed right
-    after copying (as the attack operations do) builds a fresh one.
+    Routing and max flow run on a `ChannelView`, the topology measures and
+    minimum cuts on a `SimpleView`; each is built on first use and cached
+    on the graph. Mutation contract: once a view exists, balances change in
+    place only through `payment_sim.route_payment(apply=True)`, which
+    shifts the channels and the channel view together (the simple view
+    holds no balances); nodes, channels and capacities never change in
+    place. `copy()`, `induced_subgraph` and `remove_nodes` return graphs
+    without views, so a graph changed right after copying (as the attack
+    operations do) builds fresh ones.
     """
 
     nodes: set[str] = field(default_factory=set)
@@ -223,6 +255,8 @@ class PcnGraph:
     snapshot_time: str | None = None
     _view: ChannelView | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    _simple: SimpleView | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def node_count(self) -> int:
@@ -237,6 +271,14 @@ class PcnGraph:
 
     def outbound_balance(self, v: str) -> int:
         return sum(e.balance(v) for e in self.channels_of(v))
+
+    def degrees(self) -> dict[str, int]:
+        """Channel count (parallel channels each count) of every node."""
+        deg = {v: 0 for v in self.nodes}
+        for e in self.edges.values():
+            deg[e.a] += 1
+            deg[e.b] += 1
+        return deg
 
     def outbound_balances(self) -> dict[str, int]:
         """`outbound_balance` of every node, in one pass over the channels."""
@@ -259,17 +301,11 @@ class PcnGraph:
             self._view = ChannelView(self)
         return self._view
 
-    def simple_graph(self) -> nx.Graph:
-        """Undirected simple projection; parallel channels collapsed with
-        capacities summed (stored as edge attribute `capacity`)."""
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes)
-        for e in self.edges.values():
-            if g.has_edge(e.a, e.b):
-                g[e.a][e.b]["capacity"] += e.capacity
-            else:
-                g.add_edge(e.a, e.b, capacity=e.capacity)
-        return g
+    def simple_graph(self) -> SimpleView:
+        """The graph's cached `SimpleView`, built on first use."""
+        if self._simple is None:
+            self._simple = SimpleView(self)
+        return self._simple
 
     def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
         """Directed balance view for max flow, with the node id -> index map
@@ -419,7 +455,11 @@ def load_snapshot(path, balance_model: str = "capacity-both-ways") -> PcnGraph:
 
 def connected_components(g: PcnGraph) -> list[set[str]]:
     """Components sorted by (size desc, smallest member id) for determinism."""
-    comps = [set(c) for c in nx.connected_components(g.simple_graph())]
+    view = g.simple_graph()
+    count, labels = csgraph_components(view.adjacency, directed=False)
+    comps = [set() for _ in range(count)]
+    for v, label in zip(view.ids, labels.tolist()):
+        comps[label].add(v)
     comps.sort(key=lambda c: (-len(c), min(c)))
     return comps
 

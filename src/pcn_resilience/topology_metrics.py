@@ -2,21 +2,21 @@
 clustering, small-world coefficient) plus reference random graphs.
 
 All metrics here work on the undirected simple projection of the channel
-graph: parallel channels are collapsed and their capacities summed.
+graph, `PcnGraph.simple_graph()`: parallel channels are collapsed and their
+capacities summed. networkx is imported only to generate reference graphs.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path as csgraph_shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .graph_model import PcnGraph, largest_connected_component
+from .graph_model import ChannelEdge, PcnGraph, largest_connected_component
 
 
 class ConvergenceError(Exception):
@@ -67,14 +67,7 @@ class MetricReport:
 
 def degree_distribution(g: PcnGraph) -> dict[int, int]:
     """Map degree -> node count. Parallel channels each count."""
-    counts: dict[int, int] = {}
-    deg = {v: 0 for v in g.nodes}
-    for e in g.edges.values():
-        deg[e.a] += 1
-        deg[e.b] += 1
-    for d in deg.values():
-        counts[d] = counts.get(d, 0) + 1
-    return counts
+    return dict(Counter(g.degrees().values()))
 
 
 # Sources per Brandes block: a block runs its BFS levels together on flat
@@ -89,34 +82,28 @@ def betweenness_centrality(g: PcnGraph, normalized: bool = True,
 
     `sample_sources` switches to pivot sampling for large graphs; exact
     (all sources) when None. Brandes' algorithm, run over blocks of
-    sources, that reproduces `networkx.betweenness_centrality` on
-    `g.simple_graph()` bit for bit: the same node and adjacency order, the
-    same pivots, and every floating-point sum taken in the same order.
+    sources, that reproduces `networkx.betweenness_centrality` on the
+    networkx form of the projection bit for bit: sources, pivots and the
+    result in its node order (`SimpleView.insertion`), neighbours in its
+    adjacency order, and every floating-point sum taken in the same order.
     """
-    sg = g.simple_graph()
-    nodes = list(sg)
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(sg.adj[v]) for v in nodes])
-    indices = np.fromiter((index[w] for v in nodes for w in sg.adj[v]),
-                          np.int64, indptr[-1])
+    if sample_sources is not None and sample_sources < 1:
+        raise ValueError("betweenness needs at least one source")
+    view = g.simple_graph()
+    n = len(view.ids)
     sampled = sample_sources is not None and sample_sources < n
-    if sampled:
-        sources = np.array([index[v] for v in
-                            random.Random(seed).sample(nodes, sample_sources)],
-                           dtype=np.int64)
-    else:
-        sources = np.arange(n)
+    sources = view.insertion[random.Random(seed).sample(
+        range(n), sample_sources)] if sampled else view.insertion
     total = np.zeros(n)
     for lo in range(0, len(sources), BETWEENNESS_BLOCK):
         block = sources[lo:lo + BETWEENNESS_BLOCK]
-        for row in _dependencies(indptr, indices, block):
+        for row in _dependencies(view.indptr, view.indices, block):
             total += row
     if n > 2:
         total *= _betweenness_scale(n, sources if sampled else None,
                                     normalized)
-    return dict(zip(nodes, total.tolist()))
+    values = total.tolist()
+    return {view.ids[i]: values[i] for i in view.insertion.tolist()}
 
 
 def _dependencies(indptr: np.ndarray, indices: np.ndarray,
@@ -205,16 +192,10 @@ def eigenvector_centrality(g: PcnGraph, weighted: bool = False,
     matrix of the largest component; unit Euclidean norm."""
     if not g.nodes:
         raise ValueError("eigenvector centrality of an empty graph")
-    lcc = largest_connected_component(g)
-    sg = lcc.simple_graph()
-    order = sorted(sg.nodes())
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
+    view = largest_connected_component(g).simple_graph()
+    n = len(view.ids)
     adj = np.zeros((n, n))
-    for u, v, data in sg.edges(data=True):
-        w = float(data["capacity"]) if weighted else 1.0
-        adj[index[u], index[v]] = w
-        adj[index[v], index[u]] = w
+    adj[view.rows, view.indices] = view.capacity if weighted else 1.0
 
     # diagonal shift breaks the +/- eigenvalue tie on bipartite graphs
     # without changing the eigenvectors
@@ -227,45 +208,40 @@ def eigenvector_centrality(g: PcnGraph, weighted: bool = False,
         y = adj @ x
         norm = np.linalg.norm(y)
         if norm == 0:
-            return {v: x[i] for v, i in index.items()}
+            return dict(zip(view.ids, x.tolist()))
         y /= norm
         if np.max(np.abs(y - x)) < tol:
-            return {v: float(y[i]) for v, i in index.items()}
+            return dict(zip(view.ids, y.tolist()))
         x = y
     raise ConvergenceError(
         f"power iteration did not converge within {max_iter} iterations", max_iter)
 
 
 def transitivity(g: PcnGraph) -> float:
-    """3 * triangles / length-2 paths on the simple projection; 0 when the
-    graph has no length-2 paths."""
-    sg = g.simple_graph()
-    if sg.number_of_nodes() == 0:
+    """3 * triangles / length-2 paths on the simple projection: the integer
+    ratio trace(A³) / Σ d(d − 1), or the integer 0 without a triangle, as
+    `networkx.transitivity` gives it; 0.0 for a graph without nodes."""
+    view = g.simple_graph()
+    if not view.ids:
         return 0.0
-    return nx.transitivity(sg)
-
-
-def _distance_matrix(sg: nx.Graph, order: list[str]) -> np.ndarray:
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    rows, cols = [], []
-    for u, v in sg.edges():
-        rows += [index[u], index[v]]
-        cols += [index[v], index[u]]
-    mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    return csgraph_shortest_path(mat, method="D", unweighted=True, directed=False)
+    adj = view.adjacency
+    closed = int((adj @ adj).multiply(adj).sum())
+    if closed == 0:
+        return 0
+    degree = np.diff(view.indptr)
+    return closed / int((degree * (degree - 1)).sum())
 
 
 def distance_stats(g: PcnGraph, sample_pairs="exact", seed: int = 0) -> tuple[int, float]:
     """(diameter, average distance) over the graph, which should be a single
     connected component. The diameter is always exact; the average may be
     estimated over `sample_pairs` uniformly drawn pairs."""
-    sg = g.simple_graph()
-    n = sg.number_of_nodes()
+    view = g.simple_graph()
+    n = len(view.ids)
     if n <= 1:
         return 0, 0.0
-    order = sorted(sg.nodes())
-    dist = _distance_matrix(sg, order)
+    dist = shortest_path(view.adjacency, method="D", unweighted=True,
+                         directed=False)
     finite = dist[np.isfinite(dist)]
     diameter = int(finite.max())
     if sample_pairs == "exact":
@@ -296,21 +272,16 @@ def central_point_dominance(g: PcnGraph, sample_sources: int | None = None,
     return max(bc.values()) if bc else 0.0
 
 
-def biconnected_analysis(g: PcnGraph) -> tuple[list[set[str]], set[str]]:
-    """(biconnected components, articulation points) of the simple projection."""
-    sg = g.simple_graph()
-    comps = [set(c) for c in nx.biconnected_components(sg)]
-    arts = set(nx.articulation_points(sg))
-    return comps, arts
-
-
 def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGraph:
     """Reference random graph with unit capacities.
 
     erdos-renyi: G(n, M) with exactly target_edges edges.
     barabasi-albert: attachment parameter m = round(target_edges / n); the
     resulting edge count is whatever preferential attachment produces.
+    networkx's generators, and their random streams, define these graphs.
     """
+    import networkx as nx
+
     if n < 2:
         raise ValueError("need n >= 2")
     if kind == "erdos-renyi":
@@ -326,7 +297,6 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
         raise ValueError(f"unknown reference kind {kind!r}")
 
     nodes = {f"n{i}" for i in sg.nodes()}
-    from .graph_model import ChannelEdge
     edges = {}
     for idx, (u, v) in enumerate(sorted(sg.edges())):
         cid = f"ref{idx}"
@@ -344,7 +314,7 @@ def smallworld_coefficient(g: PcnGraph, reference_runs: int = 10, seed: int = 0,
     """
     lcc = largest_connected_component(g)
     n = lcc.node_count
-    m = len({frozenset((e.a, e.b)) for e in lcc.edges.values()})
+    m = len(lcc.simple_graph().indices) // 2
     c_g = transitivity(lcc)
     _, l_g = distance_stats(lcc, sample_pairs=sample_pairs, seed=seed)
 
@@ -374,39 +344,25 @@ def smallworld_from_measures(c_g: float, l_g: float, c_r: float, l_r: float):
 def random_failure_experiment(g: PcnGraph, failures: list[int], runs: int = 100,
                               seed: int = 0) -> dict[int, float]:
     """Mean connected-component count after removing k random nodes, for
-    each k in `failures`, averaged over `runs` repetitions."""
+    each k in `failures`, averaged over `runs` repetitions. The removed
+    nodes of a run are `random.Random(seed).sample` of the sorted ids."""
+    if runs < 1:
+        raise ValueError("random failures need at least one run")
     if failures and max(failures) >= g.node_count:
         raise ValueError("failure count must be smaller than the node count")
-    sg = g.simple_graph()
-    nodes = sorted(sg.nodes())
-    adj = {v: list(sg.neighbors(v)) for v in nodes}
+    view = g.simple_graph()
+    n, adj = len(view.ids), view.adjacency
     rng = random.Random(seed)
     result = {}
     for k in failures:
         total = 0
         for _ in range(runs):
-            removed = set(rng.sample(nodes, k))
-            total += _count_components(adj, removed)
+            alive = np.ones(n, dtype=bool)
+            alive[rng.sample(range(n), k)] = False
+            total += connected_components(adj[alive][:, alive],
+                                          directed=False)[0]
         result[k] = total / runs
     return result
-
-
-def _count_components(adj: dict[str, list[str]], removed: set[str]) -> int:
-    seen = set(removed)
-    count = 0
-    for start in adj:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
 
 
 def metric_report(g: PcnGraph, smallworld_runs: int = 0, seed: int = 0,

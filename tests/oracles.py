@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: path enumeration by
 DFS, union-find for components, a from-scratch augmenting path max-flow,
-and networkx's preflow-push for minimum cuts. Only usable on small graphs.
+and networkx's preflow-push for minimum cuts on the networkx form of the
+simple projection. Only usable on small graphs.
 """
 
 from itertools import combinations
@@ -162,13 +163,29 @@ def reference_route(g, spec, apply=False):
                           fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
 
 
+def reference_simple_graph(g):
+    """The undirected simple projection as a networkx graph: parallel
+    channels collapsed with capacities summed (edge attribute `capacity`),
+    nodes in the node set's order and neighbours in channel order."""
+    import networkx as nx
+
+    sg = nx.Graph()
+    sg.add_nodes_from(g.nodes)
+    for e in g.edges.values():
+        if sg.has_edge(e.a, e.b):
+            sg[e.a][e.b]["capacity"] += e.capacity
+        else:
+            sg.add_edge(e.a, e.b, capacity=e.capacity)
+    return sg
+
+
 def reference_min_cut(g, s, t):
     """The minimum s-t cut as networkx finds it on the simple projection
     (parallel channels summed): the sorted ids of the channels between
     the sink side and the rest, or None when t cannot be reached."""
     import networkx as nx
 
-    sg = g.simple_graph()
+    sg = reference_simple_graph(g)
     if not nx.has_path(sg, s, t):
         return None
     _, (side_s, _) = nx.minimum_cut(sg, s, t, capacity="capacity")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,6 +201,38 @@ class TestRobustness:
                   "--seed", "4", "--failures", "5,10", "--reps", "1"])
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--betweenness-sources", "0"],
+    ["robustness", "--failures", "1", "--reps", "0"],
+    ["attack", "--strategy", "degree", "--n-sweep", "1:1", "--attempts", "0"],
+    ["attack", "--strategy", "degree", "--n-sweep", "1:1",
+     "--flow-rounds", "0"],
+])
+def test_zero_counts_are_one_line(tmp_path, capsys, argv):
+    rc = main([*argv, "--snapshot", FIXTURE, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_networkx_stays_unimported(tmp_path):
+    # networkx only generates reference graphs; the CLI and a robustness
+    # run must not load it
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from pcn_resilience.cli import main\n"
+        "assert 'networkx' not in sys.modules, 'import'\n"
+        f"assert main(['robustness', '--snapshot', {FIXTURE!r}, '--out', "
+        f"{str(tmp_path / 'rob.csv')!r}, '--failures', '1', '--reps', '3']) == 0\n"
+        "assert 'networkx' not in sys.modules, 'robustness'\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestSeedFallback:

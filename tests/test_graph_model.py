@@ -237,6 +237,16 @@ class TestComponents:
         assert ours == oracle
 
 
+def test_simple_view_is_cached_per_graph():
+    g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])
+    view = g.simple_graph()
+    assert g.simple_graph() is view
+    assert view.capacity.tolist() == [200, 200, 100, 100]
+    for other in (g.copy(), largest_connected_component(g),
+                  remove_nodes(g, ["c"])):
+        assert other.simple_graph() is not view
+
+
 def explicit_channels(channels):
     """Graph from (channel_id, a, b, balance_ab, balance_ba) tuples."""
     nodes = sorted({v for _, a, b, _, _ in channels for v in (a, b)})

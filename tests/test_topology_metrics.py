@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcn_resilience import topology_metrics as tm
-from pcn_resilience.graph_model import graph_from_dict, largest_connected_component
+from pcn_resilience.graph_model import (connected_components, graph_from_dict,
+                                        largest_connected_component)
 
-from oracles import brute_betweenness, brute_transitivity, union_find_components
+from oracles import (brute_betweenness, brute_transitivity,
+                     reference_simple_graph, union_find_components)
 from test_graph_model import make_graph
 
 
@@ -106,7 +108,7 @@ def test_betweenness_matches_networkx_bit_for_bit(case):
     g, k, normalized, seed = case
     got = tm.betweenness_centrality(g, normalized=normalized,
                                     sample_sources=k, seed=seed)
-    want = nx.betweenness_centrality(g.simple_graph(), k=k,
+    want = nx.betweenness_centrality(reference_simple_graph(g), k=k,
                                      normalized=normalized, seed=seed)
     assert same_floats(got, want)
 
@@ -116,7 +118,8 @@ def test_betweenness_matches_networkx_across_blocks(sample_sources):
     # several source blocks, odd path counts and components of unequal size
     g = tm.generate_reference("erdos-renyi", 150, 220, seed=4)
     got = tm.betweenness_centrality(g, sample_sources=sample_sources, seed=9)
-    want = nx.betweenness_centrality(g.simple_graph(), k=sample_sources, seed=9)
+    want = nx.betweenness_centrality(reference_simple_graph(g),
+                                     k=sample_sources, seed=9)
     assert same_floats(got, want)
 
 
@@ -134,8 +137,51 @@ def test_betweenness_matches_networkx_on_levels_past_16_bits():
               for v in rng.sample(spokes, rng.randint(1, 2))]
     g = make_graph(hubs + spokes + leaves, pairs)
     got = tm.betweenness_centrality(g, sample_sources=20, seed=1)
-    want = nx.betweenness_centrality(g.simple_graph(), k=20, seed=1)
+    want = nx.betweenness_centrality(reference_simple_graph(g), k=20, seed=1)
     assert same_floats(got, want)
+
+
+@st.composite
+def channel_graphs(draw):
+    """Graphs with isolated nodes, several components and parallel
+    channels, whose channel ids run in shuffled order and whose summed
+    capacities pass int32."""
+    nodes = [f"v{i}" for i in draw(st.permutations(range(draw(st.integers(1, 12)))))]
+    pairs = []
+    if len(nodes) >= 2:
+        pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+            lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, max_size=30))
+    ids = draw(st.permutations(range(len(pairs))))
+    caps = draw(st.lists(st.integers(1, 3 * 2**30), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return graph_from_dict({
+        "nodes": [{"pub_key": v} for v in nodes],
+        "edges": [{"channel_id": f"c{i}", "node1_pub": a, "node2_pub": b,
+                   "capacity": c}
+                  for i, (a, b), c in zip(ids, pairs, caps)],
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_graphs())
+def test_simple_view_matches_reference_simple_graph(g):
+    # the measures share the view and must leave its order as built
+    got, want = tm.transitivity(g), nx.transitivity(reference_simple_graph(g))
+    tm.distance_stats(g)
+    tm.random_failure_experiment(g, [0], runs=1)
+    view = g.simple_graph()
+    ref = reference_simple_graph(g)
+    assert view.ids == sorted(g.nodes)
+    assert [view.ids[i] for i in view.insertion] == list(ref)
+    for v in ref:
+        row = slice(view.indptr[view.index[v]], view.indptr[view.index[v] + 1])
+        assert [view.ids[w] for w in view.indices[row]] == list(ref.adj[v])
+        assert view.capacity[row].tolist() == [
+            ref[v][w]["capacity"] for w in ref.adj[v]]
+    assert type(got) is type(want) and got == want
+    assert connected_components(g) == sorted(
+        nx.connected_components(ref), key=lambda c: (-len(c), min(c)))
 
 
 class TestEigenvector:
@@ -255,38 +301,6 @@ class TestCentralPointDominance:
         want = brute_betweenness(g.nodes, adjacency(g))
         assert max(bc.values()) - min(bc.values()) < 1e-12
         assert tm.central_point_dominance(g) == pytest.approx(max(want.values()))
-
-
-class TestBiconnected:
-    def test_shared_vertex(self):
-        g = make_graph(list("abcde"),
-                       [("a", "b"), ("b", "c"), ("a", "c"),
-                        ("c", "d"), ("d", "e"), ("c", "e")])
-        comps, arts = tm.biconnected_analysis(g)
-        assert arts == {"c"}
-        assert sorted(len(c) for c in comps) == [3, 3]
-
-    def test_cycle_has_none(self):
-        nodes = [f"n{i}" for i in range(5)]
-        g = make_graph(nodes, [(nodes[i], nodes[(i + 1) % 5]) for i in range(5)])
-        _, arts = tm.biconnected_analysis(g)
-        assert arts == set()
-
-    def test_articulation_equals_remove_and_recount(self):
-        rng = random.Random(21)
-        for _ in range(8):
-            g = random_small_graph(rng, n=15)
-            _, arts = tm.biconnected_analysis(g)
-            base = len(union_find_components(
-                g.nodes, [(e.a, e.b) for e in g.edges.values()]))
-            recount = set()
-            for v in g.nodes:
-                rest_edges = [(e.a, e.b) for e in g.edges.values()
-                              if v not in (e.a, e.b)]
-                parts = len(union_find_components(g.nodes - {v}, rest_edges))
-                if parts > base:
-                    recount.add(v)
-            assert arts == recount
 
 
 class TestGenerateReference:
