@@ -79,9 +79,9 @@ class MetricBundle:
 class SimReport:
     a_priori: MetricBundle
     a_posteriori: MetricBundle
-    delta_s: float
-    delta_r: float
-    delta_F: float
+    delta_s: float | None
+    delta_r: float | None
+    delta_F: float | None
     delta_g: float | None
     spent: int
     removed: int
@@ -158,14 +158,11 @@ def isolation_cost(g: PcnGraph, v: str) -> int:
     return g.outbound_balance(v)
 
 
-def isolate_node(g: PcnGraph, v: str, mode: str = "routing") -> tuple[PcnGraph, int]:
-    """Remove `v` from the routable graph. The reported cost is the sum of
-    its outbound balances in both modes; in griefing mode the funds are only
-    locked, so budget accounting treats the monetary cost as zero."""
+def isolate_node(g: PcnGraph, v: str) -> tuple[PcnGraph, int]:
+    """Remove `v` from the routable graph; the cost is the sum of its
+    outbound balances."""
     if v not in g.nodes:
         raise KeyError(f"unknown node {v}")
-    if mode not in ("routing", "griefing"):
-        raise ValueError("mode must be 'routing' or 'griefing'")
     cost = isolation_cost(g, v)
     return remove_nodes(g, [v]), cost
 
@@ -274,50 +271,20 @@ def _measure(g: PcnGraph, specs, flow_pairs, params: MetricParams,
     flows = payment_sim.evaluate_flows(g, flow_pairs)
     f_bar = sum(flows) / len(flow_pairs)
     g_bar = None
-    if params.hub is not None and params.hub in g.nodes:
-        g_bar = payment_sim.fee_gain(g, params.hub, params.attempts,
-                                     params.volumes, seed=seed)
-    elif params.hub is not None:
-        g_bar = 0.0
+    if params.hub is not None:
+        # a removed hub, or one left alone, forwards nothing
+        g_bar = (payment_sim.fee_gain(g, params.hub, params.attempts,
+                                      params.volumes, seed=seed)
+                 if params.hub in g.nodes and g.node_count > 1 else 0.0)
     return MetricBundle(s=s, r=reachability(g), F_bar=f_bar, g_bar=g_bar)
 
 
-def execute_attack(g: PcnGraph, plan: AttackPlan, constraint: tuple,
-                   metric_params: MetricParams = MetricParams(),
-                   seed: int = 0, griefing: bool = False) -> SimReport:
-    """Measure metrics, walk the plan under a ('count', n) or
-    ('budget', satoshi) constraint, and re-measure on the surviving graph.
-
-    Both measurements share one sampled payment/flow sequence per seed;
-    sequences hitting removed nodes count as failures (s) or zero (F_bar).
-    """
+def _walk(g: PcnGraph, plan: AttackPlan, constraint: tuple,
+          griefing: bool) -> tuple[PcnGraph, int, int]:
+    """The graph surviving `plan` under `constraint`, with the satoshi spent
+    and the number of targets removed. Costs were fixed at planning time,
+    so the walk only picks targets; the surviving graph is built once."""
     kind, value = constraint
-    if kind not in ("count", "budget"):
-        raise ValueError("constraint must be ('count', n) or ('budget', satoshi)")
-
-    # staleness check: planned node costs must match this graph
-    costs = g.outbound_balances()
-    for target in plan.targets:
-        if isinstance(target, NodeTarget):
-            if target.node not in g.nodes:
-                raise StalePlanError(f"planned node {target.node} not in graph")
-            if costs[target.node] != target.isolation_cost:
-                raise StalePlanError(
-                    f"isolation cost of {target.node} changed since planning")
-        else:
-            missing = [c for c in target.channel_ids if c not in g.edges]
-            if missing:
-                raise StalePlanError(f"planned channels missing: {missing}")
-
-    rng = random.Random(seed)
-    specs = payment_sim.sample_specs(g.nodes, metric_params.attempts,
-                                     metric_params.volumes, rng)
-    flow_pairs = payment_sim.sample_pairs(g.nodes, metric_params.flow_rounds, rng)
-
-    before = _measure(g, specs, flow_pairs, metric_params, seed)
-
-    # Costs were fixed at planning time, so the walk only picks targets;
-    # the surviving graph is built once.
     doomed_nodes: set[str] = set()
     doomed_channels: list[str] = []
     spent = 0
@@ -342,19 +309,61 @@ def execute_attack(g: PcnGraph, plan: AttackPlan, constraint: tuple,
         current = current.copy()
         for cid in doomed_channels:
             current.edges.pop(cid, None)
+    return current, spent, removed
 
-    after = _measure(current, specs, flow_pairs, metric_params, seed)
 
-    delta_g = None
-    if before.g_bar is not None and before.g_bar != 0:
-        delta_g = advantage(before.g_bar, after.g_bar)
-    return SimReport(
-        a_priori=before,
-        a_posteriori=after,
-        delta_s=advantage(before.s, after.s),
-        delta_r=advantage(before.r, after.r),
-        delta_F=advantage(before.F_bar, after.F_bar),
-        delta_g=delta_g,
-        spent=spent,
-        removed=removed,
-    )
+def _delta(m: float | None, m_prime: float | None) -> float | None:
+    """The advantage, or None where it is undefined (no or zero m)."""
+    return advantage(m, m_prime) if m else None
+
+
+def execute_attack(g: PcnGraph, plans: list[AttackPlan], constraints: list[tuple],
+                   metric_params: MetricParams = MetricParams(),
+                   seed: int = 0, griefing: bool = False) -> list[SimReport]:
+    """One report per (plan, constraint), plan-major: walk the plan under a
+    ('count', n) or ('budget', satoshi) constraint and measure the surviving
+    graph against the a-priori metrics of `g`, which are measured once.
+
+    Every measurement shares one sampled payment/flow sequence per seed;
+    sequences hitting removed nodes count as failures (s) or zero (F_bar).
+    A delta whose a-priori metric is zero is None.
+    """
+    if any(kind not in ("count", "budget") for kind, _ in constraints):
+        raise ValueError("constraint must be ('count', n) or ('budget', satoshi)")
+
+    # staleness check: planned node costs must match this graph
+    costs = g.outbound_balances()
+    for target in [t for plan in plans for t in plan.targets]:
+        if isinstance(target, NodeTarget):
+            if target.node not in g.nodes:
+                raise StalePlanError(f"planned node {target.node} not in graph")
+            if costs[target.node] != target.isolation_cost:
+                raise StalePlanError(
+                    f"isolation cost of {target.node} changed since planning")
+        else:
+            missing = [c for c in target.channel_ids if c not in g.edges]
+            if missing:
+                raise StalePlanError(f"planned channels missing: {missing}")
+
+    rng = random.Random(seed)
+    specs = payment_sim.sample_specs(g.nodes, metric_params.attempts,
+                                     metric_params.volumes, rng)
+    flow_pairs = payment_sim.sample_pairs(g.nodes, metric_params.flow_rounds, rng)
+    before = _measure(g, specs, flow_pairs, metric_params, seed)
+
+    reports = []
+    for plan in plans:
+        for constraint in constraints:
+            current, spent, removed = _walk(g, plan, constraint, griefing)
+            after = _measure(current, specs, flow_pairs, metric_params, seed)
+            reports.append(SimReport(
+                a_priori=before,
+                a_posteriori=after,
+                delta_s=_delta(before.s, after.s),
+                delta_r=_delta(before.r, after.r),
+                delta_F=_delta(before.F_bar, after.F_bar),
+                delta_g=_delta(before.g_bar, after.g_bar),
+                spent=spent,
+                removed=removed,
+            ))
+    return reports

@@ -16,13 +16,14 @@ import hashlib
 import json
 import os
 import sys
+from itertools import product
 from pathlib import Path
 
 from . import __version__
 from .attack_engine import (STRATEGY_KINDS, MetricParams, StalePlanError,
                             Strategy, execute_attack, plan_targets)
-from .graph_model import (BALANCE_MODELS, SnapshotError, ValidationError,
-                          load_snapshot)
+from .graph_model import (BALANCE_MODELS, PcnGraph, SnapshotError,
+                          ValidationError, load_snapshot)
 from .payment_sim import UNIT_VOLUMES, load_volumes
 from .powerlaw_fit import FitError, ccdf_table, fit_power_law, goodness_of_fit
 from .topology_metrics import (ConvergenceError, MetricReport,
@@ -40,15 +41,20 @@ def _config_hash(args: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _meta(args: dict, seed: int) -> dict:
-    return {"version": __version__, "seed": seed, "config_hash": _config_hash(args)}
-
-
-def _default_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("PCN_RESILIENCE_SEED")
-    return int(env) if env else 0
+def _setup(args) -> tuple[int, PcnGraph, dict, str]:
+    """A subcommand's seed (falling back to $PCN_RESILIENCE_SEED, then 0),
+    its snapshot, the report meta and the CSV comment line carrying it."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("PCN_RESILIENCE_SEED")
+        seed = int(env) if env else 0
+    cfg = {k: v for k, v in vars(args).items() if k != "func"}
+    cfg["seed"] = seed
+    g = load_snapshot(args.snapshot, balance_model=args.balance_model)
+    meta = {"version": __version__, "seed": seed, "config_hash": _config_hash(cfg)}
+    comment = (f"# version={__version__} seed={seed} "
+               f"config_hash={meta['config_hash']}")
+    return seed, g, meta, comment
 
 
 def _write(path: Path, text: str) -> None:
@@ -72,10 +78,7 @@ def _parse_sweep(text: str) -> list[int]:
 
 
 def cmd_analyze(args) -> int:
-    seed = _default_seed(args.seed)
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["seed"] = seed
-    g = load_snapshot(args.snapshot, balance_model=args.balance_model)
+    seed, g, meta, comment = _setup(args)
     out = Path(args.out)
 
     rows = [("pcn", metric_report(
@@ -86,11 +89,8 @@ def cmd_analyze(args) -> int:
         rows.append((kind, metric_report(
             ref, seed=seed, betweenness_sources=args.betweenness_sources)))
 
-    meta = _meta(cfg, seed)
     if args.format == "csv":
-        lines = [f"# version={meta['version']} seed={seed} "
-                 f"config_hash={meta['config_hash']}",
-                 "graph," + MetricReport.CSV_HEADER]
+        lines = [comment, "graph," + MetricReport.CSV_HEADER]
         lines += [f"{name},{r.to_csv_row()}" for name, r in rows]
         _write(out / "metrics.csv", "\n".join(lines) + "\n")
     else:
@@ -133,11 +133,13 @@ def _strategy_for(kind: str, args, seed: int) -> Strategy:
     return Strategy(kind=kind, params=params)
 
 
+def _g6(x: float | None) -> str:
+    # an undefined advantage is an empty field
+    return "" if x is None else f"{x:.6g}"
+
+
 def cmd_attack(args) -> int:
-    seed = _default_seed(args.seed)
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["seed"] = seed
-    g = load_snapshot(args.snapshot, balance_model=args.balance_model)
+    seed, g, meta, comment = _setup(args)
     volumes = load_volumes(args.volumes) if args.volumes else UNIT_VOLUMES
     metric_params = MetricParams(attempts=args.attempts,
                                  flow_rounds=args.flow_rounds,
@@ -155,28 +157,22 @@ def cmd_attack(args) -> int:
     if points and points[0][0] == "count":
         limit = max(limit, max(v for _, v in points))
 
-    rows = []
-    for kind in kinds:
-        plan = plan_targets(g, _strategy_for(kind, args, seed), limit=limit)
-        for constraint in points:
-            report = execute_attack(g, plan, constraint,
-                                    metric_params=metric_params, seed=seed,
-                                    griefing=args.griefing)
-            rows.append((kind, constraint, report))
+    plans = [plan_targets(g, _strategy_for(kind, args, seed), limit=limit)
+             for kind in kinds]
+    reports = execute_attack(g, plans, points, metric_params=metric_params,
+                             seed=seed, griefing=args.griefing)
+    rows = list(zip(product(kinds, points), reports))
 
-    meta = _meta(cfg, seed)
     out = Path(args.out)
     if args.format == "csv":
-        lines = [f"# version={meta['version']} seed={seed} "
-                 f"config_hash={meta['config_hash']}",
-                 ATTACK_CSV_HEADER]
-        for kind, (ckind, cval), rep in rows:
+        lines = [comment, ATTACK_CSV_HEADER]
+        for (kind, (ckind, cval)), rep in rows:
             lines.append(
                 f"{kind},{ckind},{cval},{rep.spent},"
                 f"{rep.a_priori.s:.6g},{rep.a_posteriori.s:.6g},"
                 f"{rep.a_priori.r},{rep.a_posteriori.r},"
                 f"{rep.a_priori.F_bar:.6g},{rep.a_posteriori.F_bar:.6g},"
-                f"{rep.delta_s:.6g},{rep.delta_r:.6g},{rep.delta_F:.6g}")
+                f"{_g6(rep.delta_s)},{_g6(rep.delta_r)},{_g6(rep.delta_F)}")
         _write(out, "\n".join(lines) + "\n")
     else:
         _write(out, _json_dump({
@@ -184,23 +180,17 @@ def cmd_attack(args) -> int:
             "rows": [
                 {"strategy": kind, "constraint": {"kind": ck, "value": cv},
                  **rep.to_dict()}
-                for kind, (ck, cv), rep in rows
+                for (kind, (ck, cv)), rep in rows
             ],
         }))
     return 0
 
 
 def cmd_robustness(args) -> int:
-    seed = _default_seed(args.seed)
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["seed"] = seed
-    g = load_snapshot(args.snapshot, balance_model=args.balance_model)
+    seed, g, _, comment = _setup(args)
     failures = [int(f) for f in args.failures.split(",")]
     result = random_failure_experiment(g, failures, runs=args.reps, seed=seed)
-    meta = _meta(cfg, seed)
-    lines = [f"# version={meta['version']} seed={seed} "
-             f"config_hash={meta['config_hash']}",
-             "failures,mean_components"]
+    lines = [comment, "failures,mean_components"]
     lines += [f"{k},{result[k]:.6g}" for k in failures]
     _write(Path(args.out), "\n".join(lines) + "\n")
     return 0

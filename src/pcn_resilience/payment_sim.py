@@ -1,5 +1,5 @@
-"""Single-path payment simulation: routing, success ratio, maximum flow,
-and hub fee gain.
+"""Single-path payment simulation: payment and endpoint-pair sampling,
+routing, maximum flow, and hub fee gain.
 
 Routing follows the deployed single-path scheme: directions with
 insufficient balance are excluded, then a hop-count shortest path is taken
@@ -127,21 +127,33 @@ def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> Paymen
                           fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
 
 
-def sample_specs(nodes, attempts: int, volumes: VolumeModel,
-                 rng: random.Random) -> list[PaymentSpec]:
-    """Uniform ordered endpoint pairs (s != t) with volumes drawn from the
-    pool. `nodes` is sorted internally so sampling depends only on the set."""
+def _pair_sampler(nodes, rng: random.Random):
+    """A function drawing one uniform ordered endpoint pair (s != t) from
+    `rng`. `nodes` is sorted so sampling depends only on the set."""
     pool = sorted(nodes)
     if len(pool) < 2:
-        raise ValueError("need at least two nodes to sample payments")
-    specs = []
-    for _ in range(attempts):
+        raise ValueError("need at least two nodes to sample endpoint pairs")
+
+    def draw() -> tuple[str, str]:
         s = pool[rng.randrange(len(pool))]
         t = pool[rng.randrange(len(pool))]
         while t == s:
             t = pool[rng.randrange(len(pool))]
-        specs.append(PaymentSpec(source=s, target=t, amount=volumes.sample(rng)))
-    return specs
+        return s, t
+    return draw
+
+
+def sample_specs(nodes, attempts: int, volumes: VolumeModel,
+                 rng: random.Random) -> list[PaymentSpec]:
+    """Uniform endpoint pairs, each followed by a volume drawn from the pool."""
+    draw = _pair_sampler(nodes, rng)
+    return [PaymentSpec(*draw(), amount=volumes.sample(rng))
+            for _ in range(attempts)]
+
+
+def sample_pairs(nodes, rounds: int, rng: random.Random) -> list[tuple[str, str]]:
+    draw = _pair_sampler(nodes, rng)
+    return [draw() for _ in range(rounds)]
 
 
 def evaluate_payments(g: PcnGraph, specs, apply: bool = False) -> list[PaymentOutcome]:
@@ -156,15 +168,6 @@ def evaluate_payments(g: PcnGraph, specs, apply: bool = False) -> list[PaymentOu
     return outcomes
 
 
-def success_ratio(g: PcnGraph, attempts: int, volumes: VolumeModel,
-                  seed: int = 0, apply: bool = False) -> float:
-    """Fraction of `attempts` random payments that find a route."""
-    rng = random.Random(seed)
-    specs = sample_specs(g.nodes, attempts, volumes, rng)
-    outcomes = evaluate_payments(g, specs, apply=apply)
-    return sum(o.success for o in outcomes) / attempts
-
-
 def max_flow(g: PcnGraph, s: str, t: str) -> int:
     """Exact maximum flow on the directed balance view (Dinic's algorithm)."""
     if s not in g.nodes or t not in g.nodes:
@@ -173,20 +176,6 @@ def max_flow(g: PcnGraph, s: str, t: str) -> int:
         raise ValueError("max-flow endpoints must differ")
     arcs, index = g.balance_digraph()
     return int(maximum_flow(arcs, index[s], index[t]).flow_value)
-
-
-def sample_pairs(nodes, rounds: int, rng: random.Random) -> list[tuple[str, str]]:
-    pool = sorted(nodes)
-    if len(pool) < 2:
-        raise ValueError("need at least two nodes")
-    pairs = []
-    for _ in range(rounds):
-        s = pool[rng.randrange(len(pool))]
-        t = pool[rng.randrange(len(pool))]
-        while t == s:
-            t = pool[rng.randrange(len(pool))]
-        pairs.append((s, t))
-    return pairs
 
 
 def evaluate_flows(g: PcnGraph, pairs) -> list[int]:
@@ -198,13 +187,6 @@ def evaluate_flows(g: PcnGraph, pairs) -> list[int]:
         else:
             flows.append(max_flow(g, s, t))
     return flows
-
-
-def average_max_flow(g: PcnGraph, rounds: int, seed: int = 0) -> float:
-    """Mean max flow over `rounds` uniformly sampled ordered pairs."""
-    rng = random.Random(seed)
-    pairs = sample_pairs(g.nodes, rounds, rng)
-    return sum(evaluate_flows(g, pairs)) / rounds
 
 
 def fee_gain(g: PcnGraph, hub: str, payments: int, volumes: VolumeModel,

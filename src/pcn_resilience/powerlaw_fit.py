@@ -156,6 +156,8 @@ def goodness_of_fit(degrees, fit: FitResult, synthetic_runs: int = 1000,
     """Semi-parametric bootstrap p-value: the fraction of synthetic data
     sets (body resampled empirically, tail drawn from the fitted law, then
     refitted) whose KS distance is at least the empirical one."""
+    if synthetic_runs < 1:
+        raise ValueError("goodness of fit needs synthetic_runs >= 1")
     data = np.asarray(sorted(degrees), dtype=np.int64)
     body = data[data < fit.x_min]
     n = data.size

@@ -164,16 +164,14 @@ def test_criterion_6_attack_strategy_ordering():
     seeds = range(20)
     for seed in seeds:
         g = tm.generate_reference("barabasi-albert", 500, 1500, seed=seed)
-        deltas = {}
-        for kind in ("degree", "random"):
-            plan = ae.plan_targets(g, ae.Strategy(kind=kind,
-                                                  params={"seed": seed}),
-                                   limit=50)
-            rep = ae.execute_attack(g, plan, ("count", 50),
-                                    metric_params=params, seed=seed)
-            deltas[kind] = rep
-        wins_r += deltas["degree"].delta_r > deltas["random"].delta_r
-        wins_s += deltas["degree"].delta_s > deltas["random"].delta_s
+        plans = [ae.plan_targets(g, ae.Strategy(kind=kind,
+                                                params={"seed": seed}),
+                                 limit=50)
+                 for kind in ("degree", "random")]
+        degree, rand = ae.execute_attack(g, plans, [("count", 50)],
+                                         metric_params=params, seed=seed)
+        wins_r += degree.delta_r > rand.delta_r
+        wins_s += degree.delta_s > rand.delta_s
     ok = wins_r >= 18 and wins_s >= 18
     _verdict(6, "attack-strategy ordering", ok,
              f"delta_r wins {wins_r}/20, delta_s wins {wins_s}/20")
@@ -206,17 +204,17 @@ def test_criterion_7_budget_efficiency():
     g = _acceptance_barbell()
     budget = 3 * 10  # the three bridge capacities
     params = ae.MetricParams(attempts=400, flow_rounds=25)
-    results = {}
-    for kind in ("ranked-min-cut", "degree"):
-        strategy = ae.Strategy(kind=kind, params={"seed": 0, "cut_samples": 500}
-                               if kind == "ranked-min-cut" else {"seed": 0})
-        plan = ae.plan_targets(g, strategy, limit=50)
-        rep = ae.execute_attack(g, plan, ("budget", budget),
-                                metric_params=params, seed=0)
-        rerun = ae.execute_attack(g, plan, ("budget", budget),
-                                  metric_params=params, seed=0)
-        assert rep == rerun  # deterministic given seed
-        results[kind] = rep.delta_r
+    kinds = ("ranked-min-cut", "degree")
+    plans = [ae.plan_targets(g, ae.Strategy(
+                kind=kind, params={"seed": 0, "cut_samples": 500}
+                if kind == "ranked-min-cut" else {"seed": 0}), limit=50)
+             for kind in kinds]
+    reps = ae.execute_attack(g, plans, [("budget", budget)],
+                             metric_params=params, seed=0)
+    rerun = ae.execute_attack(g, plans, [("budget", budget)],
+                              metric_params=params, seed=0)
+    assert reps == rerun  # deterministic given seed
+    results = {kind: rep.delta_r for kind, rep in zip(kinds, reps)}
     ok = results["ranked-min-cut"] >= 0.45 and results["degree"] < 0.1
     _verdict(7, "budget efficiency", ok,
              f"min-cut delta_r={results['ranked-min-cut']:.3f} "

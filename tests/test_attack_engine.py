@@ -109,7 +109,7 @@ class TestExhaustChannel:
 class TestIsolateNode:
     def test_fig3_cost(self):
         g = fig3_fixture()
-        g2, cost = ae.isolate_node(g, "A", mode="routing")
+        g2, cost = ae.isolate_node(g, "A")
         assert cost == 21
         assert "A" not in g2.nodes
         assert "ab" not in g2.edges
@@ -124,13 +124,6 @@ class TestIsolateNode:
         g = make_graph(["a", "b", "x"], [("a", "b")])
         g2, cost = ae.isolate_node(g, "x")
         assert cost == 0 and "x" not in g2.nodes
-
-    def test_griefing_mode_same_graph(self):
-        g = fig3_fixture()
-        g_r, cost_r = ae.isolate_node(g, "A", mode="routing")
-        g_g, cost_g = ae.isolate_node(g, "A", mode="griefing")
-        assert cost_r == cost_g == 21
-        assert g_r.nodes == g_g.nodes
 
     def test_no_payment_routes_through_isolated_node(self):
         g = make_graph(["a", "h", "b", "c"],
@@ -261,6 +254,13 @@ def test_min_cut_across_parallel_channels_past_int32():
     assert cuts == reference_ranked_cuts(g, 60, 5)
 
 
+def attack(g, plan, constraint, params, seed=0, griefing=False):
+    """The single report of one plan under one constraint."""
+    [report] = ae.execute_attack(g, [plan], [constraint], params, seed=seed,
+                                 griefing=griefing)
+    return report
+
+
 class TestExecuteAttack:
     def metric_params(self):
         return ae.MetricParams(attempts=100, flow_rounds=20)
@@ -268,21 +268,21 @@ class TestExecuteAttack:
     def test_zero_removals_zero_deltas(self):
         g = generate_reference("erdos-renyi", 30, 90, seed=0)
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=5)
-        rep = ae.execute_attack(g, plan, ("count", 0), self.metric_params(), seed=1)
+        rep = attack(g, plan, ("count", 0), self.metric_params(), seed=1)
         assert rep.delta_s == rep.delta_r == rep.delta_F == 0.0
         assert rep.spent == 0 and rep.removed == 0
 
     def test_budget_too_small_removes_nothing(self):
         g = generate_reference("erdos-renyi", 30, 90, seed=0)
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=5)
-        rep = ae.execute_attack(g, plan, ("budget", 0), self.metric_params(), seed=1)
+        rep = attack(g, plan, ("budget", 0), self.metric_params(), seed=1)
         assert rep.spent == 0 and rep.removed == 0
         assert rep.delta_r == 0.0
 
     def test_count_mode_removes_first_n(self):
         g = generate_reference("erdos-renyi", 30, 90, seed=0)
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=10)
-        rep = ae.execute_attack(g, plan, ("count", 4), self.metric_params(), seed=1)
+        rep = attack(g, plan, ("count", 4), self.metric_params(), seed=1)
         assert rep.removed == 4
         assert rep.a_posteriori.r <= rep.a_priori.r
 
@@ -292,8 +292,7 @@ class TestExecuteAttack:
             g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
             limit=5)
         budget = plan.targets[0].cost
-        rep = ae.execute_attack(g, plan, ("budget", budget),
-                                self.metric_params(), seed=1)
+        rep = attack(g, plan, ("budget", budget), self.metric_params(), seed=1)
         assert rep.spent <= budget
         assert rep.removed >= 1
         assert rep.delta_r == pytest.approx(0.5)
@@ -301,31 +300,35 @@ class TestExecuteAttack:
     def test_griefing_makes_targets_free(self):
         g = generate_reference("erdos-renyi", 30, 90, seed=0)
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=3)
-        rep = ae.execute_attack(g, plan, ("budget", 0), self.metric_params(),
-                                seed=1, griefing=True)
+        rep = attack(g, plan, ("budget", 0), self.metric_params(), seed=1,
+                     griefing=True)
         assert rep.removed == 3 and rep.spent == 0
 
     def test_stale_plan_rejected(self):
         g = generate_reference("erdos-renyi", 30, 90, seed=0)
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=3)
         other = generate_reference("erdos-renyi", 30, 90, seed=5)
+        fresh = ae.plan_targets(other, ae.Strategy("degree"), limit=3)
         with pytest.raises(ae.StalePlanError):
-            ae.execute_attack(other, plan, ("count", 1), self.metric_params())
+            ae.execute_attack(other, [fresh, plan], [("count", 1)],
+                              self.metric_params())
 
     def test_delta_r_monotone_along_plan(self):
         g = generate_reference("barabasi-albert", 60, 120, seed=2)
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=12)
-        deltas = [ae.execute_attack(g, plan, ("count", n),
-                                    self.metric_params(), seed=3).delta_r
-                  for n in (0, 3, 6, 12)]
+        deltas = [rep.delta_r for rep in ae.execute_attack(
+            g, [plan], [("count", n) for n in (0, 3, 6, 12)],
+            self.metric_params(), seed=3)]
         assert deltas == sorted(deltas)
         assert all(0 <= d <= 1 for d in deltas)
 
     def test_determinism(self):
         g = generate_reference("erdos-renyi", 30, 90, seed=0)
         plan = ae.plan_targets(g, ae.Strategy("betweenness"), limit=5)
-        r1 = ae.execute_attack(g, plan, ("count", 3), self.metric_params(), seed=4)
-        r2 = ae.execute_attack(g, plan, ("count", 3), self.metric_params(), seed=4)
+        r1 = ae.execute_attack(g, [plan], [("count", 3)], self.metric_params(),
+                               seed=4)
+        r2 = ae.execute_attack(g, [plan], [("count", 3)], self.metric_params(),
+                               seed=4)
         assert r1 == r2
 
     def test_hub_fee_metrics_present(self):
@@ -333,8 +336,68 @@ class TestExecuteAttack:
                        capacity=10**6)
         params = ae.MetricParams(attempts=50, flow_rounds=10, hub="b")
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
-        rep = ae.execute_attack(g, plan, ("count", 0), params, seed=0)
+        rep = attack(g, plan, ("count", 0), params, seed=0)
         assert rep.a_priori.g_bar is not None
+
+    def test_hub_left_alone_earns_nothing(self):
+        g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")],
+                       capacity=10**6)
+        params = ae.MetricParams(attempts=50, flow_rounds=10, hub="b")
+        plan = ae.plan_targets(g, ae.Strategy(
+            "parallel-paths", {"payment_samples": 50, "hub": "b"}), limit=4)
+        rep = attack(g, plan, ("count", 3), params)
+        assert rep.a_posteriori.g_bar == 0.0 < rep.a_priori.g_bar
+        assert rep.delta_g == 1.0
+
+    def test_zero_a_priori_metric_gives_undefined_deltas(self):
+        # two components: every sampled pair crosses them or is blocked
+        g = make_graph(list("abcd"), [("a", "b"), ("c", "d")], capacity=1)
+        plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
+        params = ae.MetricParams(attempts=5, flow_rounds=1,
+                                 volumes=ps.VolumeModel((2,)))
+        rep = attack(g, plan, ("count", 1), params)
+        assert rep.a_priori.s == rep.a_priori.F_bar == 0
+        assert rep.delta_s is None and rep.delta_F is None
+        assert rep.delta_r == 0.0
+
+
+class TestSweep:
+    """One call covers every (plan, constraint) pair, plan-major, and
+    measures the unattacked graph once."""
+
+    def plans(self, g):
+        return [ae.plan_targets(g, ae.Strategy(kind, {"seed": 1}), limit=8)
+                for kind in ("degree", "random")] + [ae.plan_targets(
+                    g, ae.Strategy("ranked-min-cut",
+                                   {"cut_samples": 20, "seed": 1}), limit=8)]
+
+    def test_each_row_equals_a_single_call(self):
+        g = generate_reference("barabasi-albert", 60, 120, seed=2)
+        params = ae.MetricParams(attempts=40, flow_rounds=8, hub="n3")
+        plans = self.plans(g)
+        budgets = [("budget", b) for b in (0, 50_000, 500_000, 10**9)]
+        rows = ae.execute_attack(g, plans, budgets, params, seed=5)
+        assert len(rows) == len(plans) * len(budgets)
+        singles = [attack(g, plan, budget, params, seed=5)
+                   for plan in plans for budget in budgets]
+        assert rows == singles
+        assert any(row.removed for row in rows)
+
+    def test_measures_before_once(self, monkeypatch):
+        g = generate_reference("barabasi-albert", 60, 120, seed=2)
+        calls = []
+        measure = ae._measure
+
+        def counting(*args):
+            calls.append(args[0])
+            return measure(*args)
+        monkeypatch.setattr(ae, "_measure", counting)
+        plans = self.plans(g)
+        counts = [("count", n) for n in (0, 2, 5)]
+        rows = ae.execute_attack(g, plans, counts,
+                                 ae.MetricParams(attempts=20, flow_rounds=4))
+        assert len(calls) == 1 + len(rows) == 1 + len(plans) * len(counts)
+        assert calls[0] is g
 
 
 class TestSingleRemoval:
@@ -368,7 +431,7 @@ class TestSingleRemoval:
                              strategy=ae.Strategy("degree"))
         budget = cheap.isolation_cost + cheapest.isolation_cost
         params = ae.MetricParams(attempts=60, flow_rounds=10)
-        rep = ae.execute_attack(g, plan, ("budget", budget), params, seed=3)
+        rep = attack(g, plan, ("budget", budget), params, seed=3)
         assert rep == self.stepwise_report(
             g, [cheap.node, cheapest.node], params, seed=3, spent=budget)
         assert rep.removed == 2
@@ -377,7 +440,7 @@ class TestSingleRemoval:
         g = generate_reference("barabasi-albert", 60, 120, seed=2)
         plan = ae.plan_targets(g, ae.Strategy("betweenness"), limit=10)
         params = ae.MetricParams(attempts=60, flow_rounds=10, hub="n0")
-        rep = ae.execute_attack(g, plan, ("count", 6), params, seed=4)
+        rep = attack(g, plan, ("count", 6), params, seed=4)
         chosen = plan.targets[:6]
         assert rep == self.stepwise_report(
             g, [t.node for t in chosen], params, seed=4,

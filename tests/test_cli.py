@@ -99,6 +99,20 @@ class TestAnalyze:
             "error: channel c0 has balances 9 + 9 above its capacity 5"]
 
 
+    def test_zero_gof_runs_is_one_line(self, tmp_path, capsys):
+        # unlike the 3-node fixture, BA(300) reaches the bootstrap
+        from pcn_resilience.topology_metrics import generate_reference
+        g = generate_reference("barabasi-albert", 300, 900, seed=1)
+        snap = tmp_path / "ba.json"
+        snap.write_text(json.dumps(g.to_snapshot_dict()))
+        rc = main(["analyze", "--snapshot", str(snap), "--out",
+                   str(tmp_path / "o"), "--smallworld-runs", "0",
+                   "--gof-runs", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: goodness of fit needs synthetic_runs >= 1"]
+
+
 class TestAttack:
     def test_n_zero_gives_zero_deltas(self, tmp_path, er_snapshot):
         out = tmp_path / "attack.json"
@@ -159,6 +173,30 @@ class TestAttack:
                    "--n-sweep", "1:1", "--attempts", "5", "--flow-rounds", "1"])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {exc}"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zero_a_priori_flow_reports_no_advantage(self, tmp_path, fmt):
+        # two components: the one sampled flow pair crosses them, so F_bar = 0
+        snap = tmp_path / "split.json"
+        snap.write_text(json.dumps({
+            "nodes": [{"pub_key": v} for v in "ABCD"],
+            "edges": [{"channel_id": "ab", "node1_pub": "A", "node2_pub": "B",
+                       "capacity": 1000},
+                      {"channel_id": "cd", "node1_pub": "C", "node2_pub": "D",
+                       "capacity": 1000}]}))
+        out = tmp_path / f"attack.{fmt}"
+        rc = main(["attack", "--snapshot", str(snap), "--out", str(out),
+                   "--format", fmt, "--strategy", "degree", "--n-sweep", "1:1",
+                   "--attempts", "5", "--flow-rounds", "1", "--seed", "0"])
+        assert rc == 0
+        if fmt == "json":
+            [row] = json.loads(out.read_text())["rows"]
+            assert row["a_priori"]["F_bar"] == 0
+            assert row["advantage"] == {"delta_F": None, "delta_r": 0.0,
+                                        "delta_s": 0.0}
+        else:
+            assert out.read_text().splitlines()[2] == \
+                "degree,count,1,1000,0.2,0.2,2,2,0,0,0,0,"
 
     def test_missing_sweep_is_error(self, tmp_path, er_snapshot):
         with pytest.raises(SystemExit):

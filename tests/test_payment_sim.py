@@ -198,31 +198,49 @@ class TestChannelView:
         assert ps.max_flow(g, "a", "b") == 50_000
 
 
+def success_ratio(g, attempts, seed, apply=False):
+    """Fraction of `attempts` seeded random payments that find a route."""
+    specs = ps.sample_specs(g.nodes, attempts, VOLS, random.Random(seed))
+    outcomes = ps.evaluate_payments(g, specs, apply=apply)
+    return sum(o.success for o in outcomes) / attempts
+
+
 class TestSuccessRatio:
     def test_all_payments_fit(self):
         nodes = list("abcd")
         pairs = [(x, y) for i, x in enumerate(nodes) for y in nodes[i + 1:]]
         g = make_graph(nodes, pairs, capacity=10**6)
-        assert ps.success_ratio(g, 50, VOLS, seed=0) == 1.0
+        assert success_ratio(g, 50, seed=0) == 1.0
 
     def test_all_volumes_too_large(self):
         g = make_graph(list("abc"), [("a", "b"), ("b", "c")], capacity=10)
-        assert ps.success_ratio(g, 50, VOLS, seed=0) == 0.0
+        assert success_ratio(g, 50, seed=0) == 0.0
 
     def test_determinism(self):
         g = make_graph(list("abcde"),
                        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
                        capacity=8000)
-        r1 = ps.success_ratio(g, 200, VOLS, seed=5)
-        r2 = ps.success_ratio(g, 200, VOLS, seed=5)
+        r1 = success_ratio(g, 200, seed=5)
+        r2 = success_ratio(g, 200, seed=5)
         assert r1 == r2
 
     def test_stateless_mode_leaves_graph_untouched(self):
         g = make_graph(list("abc"), [("a", "b"), ("b", "c")], capacity=50_000)
         before = {cid: (e.balance_ab, e.balance_ba) for cid, e in g.edges.items()}
-        ps.success_ratio(g, 100, VOLS, seed=1, apply=False)
+        success_ratio(g, 100, seed=1, apply=False)
         after = {cid: (e.balance_ab, e.balance_ba) for cid, e in g.edges.items()}
         assert before == after
+
+    def test_pairs_then_volumes_share_one_draw(self):
+        # a spec's endpoints are the pair sample_pairs draws, and its
+        # volume is drawn right after them
+        nodes = [f"n{i}" for i in range(7)]
+        specs = ps.sample_specs(nodes, 30, VOLS, random.Random(3))
+        rng = random.Random(3)
+        for spec in specs:
+            [pair] = ps.sample_pairs(nodes, 1, rng)
+            assert (spec.source, spec.target, spec.amount) == \
+                (*pair, VOLS.sample(rng))
 
 
 class TestMaxFlow:
@@ -318,7 +336,9 @@ class TestAverageMaxFlow:
 
     def test_determinism(self):
         g = generate_reference("erdos-renyi", 20, 40, seed=2)
-        assert ps.average_max_flow(g, 50, seed=7) == ps.average_max_flow(g, 50, seed=7)
+        flows = [ps.evaluate_flows(g, ps.sample_pairs(g.nodes, 50, random.Random(7)))
+                 for _ in range(2)]
+        assert flows[0] == flows[1]
 
     def test_cross_cut_pairs_contribute_zero(self):
         g = make_graph(["a", "b", "x", "y"], [("a", "b"), ("x", "y")], capacity=9)

@@ -101,6 +101,12 @@ class TestGoodnessOfFit:
         gof = pl.goodness_of_fit(data, fit, synthetic_runs=50, seed=0)
         assert gof.warning is not None
 
+    def test_zero_runs_rejected(self):
+        data = power_law_sample(2.5, 3, 500, seed=2)
+        fit = pl.fit_power_law(data)
+        with pytest.raises(ValueError):
+            pl.goodness_of_fit(data, fit, synthetic_runs=0)
+
 
 class TestCcdfTable:
     def test_shape_and_head(self):
