@@ -10,14 +10,15 @@ removes complete cuts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import payment_sim
-from .graph_model import PcnGraph, connected_components, remove_nodes
+from .graph_model import (PcnGraph, connected_components, remove_channels,
+                          remove_nodes)
 from .payment_sim import VolumeModel, UNIT_VOLUMES
 from .topology_metrics import betweenness_centrality, eigenvector_centrality
 
@@ -69,10 +70,7 @@ class MetricBundle:
     g_bar: float | None = None
 
     def to_dict(self) -> dict:
-        d = {"s": self.s, "r": self.r, "F_bar": self.F_bar}
-        if self.g_bar is not None:
-            d["g_bar"] = self.g_bar
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -136,9 +134,8 @@ def exhaust_channel(g: PcnGraph, channel_id: str, direction: str = "ab") -> PcnG
     if direction not in ("ab", "ba"):
         raise ValueError("direction must be 'ab' or 'ba'")
     out = g.copy()
-    e = out.edges[channel_id]
-    src = e.a if direction == "ab" else e.b
-    e.shift(src, e.balance(src))
+    slot = 2 * g.channel_index[channel_id] + (direction == "ba")
+    out.shift([slot], out.balance.flat[slot])
     return out
 
 
@@ -148,8 +145,8 @@ def exhaust_node_channels(g: PcnGraph, v: str) -> PcnGraph:
     if v not in g.nodes:
         raise KeyError(f"unknown node {v}")
     out = g.copy()
-    for e in out.channels_of(v):
-        e.shift(v, e.balance(v))
+    slots = out.out_slots(v)
+    out.shift(slots, out.balance.reshape(-1)[slots])
     return out
 
 
@@ -193,9 +190,10 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int) -> AttackPlan:
     elif strategy.kind == "parallel-paths":
         ranked = _rank_parallel_paths(g, strategy)
     else:
-        cuts = _rank_min_cuts(g, strategy)
-        targets = [CutTarget(channel_ids=cut, cost=sum(g.edges[c].capacity for c in cut))
-                   for cut in cuts[:limit]]
+        positions = g.channel_index
+        targets = [CutTarget(channel_ids=cut, cost=sum(
+                       g.capacity[[positions[c] for c in cut]].tolist()))
+                   for cut in _rank_min_cuts(g, strategy)[:limit]]
         return AttackPlan(targets=targets, strategy=strategy)
 
     costs = g.outbound_balances()
@@ -230,19 +228,16 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     params = strategy.params
     rng = random.Random(params.get("seed", 0))
     pairs = payment_sim.sample_pairs(g.nodes, params["cut_samples"], rng)
-    view = g.channel_view()
     capacity = g.simple_graph().capacity_csr()
-    a = np.array([view.index[e.a] for e in view.channels], dtype=np.int64)
-    b = np.array([view.index[e.b] for e in view.channels], dtype=np.int64)
-    channel_ids = [e.channel_id for e in view.channels]  # sorted
+    order = np.argsort(g.channel_ids)  # channel-id order
+    channel_ids, (a, b) = g.channel_ids[order], g.ends[order].T
 
     occurrences: dict[tuple[str, ...], int] = {}
     for s, t in pairs:
-        sink = _sink_side(capacity, view.index[s], view.index[t])
+        sink = _sink_side(capacity, g.index[s], g.index[t])
         if sink is None:
             continue
-        crossing = np.flatnonzero(sink[a] != sink[b])
-        key = tuple(channel_ids[i] for i in crossing.tolist())
+        key = tuple(channel_ids[sink[a] != sink[b]].tolist())
         occurrences[key] = occurrences.get(key, 0) + 1
     return sorted(occurrences, key=lambda c: (-occurrences[c], c))
 
@@ -306,9 +301,7 @@ def _walk(g: PcnGraph, plan: AttackPlan, constraint: tuple,
 
     current = remove_nodes(g, doomed_nodes) if doomed_nodes else g
     if doomed_channels:
-        current = current.copy()
-        for cid in doomed_channels:
-            current.edges.pop(cid, None)
+        current = remove_channels(current, doomed_channels)
     return current, spent, removed
 
 
@@ -344,6 +337,8 @@ def execute_attack(g: PcnGraph, plans: list[AttackPlan], constraints: list[tuple
             missing = [c for c in target.channel_ids if c not in g.edges]
             if missing:
                 raise StalePlanError(f"planned channels missing: {missing}")
+    if metric_params.hub is not None and metric_params.hub not in g.nodes:
+        raise KeyError(f"unknown hub {metric_params.hub}")
 
     rng = random.Random(seed)
     specs = payment_sim.sample_specs(g.nodes, metric_params.attempts,

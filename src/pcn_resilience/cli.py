@@ -100,15 +100,12 @@ def cmd_analyze(args) -> int:
         }))
 
     distribution = sorted(degree_distribution(g).items())
-    degrees = []
-    for deg, count in distribution:
-        degrees.extend([deg] * count)
     dist_lines = ["degree,count"] + [f"{deg},{count}" for deg, count in distribution]
     _write(out / "degree_distribution.csv", "\n".join(dist_lines) + "\n")
 
     pl: dict = {"meta": meta}
     try:
-        positive = [d for d in degrees if d >= 1]
+        positive = sorted(d for d in g.degrees().values() if d >= 1)
         fit = fit_power_law(positive)
         pl["fit"] = fit.to_dict()
         gof = goodness_of_fit(positive, fit, synthetic_runs=args.gof_runs, seed=seed)

@@ -9,7 +9,10 @@ policies). Unknown fields are ignored.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -53,8 +56,10 @@ class FeePolicy:
         return self.base_fee_msat + (amount_sat * self.rate_ppm) // 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelEdge:
+    """One channel of a `PcnGraph`, read from its columns."""
+
     channel_id: str
     a: str
     b: str
@@ -64,131 +69,66 @@ class ChannelEdge:
     policy_ab: FeePolicy = field(default_factory=FeePolicy)
     policy_ba: FeePolicy = field(default_factory=FeePolicy)
 
+    def _side(self, v: str) -> int:
+        if v not in (self.a, self.b):
+            raise KeyError(f"{v} is not an endpoint of channel {self.channel_id}")
+        return int(v != self.a)
+
     def balance(self, src: str) -> int:
-        if src == self.a:
-            return self.balance_ab
-        if src == self.b:
-            return self.balance_ba
-        raise KeyError(f"{src} is not an endpoint of channel {self.channel_id}")
+        return (self.balance_ab, self.balance_ba)[self._side(src)]
 
     def policy(self, src: str) -> FeePolicy:
-        if src == self.a:
-            return self.policy_ab
-        if src == self.b:
-            return self.policy_ba
-        raise KeyError(f"{src} is not an endpoint of channel {self.channel_id}")
+        return (self.policy_ab, self.policy_ba)[self._side(src)]
 
     def other(self, v: str) -> str:
-        if v == self.a:
-            return self.b
-        if v == self.b:
-            return self.a
-        raise KeyError(f"{v} is not an endpoint of channel {self.channel_id}")
-
-    def shift(self, src: str, amount: int) -> None:
-        """Move `amount` of routable balance from src's side to the other side."""
-        if src == self.a:
-            self.balance_ab -= amount
-            self.balance_ba += amount
-        elif src == self.b:
-            self.balance_ba -= amount
-            self.balance_ab += amount
-        else:
-            raise KeyError(f"{src} is not an endpoint of channel {self.channel_id}")
+        return (self.b, self.a)[self._side(v)]
 
 
 class ChannelView:
-    """Integer-indexed view of a graph's channels, for routing and max flow.
+    """The directed arcs of a graph's channels, for routing.
 
-    Node ids are sorted and mapped to ints, and channels are kept in
-    ``channel_id`` order. Each channel gives two directed arcs, ordered by
-    (source, destination, channel position) with a CSR row pointer by
-    source, so the first usable arc in a row reaches the smallest
-    destination id through the smallest channel id. `balance` holds the
-    routable balance per arc and changes only through `shift`.
+    Arc `slot[x]` (a slot of `PcnGraph`) leaves `src[x]` for `dst[x]`. Arcs
+    are ordered by (source, destination, channel id) with a CSR row pointer
+    by source, so the first usable arc in a row reaches the smallest
+    destination id through the smallest channel id.
     """
 
     def __init__(self, g: PcnGraph):
-        self.ids = sorted(g.nodes)
-        self.index = {v: i for i, v in enumerate(self.ids)}
-        self.channels = sorted(g.edges.values(), key=lambda e: e.channel_id)
-        m = len(self.channels)
-
-        def column(values):
-            return np.fromiter(values, np.int64, m)
-
-        a = column(self.index[e.a] for e in self.channels)
-        b = column(self.index[e.b] for e in self.channels)
-        # arcs a->b of every channel, then b->a
-        src, dst = np.concatenate((a, b)), np.concatenate((b, a))
-        channel = np.tile(np.arange(m), 2)
-        opposite = np.concatenate((np.arange(m, 2 * m), np.arange(m)))
-        balance = np.concatenate((column(e.balance_ab for e in self.channels),
-                                  column(e.balance_ba for e in self.channels)))
-        order = np.lexsort((channel, dst, src))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(2 * m)
-        self.src, self.dst = src[order], dst[order]
-        self.channel = channel[order]
-        self.balance = balance[order]
-        self.reverse = rank[opposite[order]]
+        self.ids, self.index = g.ids, g.index
+        rank = np.argsort(np.argsort(g.channel_ids))  # in channel-id order
+        src, dst = g.ends.reshape(-1), g.ends[:, ::-1].reshape(-1)
+        self.slot = np.lexsort((np.repeat(rank, 2), dst, src))
+        self.src, self.dst = src[self.slot], dst[self.slot]
         self.indptr = np.searchsorted(self.src, np.arange(len(self.ids) + 1))
-        self._routable: tuple[int, np.ndarray, np.ndarray] | None = None
-        self._flow: tuple[csr_array, dict[str, int]] | None = None
+        self._balances = g.balance.reshape(-1)
 
-    def routable(self, amount: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sources and destinations of the arcs with balance >= `amount`,
-        reused until the amount asked for or a balance changes."""
-        if self._routable is None or self._routable[0] != amount:
-            usable = self.balance >= amount
-            self._routable = (amount, self.src[usable], self.dst[usable])
-        return self._routable[1], self._routable[2]
-
-    def shift(self, arcs, amount: int) -> None:
-        """Move `amount` along each arc; the channels and this view's
-        balances change together."""
-        for x in arcs:
-            self.channels[self.channel[x]].shift(self.ids[self.src[x]], amount)
-            self.balance[x] -= amount
-            self.balance[self.reverse[x]] += amount
-        self._routable = None
-        self._flow = None
-
-    def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
-        """`PcnGraph.balance_digraph`, built once per balance state."""
-        if self._flow is None:
-            n = len(self.ids)
-            # parallel arcs add up as the matrix is built
-            self._flow = (_relay_csr(csr_array(
-                (self.balance, (self.src, self.dst)), shape=(n, n))),
-                          self.index)
-        return self._flow
+    @property
+    def balance(self) -> np.ndarray:
+        """Routable balance of every arc, read from the graph's column."""
+        return self._balances[self.slot]
 
 
 class SimpleView:
     """Integer-indexed undirected simple projection, for the topology
     measures and minimum cuts.
 
-    Node ids are sorted and mapped to ints as in `ChannelView`. CSR row i
+    Node ids and their ints are the graph's `ids` and `index`. CSR row i
     (`rows`, `indices`, `indptr`) lists node i's neighbours once each, in
-    the order of the first channel in `edges` joining the two, with their
-    summed `capacity`, and `adjacency` holds the same entries as ones;
+    the order of the first channel (in record order) joining the two, with
+    their summed `capacity`, and `adjacency` holds the same entries as ones;
     `insertion` is the node set's iteration order. These are the orders of
     the networkx graph betweenness reproduces.
     """
 
     def __init__(self, g: PcnGraph):
-        self.ids = sorted(g.nodes)
-        self.index = {v: i for i, v in enumerate(self.ids)}
+        self.ids, self.index = g.ids, g.index
         n = len(self.ids)
         self.insertion = np.array([self.index[v] for v in g.nodes], np.int64)
-        a, b, capacity = np.array(
-            [(self.index[e.a], self.index[e.b], e.capacity)
-             for e in g.edges.values()], np.int64).reshape(-1, 3).T
+        a, b = g.ends.T
         _, first, which = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                                     return_index=True, return_inverse=True)
         summed = np.zeros(len(first), dtype=np.int64)
-        np.add.at(summed, which, capacity)
+        np.add.at(summed, which, g.capacity)
         # both arcs of each pair, rows ordered by the pair's first channel
         src = np.concatenate((a[first], b[first]))
         order = np.argsort(src * len(a) + np.tile(first, 2))
@@ -216,47 +156,92 @@ def _relay_csr(summed: csr_array) -> csr_array:
     ones, one per piece of at most MAX_ARC_BALANCE; every max-flow value,
     and the real nodes on each side of a minimum cut, stay exact."""
     summed = summed.tocoo()
-    rows, cols, values = [], [], []
-    size = summed.shape[0]
-    for u, v, amount in zip(summed.row.tolist(), summed.col.tolist(),
-                            summed.data.tolist()):
-        if amount <= MAX_ARC_BALANCE:
-            rows.append(u)
-            cols.append(v)
-            values.append(amount)
-            continue
-        for start in range(0, amount, MAX_ARC_BALANCE):
-            piece = min(MAX_ARC_BALANCE, amount - start)
-            rows += (u, size)
-            cols += (size, v)
-            values += (piece, piece)
-            size += 1
+    pieces = np.maximum(1, -(-summed.data // MAX_ARC_BALANCE))
+    arc = np.repeat(np.arange(len(pieces)), pieces)
+    # all pieces of an amount but its last are full
+    amount = np.full(len(arc), MAX_ARC_BALANCE, dtype=np.int64)
+    amount[np.cumsum(pieces) - 1] = summed.data - (pieces - 1) * MAX_ARC_BALANCE
+    split = pieces[arc] > 1
+    relay = summed.shape[0] + np.arange(np.count_nonzero(split))
+    rows = np.concatenate((summed.row[arc[~split]], summed.row[arc[split]], relay))
+    cols = np.concatenate((summed.col[arc[~split]], relay, summed.col[arc[split]]))
+    values = np.concatenate((amount[~split], amount[split], amount[split]))
+    size = summed.shape[0] + len(relay)
     return csr_array((values, (rows, cols)), shape=(size, size), dtype="int32")
 
 
-@dataclass
-class PcnGraph:
-    """A payment channel network. Treated as immutable by analysis code;
-    derive modified graphs via `remove_nodes` / the attack operations.
+def _column(*shape, dtype=np.int64):
+    return field(default_factory=lambda: np.zeros(shape, dtype=dtype))
 
-    Routing and max flow run on a `ChannelView`, the topology measures and
-    minimum cuts on a `SimpleView`; each is built on first use and cached
-    on the graph. Mutation contract: once a view exists, balances change in
-    place only through `payment_sim.route_payment(apply=True)`, which
-    shifts the channels and the channel view together (the simple view
-    holds no balances); nodes, channels and capacities never change in
-    place. `copy()`, `induced_subgraph` and `remove_nodes` return graphs
-    without views, so a graph changed right after copying (as the attack
-    operations do) builds fresh ones.
+
+class _Channels(Mapping):
+    """`PcnGraph.edges`: channel id -> `ChannelEdge`, built on access."""
+
+    def __init__(self, g: PcnGraph):
+        self._g = g
+
+    def __getitem__(self, cid) -> ChannelEdge:
+        g = self._g
+        c = g.channel_index[cid]
+        a, b = g.ends[c].tolist()
+        return ChannelEdge(cid, g.ids[a], g.ids[b], int(g.capacity[c]),
+                           *g.balance[c].tolist(), g.policy(2 * c),
+                           g.policy(2 * c + 1))
+
+    def __iter__(self):
+        return iter(self._g.channel_ids.tolist())
+
+    def __len__(self) -> int:
+        return self._g.edge_count
+
+
+@dataclass(eq=False)
+class PcnGraph:
+    """A payment channel network, stored as columns.
+
+    `ids` are the sorted node ids and `index` maps each to its int; both
+    are built once per graph and shared by its views and copies. `nodes` is
+    the node set, whose iteration order `SimpleView.insertion` records.
+    Channel c, in snapshot record order, has `channel_ids[c]`, endpoint ints
+    `ends[c] = (a, b)`, `capacity[c]`, and per side `balance[c]`,
+    `base_fee[c]` and `fee_rate[c]`: side 0 is a's outbound balance and fee
+    policy, side 1 b's. Slot 2c + side names the arc out of `ends[c, side]`
+    and indexes every two-column array flattened. `edges` reads the columns
+    as `ChannelEdge` records.
+
+    Routing runs on a `ChannelView`, the topology measures and minimum cuts
+    on a `SimpleView`; each is built on first use, cached on the graph, and
+    holds no balances. Mutation contract: balances change only by writing
+    the column through `shift` (routed payments with `apply`, and the
+    exhaustion attacks on a copy), which drops the caches derived from them
+    (`routable`, `balance_digraph`); the other columns are read-only and
+    shared with copies. `copy()`, `induced_subgraph`, `remove_nodes` and
+    `remove_channels` return graphs without views or caches.
     """
 
     nodes: set[str] = field(default_factory=set)
-    edges: dict[str, ChannelEdge] = field(default_factory=dict)
+    channel_ids: np.ndarray = _column(0, dtype=object)
+    ends: np.ndarray = _column(0, 2)
+    capacity: np.ndarray = _column(0)
+    balance: np.ndarray = _column(0, 2)
+    base_fee: np.ndarray = _column(0, 2)
+    fee_rate: np.ndarray = _column(0, 2)
     snapshot_time: str | None = None
-    _view: ChannelView | None = field(default=None, init=False, repr=False,
-                                      compare=False)
-    _simple: SimpleView | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    ids: list[str] | None = None
+    index: dict[str, int] | None = None
+    _view: ChannelView | None = field(default=None, init=False, repr=False)
+    _flow: csr_array | None = field(default=None, init=False, repr=False)
+    _routable: tuple | None = field(default=None, init=False, repr=False)
+    _simple: SimpleView | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.ids is None:
+            self.ids = sorted(self.nodes)
+        if self.index is None:
+            self.index = {v: i for i, v in enumerate(self.ids)}
+        for column in (self.channel_ids, self.ends, self.capacity,
+                       self.base_fee, self.fee_rate):
+            column.flags.writeable = False
 
     @property
     def node_count(self) -> int:
@@ -264,36 +249,64 @@ class PcnGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.channel_ids)
+
+    @property
+    def edges(self) -> Mapping[str, ChannelEdge]:
+        return _Channels(self)
+
+    @cached_property
+    def channel_index(self) -> dict[str, int]:
+        """Channel id -> record position, built on first use."""
+        return {cid: c for c, cid in enumerate(self.channel_ids.tolist())}
+
+    def policy(self, slot: int) -> FeePolicy:
+        """Fee policy of the source of arc `slot`."""
+        return FeePolicy(int(self.base_fee.flat[slot]),
+                         int(self.fee_rate.flat[slot]))
+
+    def out_slots(self, v: str) -> np.ndarray:
+        """Slots of the arcs out of `v` (none for an unknown node)."""
+        return np.flatnonzero(self.ends.reshape(-1) == self.index.get(v, -1))
+
+    def shift(self, slots, amounts) -> None:
+        """Move `amounts` along the arcs `slots`: each leaves its source's
+        side of the channel for the other side."""
+        slots = np.asarray(slots, dtype=np.int64)
+        flat = self.balance.reshape(-1)
+        np.subtract.at(flat, slots, amounts)
+        np.add.at(flat, slots ^ 1, amounts)
+        self._flow = self._routable = None
 
     def channels_of(self, v: str) -> list[ChannelEdge]:
-        return [e for e in self.edges.values() if v in (e.a, e.b)]
+        return [self.edges[cid] for cid
+                in self.channel_ids[self.out_slots(v) // 2].tolist()]
 
     def outbound_balance(self, v: str) -> int:
-        return sum(e.balance(v) for e in self.channels_of(v))
+        return sum(self.balance.reshape(-1)[self.out_slots(v)].tolist())
 
     def degrees(self) -> dict[str, int]:
         """Channel count (parallel channels each count) of every node."""
-        deg = {v: 0 for v in self.nodes}
-        for e in self.edges.values():
-            deg[e.a] += 1
-            deg[e.b] += 1
-        return deg
+        counts = np.bincount(self.ends.reshape(-1), minlength=len(self.ids))
+        return dict(zip(self.ids, counts.tolist()))
 
     def outbound_balances(self) -> dict[str, int]:
-        """`outbound_balance` of every node, in one pass over the channels."""
-        out = {v: 0 for v in self.nodes}
-        for e in self.edges.values():
-            out[e.a] += e.balance_ab
-            out[e.b] += e.balance_ba
-        return out
+        """`outbound_balance` of every node. The sums run over the 32-bit
+        halves of the balances, which float64 counts hold exactly for
+        fewer than 2**21 channels per node."""
+        ends, flat = self.ends.reshape(-1), self.balance.reshape(-1)
+        high, low = (np.bincount(ends, half, len(self.ids)).astype(np.int64)
+                     .tolist() for half in (flat >> 32, flat & 0xFFFFFFFF))
+        return {v: (h << 32) + lo for v, h, lo in zip(self.ids, high, low)}
 
     def copy(self) -> "PcnGraph":
-        return PcnGraph(
-            nodes=set(self.nodes),
-            edges={cid: replace(e) for cid, e in self.edges.items()},
-            snapshot_time=self.snapshot_time,
-        )
+        """A graph with its own node set and balances."""
+        return replace(self, nodes=set(self.nodes), balance=self.balance.copy())
+
+    def _channel_rows(self, keep) -> dict[str, np.ndarray]:
+        """The channel columns restricted to the channels `keep` selects."""
+        return {name: getattr(self, name)[keep] for name in (
+            "channel_ids", "ends", "capacity", "balance", "base_fee", "fee_rate")}
 
     def channel_view(self) -> ChannelView:
         """The graph's cached `ChannelView`, built on first use."""
@@ -307,55 +320,76 @@ class PcnGraph:
             self._simple = SimpleView(self)
         return self._simple
 
+    def routable(self, amount: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mask of the channel view's arcs with balance >= `amount`, with
+        their sources and destinations. Cached until another amount is
+        asked for or a balance is written."""
+        if self._routable is None or self._routable[0] != amount:
+            view = self.channel_view()
+            usable = view.balance >= amount
+            self._routable = (amount, usable, view.src[usable], view.dst[usable])
+        return self._routable[1:]
+
     def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
         """Directed balance view for max flow, with the node id -> index map
         (ids in sorted order). Entry [i, j] is the total routable balance from
-        node i to node j, parallel channels summed. Cached with the channel
-        view until a routed payment shifts a balance; read-only.
-
-        A summed balance above MAX_ARC_BALANCE is routed through relay nodes
-        appended after the real ones, one per piece of at most
-        MAX_ARC_BALANCE, so every max-flow value stays exact."""
-        return self.channel_view().balance_digraph()
+        node i to node j, parallel channels summed, and one above
+        MAX_ARC_BALANCE goes through relay nodes (`_relay_csr`). Cached
+        until a balance is written; read-only."""
+        if self._flow is None:
+            n = len(self.ids)
+            # parallel arcs add up as the matrix is built
+            self._flow = _relay_csr(csr_array((self.balance.reshape(-1), (
+                self.ends.reshape(-1), self.ends[:, ::-1].reshape(-1))),
+                shape=(n, n)))
+        return self._flow, self.index
 
     def to_snapshot_dict(self) -> dict:
         """Serialize back to the snapshot schema (with explicit balances)."""
+        order = np.argsort(self.channel_ids)
+        columns = [self.channel_ids[order], self.capacity[order]] + [
+            column[order, side] for column in
+            (self.ends, self.balance, self.base_fee, self.fee_rate)
+            for side in (0, 1)]
         return {
-            "nodes": [{"pub_key": n} for n in sorted(self.nodes)],
+            "nodes": [{"pub_key": n} for n in self.ids],
             "edges": [
                 {
-                    "channel_id": e.channel_id,
-                    "node1_pub": e.a,
-                    "node2_pub": e.b,
-                    "capacity": e.capacity,
-                    "node1_balance": e.balance_ab,
-                    "node2_balance": e.balance_ba,
+                    "channel_id": cid,
+                    "node1_pub": self.ids[a],
+                    "node2_pub": self.ids[b],
+                    "capacity": capacity,
+                    "node1_balance": balance_ab,
+                    "node2_balance": balance_ba,
                     "node1_policy": {
-                        "fee_base_msat": e.policy_ab.base_fee_msat,
-                        "fee_rate_milli_msat": e.policy_ab.rate_ppm,
+                        "fee_base_msat": base_ab,
+                        "fee_rate_milli_msat": rate_ab,
                     },
                     "node2_policy": {
-                        "fee_base_msat": e.policy_ba.base_fee_msat,
-                        "fee_rate_milli_msat": e.policy_ba.rate_ppm,
+                        "fee_base_msat": base_ba,
+                        "fee_rate_milli_msat": rate_ba,
                     },
                 }
-                for e in sorted(self.edges.values(), key=lambda e: e.channel_id)
+                for cid, capacity, a, b, balance_ab, balance_ba, base_ab,
+                base_ba, rate_ab, rate_ba in zip(*(c.tolist() for c in columns))
             ],
         }
 
 
-def _parse_policy(raw) -> FeePolicy:
+def _parse_policy(raw) -> tuple[int, int]:
+    """(base fee, fee rate) of one side's policy record."""
     if not raw:
-        return FeePolicy()
+        return DEFAULT_BASE_FEE_MSAT, DEFAULT_RATE_PPM
     if not isinstance(raw, dict):
         raise SnapshotError(f"fee policy is not an object: {raw!r}")
     try:
-        return FeePolicy(
-            base_fee_msat=int(raw.get("fee_base_msat", DEFAULT_BASE_FEE_MSAT)),
-            rate_ppm=int(raw.get("fee_rate_milli_msat", DEFAULT_RATE_PPM)),
-        )
+        base = int(raw.get("fee_base_msat", DEFAULT_BASE_FEE_MSAT))
+        rate = int(raw.get("fee_rate_milli_msat", DEFAULT_RATE_PPM))
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"bad fee policy {raw!r}")
+    if base < 0 or rate < 0:
+        raise ValidationError("fee policy fields must be non-negative")
+    return base, rate
 
 
 def _records(data: dict, key: str) -> list:
@@ -381,22 +415,22 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
         if key in nodes:
             raise ValidationError(f"duplicate node key {key}")
         nodes.add(key)
+    g = PcnGraph(nodes=nodes, snapshot_time=data.get("snapshot_time"))
 
-    edges: dict[str, ChannelEdge] = {}
+    # nine integers per channel: capacity, then (a, b) pairs of endpoints,
+    # balances, base fees and fee rates
+    seen, channel_ids, table = set(), [], []
     for rec in _records(data, "edges"):
         if not isinstance(rec, dict):
             raise SnapshotError(f"edge record is not an object: {rec!r}")
         cid = str(rec.get("channel_id", ""))
         if not cid:
             raise ValidationError(f"edge record without channel_id: {rec!r}")
-        if cid in edges:
+        if cid in seen:
             raise ValidationError(f"duplicate channel_id {cid}")
-        a, b = rec.get("node1_pub"), rec.get("node2_pub")
         try:
-            known = a in nodes and b in nodes
-        except TypeError:  # unhashable endpoint
-            known = False
-        if not known:
+            a, b = g.index[rec.get("node1_pub")], g.index[rec.get("node2_pub")]
+        except (KeyError, TypeError):  # unknown or unhashable endpoint
             raise ValidationError(f"channel {cid} references unknown node")
         if a == b:
             raise ValidationError(f"channel {cid} is a self-loop")
@@ -428,19 +462,24 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
                 raise ValidationError(
                     f"channel {cid} has balances {bal_ab} + {bal_ba} "
                     f"above its capacity {capacity}")
+        base_ab, rate_ab = _parse_policy(rec.get("node1_policy"))
+        base_ba, rate_ba = _parse_policy(rec.get("node2_policy"))
+        # BOLT 7 gossips both fee fields as u32
+        if max(base_ab, base_ba, rate_ab, rate_ba) > 2**32 - 1:
+            raise ValidationError(
+                f"channel {cid} has a fee field above {2**32 - 1}")
 
-        edges[cid] = ChannelEdge(
-            channel_id=cid,
-            a=a,
-            b=b,
-            capacity=capacity,
-            balance_ab=bal_ab,
-            balance_ba=bal_ba,
-            policy_ab=_parse_policy(rec.get("node1_policy")),
-            policy_ba=_parse_policy(rec.get("node2_policy")),
-        )
+        seen.add(cid)
+        channel_ids.append(cid)
+        table += (capacity, a, b, bal_ab, bal_ba,
+                  base_ab, base_ba, rate_ab, rate_ba)
+    table = np.array(table, dtype=np.int64).reshape(-1, 9)
 
-    return PcnGraph(nodes=nodes, edges=edges, snapshot_time=data.get("snapshot_time"))
+    def pair(k):
+        return table[:, k:k + 2].copy()
+    return replace(g, channel_ids=np.array(channel_ids, dtype=object),
+                   capacity=table[:, 0].copy(), ends=pair(1), balance=pair(3),
+                   base_fee=pair(5), fee_rate=pair(7))
 
 
 def load_snapshot(path, balance_model: str = "capacity-both-ways") -> PcnGraph:
@@ -467,19 +506,16 @@ def connected_components(g: PcnGraph) -> list[set[str]]:
 def largest_connected_component(g: PcnGraph) -> PcnGraph:
     """Induced subgraph on the largest component; ties broken by the
     smallest lexicographic member id."""
-    if not g.nodes:
-        return PcnGraph(snapshot_time=g.snapshot_time)
-    keep = connected_components(g)[0]
-    return induced_subgraph(g, keep)
+    comps = connected_components(g)
+    return induced_subgraph(g, comps[0] if comps else set())
 
 
 def induced_subgraph(g: PcnGraph, keep: set[str]) -> PcnGraph:
-    edges = {
-        cid: replace(e)
-        for cid, e in g.edges.items()
-        if e.a in keep and e.b in keep
-    }
-    return PcnGraph(nodes=set(keep), edges=edges, snapshot_time=g.snapshot_time)
+    alive = np.fromiter((v in keep for v in g.ids), dtype=bool, count=len(g.ids))
+    rows = g._channel_rows(alive[g.ends].all(axis=1))
+    rows["ends"] = (np.cumsum(alive) - 1)[rows["ends"]]
+    return PcnGraph(nodes=set(keep), ids=list(compress(g.ids, alive)),
+                    snapshot_time=g.snapshot_time, **rows)
 
 
 def remove_nodes(g: PcnGraph, targets) -> PcnGraph:
@@ -489,3 +525,9 @@ def remove_nodes(g: PcnGraph, targets) -> PcnGraph:
     if unknown:
         raise KeyError(f"unknown nodes: {sorted(unknown)}")
     return induced_subgraph(g, g.nodes - targets)
+
+
+def remove_channels(g: PcnGraph, channel_ids) -> PcnGraph:
+    """A copy of `g` without the given channels; ids it lacks are skipped."""
+    keep = ~np.isin(g.channel_ids, list(channel_ids))
+    return replace(g.copy(), **g._channel_rows(keep))

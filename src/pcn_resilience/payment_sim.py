@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import maximum_flow
 
-from .graph_model import ChannelView, PcnGraph
+from .graph_model import PcnGraph
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,17 @@ UNIT_VOLUMES = VolumeModel(volumes=(1,))
 
 def load_volumes(path) -> VolumeModel:
     """Volume file: one positive integer (satoshi) per line."""
-    vols = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                vols.append(int(line))
-    return VolumeModel(volumes=tuple(vols))
+        return VolumeModel(volumes=tuple(int(line) for line in f if line.strip()))
 
 
-def _route_arcs(view: ChannelView, source: int, target: int,
+def _route_arcs(g: PcnGraph, source: int, target: int,
                 amount: int) -> list[int] | None:
     """Arcs of the hop-count shortest path from `source` to `target` over
     arcs with balance >= `amount`, choosing the lexicographically smallest
     node-id sequence (then the smallest channel id per hop)."""
-    src, dst = view.routable(amount)
+    view = g.channel_view()
+    usable, src, dst = g.routable(amount)
     n = len(view.ids)
     # Distances toward the target, one BFS level of reversed arcs at a
     # time; levels below the source's are complete once it is reached.
@@ -97,9 +93,8 @@ def _route_arcs(view: ChannelView, source: int, target: int,
     cur = source
     for hops_left in range(level - 1, -1, -1):
         lo, hi = view.indptr[cur], view.indptr[cur + 1]
-        usable = ((view.balance[lo:hi] >= amount)
-                  & (dist[view.dst[lo:hi]] == hops_left))
-        x = int(lo + usable.argmax())
+        step = usable[lo:hi] & (dist[view.dst[lo:hi]] == hops_left)
+        x = int(lo + step.argmax())
         arcs.append(x)
         cur = int(view.dst[x])
     return arcs
@@ -111,18 +106,16 @@ def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> Paymen
     if spec.source not in g.nodes or spec.target not in g.nodes:
         raise KeyError("unknown payment endpoint")
     view = g.channel_view()
-    arcs = _route_arcs(view, view.index[spec.source], view.index[spec.target],
+    arcs = _route_arcs(g, view.index[spec.source], view.index[spec.target],
                        spec.amount)
     if arcs is None:
         return PaymentOutcome(success=False)
 
     path = [spec.source] + [view.ids[view.dst[x]] for x in arcs]
-    per_hop: dict[str, int] = {}
-    for hop, x in zip(path[1:-1], arcs[1:]):
-        channel = view.channels[view.channel[x]]
-        per_hop[hop] = channel.policy(hop).fee_msat(spec.amount)
+    per_hop = {hop: g.policy(view.slot[x]).fee_msat(spec.amount)
+               for hop, x in zip(path[1:-1], arcs[1:])}
     if apply:
-        view.shift(arcs, spec.amount)
+        g.shift(view.slot[arcs], spec.amount)
     return PaymentOutcome(success=True, path=path,
                           fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
 
@@ -159,13 +152,9 @@ def sample_pairs(nodes, rounds: int, rng: random.Random) -> list[tuple[str, str]
 def evaluate_payments(g: PcnGraph, specs, apply: bool = False) -> list[PaymentOutcome]:
     """Evaluate a fixed payment sequence; specs whose endpoints are missing
     from the graph count as failures (the graph may have been attacked)."""
-    outcomes = []
-    for spec in specs:
-        if spec.source not in g.nodes or spec.target not in g.nodes:
-            outcomes.append(PaymentOutcome(success=False))
-        else:
-            outcomes.append(route_payment(g, spec, apply=apply))
-    return outcomes
+    return [route_payment(g, spec, apply=apply)
+            if spec.source in g.nodes and spec.target in g.nodes
+            else PaymentOutcome(success=False) for spec in specs]
 
 
 def max_flow(g: PcnGraph, s: str, t: str) -> int:
@@ -180,13 +169,8 @@ def max_flow(g: PcnGraph, s: str, t: str) -> int:
 
 def evaluate_flows(g: PcnGraph, pairs) -> list[int]:
     """Max flow per (s, t) pair; pairs touching removed nodes contribute 0."""
-    flows = []
-    for s, t in pairs:
-        if s not in g.nodes or t not in g.nodes:
-            flows.append(0)
-        else:
-            flows.append(max_flow(g, s, t))
-    return flows
+    return [max_flow(g, s, t) if s in g.nodes and t in g.nodes else 0
+            for s, t in pairs]
 
 
 def fee_gain(g: PcnGraph, hub: str, payments: int, volumes: VolumeModel,
@@ -196,10 +180,6 @@ def fee_gain(g: PcnGraph, hub: str, payments: int, volumes: VolumeModel,
     if hub not in g.nodes:
         raise KeyError(f"unknown hub {hub}")
     state = g.copy()
-    rng = random.Random(seed)
-    specs = sample_specs(g.nodes, payments, volumes, rng)
-    total = 0
-    for spec in specs:
-        outcome = route_payment(state, spec, apply=True)
-        total += outcome.per_hop_fees.get(hub, 0)
-    return total / payments
+    specs = sample_specs(g.nodes, payments, volumes, random.Random(seed))
+    return sum(route_payment(state, spec, apply=True).per_hop_fees.get(hub, 0)
+               for spec in specs) / payments

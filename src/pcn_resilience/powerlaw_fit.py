@@ -9,7 +9,7 @@ is rejected when p <= 0.1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import zeta
@@ -40,12 +40,7 @@ class FitResult:
     tail_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "x_min": self.x_min,
-            "ks_distance": self.ks_distance,
-            "tail_count": self.tail_count,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -56,14 +51,7 @@ class GofResult:
     warning: str | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "p_value": self.p_value,
-            "synthetic_runs": self.synthetic_runs,
-            "reject": self.reject,
-        }
-        if self.warning:
-            d["warning"] = self.warning
-        return d
+        return {k: v for k, v in asdict(self).items() if k != "warning" or v}
 
 
 def _tail_loglikelihood(alpha: float, x_min: int, n: int, log_sum: float) -> float:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .graph_model import ChannelEdge, PcnGraph, largest_connected_component
+from .graph_model import (DEFAULT_BASE_FEE_MSAT, DEFAULT_RATE_PPM, PcnGraph,
+                          largest_connected_component)
 
 
 class ConvergenceError(Exception):
@@ -40,18 +41,11 @@ class MetricReport:
     lambda_: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "diameter": self.diameter,
-            "avg_distance": self.avg_distance,
-            "clustering": self.clustering,
-            "central_point_dominance": self.central_point_dominance,
-        }
-        if self.smallworld_S is not None:
-            d["smallworld_S"] = self.smallworld_S
-            d["gamma"] = self.gamma
-            d["lambda"] = self.lambda_
+        d = asdict(self)
+        d["lambda"] = d.pop("lambda_")
+        if self.smallworld_S is None:
+            for key in ("smallworld_S", "gamma", "lambda"):
+                del d[key]
         return d
 
     # Table-style CSV row (node count, edge count, diameter, average
@@ -296,13 +290,15 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
     else:
         raise ValueError(f"unknown reference kind {kind!r}")
 
-    nodes = {f"n{i}" for i in sg.nodes()}
-    edges = {}
-    for idx, (u, v) in enumerate(sorted(sg.edges())):
-        cid = f"ref{idx}"
-        edges[cid] = ChannelEdge(channel_id=cid, a=f"n{u}", b=f"n{v}",
-                                 capacity=1, balance_ab=1, balance_ba=1)
-    return PcnGraph(nodes=nodes, edges=edges)
+    g = PcnGraph(nodes={f"n{i}" for i in sg.nodes()})
+    ends = np.array([(g.index[f"n{u}"], g.index[f"n{v}"])
+                     for u, v in sorted(sg.edges())], dtype=np.int64).reshape(-1, 2)
+    m = len(ends)
+    return replace(g, channel_ids=np.array([f"ref{i}" for i in range(m)], dtype=object),
+                   ends=ends, capacity=np.ones(m, dtype=np.int64),
+                   balance=np.ones((m, 2), dtype=np.int64),
+                   base_fee=np.full((m, 2), DEFAULT_BASE_FEE_MSAT),
+                   fee_rate=np.full((m, 2), DEFAULT_RATE_PPM))
 
 
 def smallworld_coefficient(g: PcnGraph, reference_runs: int = 10, seed: int = 0,

@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's own algorithms: path enumeration by
 DFS, union-find for components, a from-scratch augmenting path max-flow,
-and networkx's preflow-push for minimum cuts on the networkx form of the
-simple projection. Only usable on small graphs.
+networkx's preflow-push for minimum cuts on the networkx form of the
+simple projection, and graph operations on snapshot dicts. Only usable on
+small graphs.
 """
 
+import copy
 from itertools import combinations
 
 
@@ -118,12 +120,19 @@ def augmenting_path_max_flow(capacities, s, t):
         flow += push
 
 
-def reference_route(g, spec, apply=False):
+def reference_balances(g):
+    """Each channel's (balance_ab, balance_ba): the state `reference_route`
+    reads and shifts."""
+    return {cid: (e.balance_ab, e.balance_ba) for cid, e in g.edges.items()}
+
+
+def reference_route(g, spec, balances, apply=False):
     """Single-path routing rebuilt from scratch for every payment: for each
     node, the smallest-channel_id channel per neighbour with balance >=
     amount; a hop-count BFS toward the target over the reversed arcs; then
-    the smallest next node id at each step. Returns a PaymentOutcome and,
-    with `apply`, shifts balances along the path."""
+    the smallest next node id at each step. Returns a PaymentOutcome.
+    Balances come from `balances` (see `reference_balances`), which `apply`
+    shifts along the path; `g` gives only channels and fee policies."""
     from collections import deque
 
     from pcn_resilience.payment_sim import PaymentOutcome
@@ -132,9 +141,10 @@ def reference_route(g, spec, apply=False):
         raise KeyError("unknown payment endpoint")
     adj = {v: {} for v in g.nodes}
     for e in sorted(g.edges.values(), key=lambda e: e.channel_id):
-        if e.balance_ab >= spec.amount and e.b not in adj[e.a]:
+        balance_ab, balance_ba = balances[e.channel_id]
+        if balance_ab >= spec.amount and e.b not in adj[e.a]:
             adj[e.a][e.b] = e
-        if e.balance_ba >= spec.amount and e.a not in adj[e.b]:
+        if balance_ba >= spec.amount and e.a not in adj[e.b]:
             adj[e.b][e.a] = e
     reverse = {v: [] for v in adj}
     for u, nbrs in adj.items():
@@ -158,7 +168,10 @@ def reference_route(g, spec, apply=False):
                for hop, nxt in zip(path[1:-1], path[2:])}
     if apply:
         for u, v in zip(path, path[1:]):
-            adj[u][v].shift(u, spec.amount)
+            e = adj[u][v]
+            moved = spec.amount if u == e.a else -spec.amount
+            balance_ab, balance_ba = balances[e.channel_id]
+            balances[e.channel_id] = (balance_ab - moved, balance_ba + moved)
     return PaymentOutcome(success=True, path=path,
                           fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
 
@@ -191,3 +204,34 @@ def reference_min_cut(g, s, t):
     _, (side_s, _) = nx.minimum_cut(sg, s, t, capacity="capacity")
     return tuple(sorted(e.channel_id for e in g.edges.values()
                         if (e.a in side_s) != (e.b in side_s)))
+
+
+def reference_remove_nodes(snapshot, targets):
+    """`remove_nodes` on a snapshot dict: the other nodes and the channels
+    between them."""
+    return {"nodes": [n for n in snapshot["nodes"] if n["pub_key"] not in targets],
+            "edges": [e for e in snapshot["edges"]
+                      if e["node1_pub"] not in targets
+                      and e["node2_pub"] not in targets]}
+
+
+def reference_largest_component(snapshot):
+    """`largest_connected_component` on a snapshot dict (ties broken by the
+    smallest member id), from union-find components."""
+    nodes = {n["pub_key"] for n in snapshot["nodes"]}
+    comps = union_find_components(
+        nodes, [(e["node1_pub"], e["node2_pub"]) for e in snapshot["edges"]])
+    keep = min(comps, key=lambda c: (-len(c), min(c)))
+    return reference_remove_nodes(snapshot, nodes - keep)
+
+
+def reference_drain(snapshot, sides):
+    """A snapshot dict in which, for every (channel id, node) in `sides`,
+    the node's balance on that channel has moved to the other side."""
+    out = copy.deepcopy(snapshot)
+    for e in out["edges"]:
+        for src, dst in (("node1", "node2"), ("node2", "node1")):
+            if (e["channel_id"], e[src + "_pub"]) in sides:
+                e[dst + "_balance"] += e[src + "_balance"]
+                e[src + "_balance"] = 0
+    return out

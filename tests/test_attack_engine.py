@@ -1,15 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcn_resilience import attack_engine as ae
 from pcn_resilience import payment_sim as ps
-from pcn_resilience.graph_model import graph_from_dict, remove_nodes
+from pcn_resilience.graph_model import (graph_from_dict,
+                                        largest_connected_component,
+                                        remove_nodes)
 from pcn_resilience.topology_metrics import generate_reference
 
-from oracles import reference_min_cut
+from oracles import (reference_balances, reference_drain,
+                     reference_largest_component, reference_min_cut,
+                     reference_remove_nodes, reference_route)
 from test_graph_model import make_graph
 
 
@@ -349,6 +354,22 @@ class TestExecuteAttack:
         assert rep.a_posteriori.g_bar == 0.0 < rep.a_priori.g_bar
         assert rep.delta_g == 1.0
 
+    def test_unknown_hub_rejected(self):
+        g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
+        plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
+        params = ae.MetricParams(attempts=5, flow_rounds=1, hub="nosuchnode")
+        with pytest.raises(KeyError, match="unknown hub nosuchnode"):
+            attack(g, plan, ("count", 1), params)
+
+    def test_removed_hub_earns_nothing(self):
+        g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")],
+                       capacity=10**6)
+        params = ae.MetricParams(attempts=50, flow_rounds=10, hub="b")
+        plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
+        assert plan.targets[0].node == "b"
+        rep = attack(g, plan, ("count", 1), params)
+        assert rep.a_posteriori.g_bar == 0.0 < rep.a_priori.g_bar
+
     def test_zero_a_priori_metric_gives_undefined_deltas(self):
         # two components: every sampled pair crosses them or is blocked
         g = make_graph(list("abcd"), [("a", "b"), ("c", "d")], capacity=1)
@@ -445,3 +466,82 @@ class TestSingleRemoval:
         assert rep == self.stepwise_report(
             g, [t.node for t in chosen], params, seed=4,
             spent=sum(t.isolation_cost for t in chosen))
+
+
+# ids whose lexicographic order differs from their insertion order
+DERIVED_IDS = ["n0", "n1", "n10", "n2", "a", "Z"]
+
+
+@st.composite
+def derived_cases(draw):
+    """Small graphs with parallel channels, explicit balances, and numeric
+    channel ids shuffled against record order."""
+    ids = draw(st.lists(st.sampled_from(DERIVED_IDS), min_size=2, max_size=6,
+                        unique=True))
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+        lambda p: p[0] != p[1])
+    channels = draw(st.lists(st.tuples(pair, st.integers(0, 9),
+                                       st.integers(0, 9), st.integers(0, 3)),
+                             max_size=14))
+    cids = draw(st.permutations([str(i) for i in range(len(channels))]))
+    return graph_from_dict({
+        "nodes": [{"pub_key": v} for v in ids],
+        "edges": [{"channel_id": cid, "node1_pub": a, "node2_pub": b,
+                   "capacity": ab + ba + fee + 1, "node1_balance": ab,
+                   "node2_balance": ba,
+                   "node1_policy": {"fee_base_msat": fee,
+                                    "fee_rate_milli_msat": 100 * fee},
+                   "node2_policy": {"fee_base_msat": 3 - fee}}
+                  for cid, ((a, b), ab, ba, fee) in zip(cids, channels)],
+    }, balance_model="explicit")
+
+
+def observed(g):
+    """Everything a derived graph could share with `g` by mistake."""
+    arcs, index = g.balance_digraph()
+    view = g.simple_graph()
+    return (g.to_snapshot_dict(), arcs.toarray().tolist(), dict(index),
+            [column.tolist() for column in (view.rows, view.indices,
+                                            view.capacity, view.indptr,
+                                            view.insertion)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(derived_cases(), st.data())
+def test_derived_graphs_never_alias_their_source(g, data):
+    before = observed(g)
+    source = before[0]
+    nodes = sorted(g.nodes)
+    targets = data.draw(st.sets(st.sampled_from(nodes)))
+    v = data.draw(st.sampled_from(nodes))
+    cases = [
+        (g.copy, source),
+        (lambda: remove_nodes(g, targets),
+         reference_remove_nodes(source, targets)),
+        (lambda: largest_connected_component(g),
+         reference_largest_component(source)),
+        (lambda: ae.exhaust_node_channels(g, v),
+         reference_drain(source, {(e["channel_id"], v)
+                                  for e in source["edges"]})),
+    ]
+    if source["edges"]:
+        e = data.draw(st.sampled_from(source["edges"]))
+        side = data.draw(st.sampled_from(["node1", "node2"]))
+        direction = "ab" if side == "node1" else "ba"
+        cases.append((lambda: ae.exhaust_channel(g, e["channel_id"], direction),
+                      reference_drain(source, {(e["channel_id"],
+                                                e[side + "_pub"])})))
+    for derive, want in cases:
+        result = derive()
+        assert result.to_snapshot_dict() == want
+        # a write to the result must not reach the source
+        result.shift(2 * np.arange(result.edge_count), result.balance[:, 0])
+        assert observed(g) == before
+
+    volumes = ps.VolumeModel((1, 3, 5))
+    specs = ps.sample_specs(g.nodes, 12, volumes, random.Random(7))
+    state = reference_balances(g)
+    earned = sum(reference_route(g, spec, state, apply=True)
+                 .per_hop_fees.get(v, 0) for spec in specs)
+    assert ps.fee_gain(g, v, 12, volumes, seed=7) == earned / 12
+    assert observed(g) == before

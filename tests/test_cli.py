@@ -174,6 +174,18 @@ class TestAttack:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {exc}"]
 
+    @pytest.mark.parametrize("strategy", ["degree", "parallel-paths"])
+    def test_unknown_hub_is_one_line(self, tmp_path, capsys, strategy):
+        rc = main(["attack", "--snapshot", FIXTURE,
+                   "--out", str(tmp_path / "x.json"), "--strategy", strategy,
+                   "--n-sweep", "0:1", "--hub", "nosuchnode",
+                   "--attempts", "5", "--flow-rounds", "1",
+                   "--payment-samples", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 'unknown hub nosuchnode'"]
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_zero_a_priori_flow_reports_no_advantage(self, tmp_path, fmt):
         # two components: the one sampled flow pair crosses them, so F_bar = 0

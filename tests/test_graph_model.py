@@ -173,6 +173,17 @@ class TestAmountBounds:
             assert (e.balance_ab, e.balance_ba) == (ab, ba)
 
 
+    def test_fee_fields_above_u32_rejected(self):
+        bound = 2**32 - 1
+        graph_from_dict(_edge(node1_policy={"fee_base_msat": bound,
+                                            "fee_rate_milli_msat": bound}))
+        for policy in ({"fee_base_msat": bound + 1},
+                       {"fee_rate_milli_msat": 10**30}):
+            with pytest.raises(ValidationError,
+                               match=f"^channel c0 has a fee field above {bound}$"):
+                graph_from_dict(_edge(node2_policy=policy))
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.floats()
     | st.sampled_from(["", "a", "b", "c0", "1"]),

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcn_resilience import payment_sim as ps
-from pcn_resilience.graph_model import graph_from_dict, remove_nodes
+from pcn_resilience.graph_model import MAX_SAT, graph_from_dict, remove_nodes
 from pcn_resilience.topology_metrics import generate_reference
 
-from oracles import augmenting_path_max_flow, reference_route
+from oracles import (augmenting_path_max_flow, reference_balances,
+                     reference_route)
 from test_graph_model import explicit_channels, make_graph
 
 VOLS = ps.VolumeModel(volumes=(1000, 5000, 20000))
@@ -129,11 +130,11 @@ def routing_cases(draw):
 @given(routing_cases())
 def test_route_payment_matches_reference_route(case):
     g, payments = case
-    reference = g.copy()
+    state = reference_balances(g)
     for spec, apply in payments:
         assert ps.route_payment(g, spec, apply=apply) == \
-            reference_route(reference, spec, apply=apply)
-        assert balances(g) == balances(reference)
+            reference_route(g, spec, state, apply=apply)
+        assert balances(g) == state
 
 
 class TestChannelView:
@@ -196,6 +197,25 @@ class TestChannelView:
                                "c2": (50_000, 50_000)}
         assert ps.route_payment(g, ps.PaymentSpec("a", "b", 50_000)).success
         assert ps.max_flow(g, "a", "b") == 50_000
+
+
+def test_fee_past_int64_is_exact():
+    # BOLT 7's largest fee fields on a hop carrying the whole bitcoin supply
+    rate = 2**32 - 1
+    g = graph_from_dict({
+        "nodes": [{"pub_key": v} for v in "ahb"],
+        "edges": [
+            {"channel_id": "c0", "node1_pub": "a", "node2_pub": "h",
+             "capacity": MAX_SAT},
+            {"channel_id": "c1", "node1_pub": "h", "node2_pub": "b",
+             "capacity": MAX_SAT,
+             "node1_policy": {"fee_base_msat": rate, "fee_rate_milli_msat": rate}},
+        ]})
+    out = ps.route_payment(g, ps.PaymentSpec("a", "b", MAX_SAT), apply=True)
+    fee = rate + MAX_SAT * rate // 1000
+    assert fee > 2**63
+    assert out.per_hop_fees == {"h": fee} and out.fees_paid == fee
+    assert balances(g) == {"c0": (0, 2 * MAX_SAT), "c1": (0, 2 * MAX_SAT)}
 
 
 def success_ratio(g, attempts, seed, apply=False):
