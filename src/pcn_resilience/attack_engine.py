@@ -229,7 +229,7 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     rng = random.Random(params.get("seed", 0))
     pairs = payment_sim.sample_pairs(g.nodes, params["cut_samples"], rng)
     capacity = g.simple_graph().capacity_csr()
-    order = np.argsort(g.channel_ids)  # channel-id order
+    order = g.channel_order
     channel_ids, (a, b) = g.channel_ids[order], g.ends[order].T
 
     occurrences: dict[tuple[str, ...], int] = {}

@@ -52,8 +52,7 @@ def _setup(args) -> tuple[int, PcnGraph, dict, str]:
     cfg["seed"] = seed
     g = load_snapshot(args.snapshot, balance_model=args.balance_model)
     meta = {"version": __version__, "seed": seed, "config_hash": _config_hash(cfg)}
-    comment = (f"# version={__version__} seed={seed} "
-               f"config_hash={meta['config_hash']}")
+    comment = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
     return seed, g, meta, comment
 
 
@@ -68,12 +67,9 @@ def _json_dump(obj) -> str:
 
 def _parse_sweep(text: str) -> list[int]:
     parts = [int(p) for p in text.split(":")]
-    if len(parts) == 2:
-        start, end, step = parts[0], parts[1], 1
-    elif len(parts) == 3:
-        start, end, step = parts
-    else:
+    if len(parts) not in (2, 3):
         raise ValueError(f"bad sweep spec {text!r}, expected start:end[:step]")
+    start, end, step = (parts + [1])[:3]
     return list(range(start, end + 1, step))
 
 
@@ -184,12 +180,16 @@ def cmd_attack(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    seed, g, _, comment = _setup(args)
+    seed, g, meta, comment = _setup(args)
     failures = [int(f) for f in args.failures.split(",")]
     result = random_failure_experiment(g, failures, runs=args.reps, seed=seed)
-    lines = [comment, "failures,mean_components"]
-    lines += [f"{k},{result[k]:.6g}" for k in failures]
-    _write(Path(args.out), "\n".join(lines) + "\n")
+    if args.format == "csv":
+        lines = [comment, "failures,mean_components"]
+        lines += [f"{k},{result[k]:.6g}" for k in failures]
+        _write(Path(args.out), "\n".join(lines) + "\n")
+    else:
+        _write(Path(args.out), _json_dump({"meta": meta, "rows": [
+            {"failures": k, "mean_components": result[k]} for k in failures]}))
     return 0
 
 

@@ -95,7 +95,8 @@ class ChannelView:
 
     def __init__(self, g: PcnGraph):
         self.ids, self.index = g.ids, g.index
-        rank = np.argsort(np.argsort(g.channel_ids))  # in channel-id order
+        rank = np.empty(g.edge_count, dtype=np.int64)  # in channel-id order
+        rank[g.channel_order] = np.arange(g.edge_count)
         src, dst = g.ends.reshape(-1), g.ends[:, ::-1].reshape(-1)
         self.slot = np.lexsort((np.repeat(rank, 2), dst, src))
         self.src, self.dst = src[self.slot], dst[self.slot]
@@ -260,6 +261,11 @@ class PcnGraph:
         """Channel id -> record position, built on first use."""
         return {cid: c for c, cid in enumerate(self.channel_ids.tolist())}
 
+    @cached_property
+    def channel_order(self) -> np.ndarray:
+        """Record positions in channel-id order, built on first use."""
+        return np.argsort(self.channel_ids)
+
     def policy(self, slot: int) -> FeePolicy:
         """Fee policy of the source of arc `slot`."""
         return FeePolicy(int(self.base_fee.flat[slot]),
@@ -277,10 +283,6 @@ class PcnGraph:
         np.subtract.at(flat, slots, amounts)
         np.add.at(flat, slots ^ 1, amounts)
         self._flow = self._routable = None
-
-    def channels_of(self, v: str) -> list[ChannelEdge]:
-        return [self.edges[cid] for cid
-                in self.channel_ids[self.out_slots(v) // 2].tolist()]
 
     def outbound_balance(self, v: str) -> int:
         return sum(self.balance.reshape(-1)[self.out_slots(v)].tolist())
@@ -346,7 +348,7 @@ class PcnGraph:
 
     def to_snapshot_dict(self) -> dict:
         """Serialize back to the snapshot schema (with explicit balances)."""
-        order = np.argsort(self.channel_ids)
+        order = self.channel_order
         columns = [self.channel_ids[order], self.capacity[order]] + [
             column[order, side] for column in
             (self.ends, self.balance, self.base_fee, self.fee_rate)

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 from .graph_model import (DEFAULT_BASE_FEE_MSAT, DEFAULT_RATE_PPM, PcnGraph,
                           largest_connected_component)
@@ -226,36 +226,38 @@ def transitivity(g: PcnGraph) -> float:
     return closed / int((degree * (degree - 1)).sum())
 
 
-def distance_stats(g: PcnGraph, sample_pairs="exact", seed: int = 0) -> tuple[int, float]:
-    """(diameter, average distance) over the graph, which should be a single
-    connected component. The diameter is always exact; the average may be
-    estimated over `sample_pairs` uniformly drawn pairs."""
+# Sources per distance block: a block's BFS levels are sparse products with
+# an n × DISTANCE_BLOCK float32 frontier, about 11 · n · DISTANCE_BLOCK bytes
+# in all. 128 measured fastest from 1,200 to 15,000 nodes on 2 vCPUs.
+DISTANCE_BLOCK = 128
+
+
+def distance_stats(g: PcnGraph) -> tuple[int, float]:
+    """(diameter, average distance) over the ordered pairs of distinct
+    nodes joined by a path, or (0, 0.0) without one: an exact BFS from
+    every node, DISTANCE_BLOCK sources at a time. Column b of the frontier
+    marks the block's b-th source's current level and one product with
+    the adjacency finds the next; the Python-int sum of distances is exact."""
     view = g.simple_graph()
     n = len(view.ids)
-    if n <= 1:
-        return 0, 0.0
-    dist = shortest_path(view.adjacency, method="D", unweighted=True,
-                         directed=False)
-    finite = dist[np.isfinite(dist)]
-    diameter = int(finite.max())
-    if sample_pairs == "exact":
-        off_diag = dist[~np.eye(n, dtype=bool)]
-        off_diag = off_diag[np.isfinite(off_diag)]
-        avg = float(off_diag.mean()) if off_diag.size else 0.0
-    else:
-        rng = random.Random(seed)
-        total, count = 0.0, 0
-        for _ in range(int(sample_pairs)):
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            d = dist[i, j]
-            if np.isfinite(d):
-                total += d
-                count += 1
-        avg = total / count if count else 0.0
-    return diameter, avg
+    adj = view.adjacency.astype(np.float32)
+    diameter, total, pairs = 0, 0, 0
+    for lo in range(0, n, DISTANCE_BLOCK):
+        frontier = np.eye(n, min(DISTANCE_BLOCK, n - lo), -lo, dtype=np.float32)
+        seen = frontier > 0
+        level = 0
+        while True:
+            fresh = (adj @ frontier > 0) > seen  # reached now, not before
+            count = int(np.count_nonzero(fresh))
+            if not count:
+                break
+            level += 1
+            total += level * count
+            pairs += count
+            seen |= fresh
+            frontier[...] = fresh
+        diameter = max(diameter, level)
+    return diameter, total / pairs if pairs else 0.0
 
 
 def central_point_dominance(g: PcnGraph, sample_sources: int | None = None,
@@ -301,33 +303,30 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
                    fee_rate=np.full((m, 2), DEFAULT_RATE_PPM))
 
 
-def smallworld_coefficient(g: PcnGraph, reference_runs: int = 10, seed: int = 0,
-                           sample_pairs="exact"):
-    """Small-world coefficient against size-matched ER references.
-
-    Returns (S, gamma, lambda, C_g, C_r, L_g, L_r) where gamma = C_g/C_r and
-    lambda = L_g/L_r; C_r and L_r are averaged over `reference_runs` graphs.
-    """
+def smallworld_coefficient(g: PcnGraph, reference_runs: int = 10, seed: int = 0):
+    """(S, gamma, lambda) of the graph's largest component against
+    size-matched ER references: gamma = C_g/C_r and lambda = L_g/L_r, with
+    C_r and L_r averaged over `reference_runs` graphs."""
     lcc = largest_connected_component(g)
+    return _smallworld(lcc, distance_stats(lcc)[1], reference_runs, seed)
+
+
+def _smallworld(lcc: PcnGraph, l_g: float, reference_runs: int, seed: int):
+    """`smallworld_coefficient` of a largest component with mean distance l_g."""
     n = lcc.node_count
     m = len(lcc.simple_graph().indices) // 2
-    c_g = transitivity(lcc)
-    _, l_g = distance_stats(lcc, sample_pairs=sample_pairs, seed=seed)
-
     c_rs, l_rs = [], []
     for i in range(reference_runs):
         ref = generate_reference("erdos-renyi", n, m, seed=seed + i)
-        ref_lcc = largest_connected_component(ref)
         c_rs.append(transitivity(ref))
-        _, l_r = distance_stats(ref_lcc, sample_pairs=sample_pairs, seed=seed + i)
-        l_rs.append(l_r)
+        l_rs.append(distance_stats(largest_connected_component(ref))[1])
     c_r = sum(c_rs) / len(c_rs)
     l_r = sum(l_rs) / len(l_rs)
     if c_r == 0:
         raise ValueError(
             "reference clustering is zero across all runs; "
             "use a larger graph or more reference runs")
-    return smallworld_from_measures(c_g, l_g, c_r, l_r) + (c_g, c_r, l_g, l_r)
+    return smallworld_from_measures(transitivity(lcc), l_g, c_r, l_r)
 
 
 def smallworld_from_measures(c_g: float, l_g: float, c_r: float, l_r: float):
@@ -362,12 +361,11 @@ def random_failure_experiment(g: PcnGraph, failures: list[int], runs: int = 100,
 
 
 def metric_report(g: PcnGraph, smallworld_runs: int = 0, seed: int = 0,
-                  sample_pairs="exact",
                   betweenness_sources: int | None = None) -> MetricReport:
     """Bundle the headline measures for one graph (computed on its largest
     connected component for the distance metrics)."""
     lcc = largest_connected_component(g)
-    diameter, avg = distance_stats(lcc, sample_pairs=sample_pairs, seed=seed)
+    diameter, avg = distance_stats(lcc)
     report = MetricReport(
         node_count=g.node_count,
         edge_count=g.edge_count,
@@ -378,9 +376,6 @@ def metric_report(g: PcnGraph, smallworld_runs: int = 0, seed: int = 0,
             g, sample_sources=betweenness_sources, seed=seed),
     )
     if smallworld_runs > 0:
-        s, gamma, lam, *_ = smallworld_coefficient(
-            g, reference_runs=smallworld_runs, seed=seed, sample_pairs=sample_pairs)
-        report.smallworld_S = s
-        report.gamma = gamma
-        report.lambda_ = lam
+        report.smallworld_S, report.gamma, report.lambda_ = _smallworld(
+            lcc, avg, smallworld_runs, seed)
     return report

@@ -1,13 +1,14 @@
 """Independent brute-force implementations used to cross-check the library.
 
 These deliberately avoid the library's own algorithms: path enumeration by
-DFS, union-find for components, a from-scratch augmenting path max-flow,
-networkx's preflow-push for minimum cuts on the networkx form of the
-simple projection, and graph operations on snapshot dicts. Only usable on
-small graphs.
+DFS, a queue-based BFS for distances, union-find for components, a
+from-scratch augmenting path max-flow, networkx's preflow-push for minimum
+cuts on the networkx form of the simple projection, and graph operations
+on snapshot dicts. Only usable on small graphs.
 """
 
 import copy
+from collections import deque
 from itertools import combinations
 
 
@@ -174,6 +175,27 @@ def reference_route(g, spec, balances, apply=False):
             balances[e.channel_id] = (balance_ab - moved, balance_ba + moved)
     return PaymentOutcome(success=True, path=path,
                           fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
+
+
+def reference_distances(g):
+    """(diameter, average distance) over the ordered pairs of distinct
+    nodes joined by a path, by a queue-based BFS from every node; (0, 0.0)
+    when there are none."""
+    adj = {v: set() for v in g.nodes}
+    for e in g.edges.values():
+        adj[e.a].add(e.b)
+        adj[e.b].add(e.a)
+    dists = []
+    for s in adj:
+        dist, queue = {s: 0}, deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        dists += [d for v, d in dist.items() if v != s]
+    return max(dists, default=0), sum(dists) / len(dists) if dists else 0.0
 
 
 def reference_simple_graph(g):

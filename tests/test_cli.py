@@ -232,10 +232,27 @@ class TestRobustness:
         snap.write_text(json.dumps(g.to_snapshot_dict()))
         out = tmp_path / "rob.csv"
         rc = main(["robustness", "--snapshot", str(snap), "--out", str(out),
-                   "--seed", "1", "--failures", "1,2,3", "--reps", "20"])
+                   "--seed", "1", "--failures", "1,2,3", "--reps", "20",
+                   "--format", "csv"])
         assert rc == 0
         rows = out.read_text().strip().splitlines()[2:]
         assert [r.split(",")[1] for r in rows] == ["1", "1", "1"]
+
+    def test_json_rows_match_csv(self, tmp_path):
+        outs = {}
+        for fmt in ("json", "csv"):
+            outs[fmt] = tmp_path / f"rob.{fmt}"
+            assert main(["robustness", "--snapshot", FIXTURE, "--seed", "3",
+                         "--out", str(outs[fmt]), "--failures", "0,1,2",
+                         "--reps", "7", "--format", fmt]) == 0
+        report = json.loads(outs["json"].read_text())
+        assert report["meta"]["seed"] == 3
+        assert set(report) == {"meta", "rows"}
+        csv_lines = outs["csv"].read_text().splitlines()
+        assert csv_lines[0].startswith("# version=")
+        assert csv_lines[2:] == [f"{r['failures']},{r['mean_components']:.6g}"
+                                 for r in report["rows"]]
+        assert [r["failures"] for r in report["rows"]] == [0, 1, 2]
 
     def test_too_many_failures(self, tmp_path, er_snapshot):
         rc = main(["robustness", "--snapshot", er_snapshot,
@@ -290,5 +307,5 @@ class TestSeedFallback:
         monkeypatch.setenv("PCN_RESILIENCE_SEED", "77")
         out = tmp_path / "rob.csv"
         main(["robustness", "--snapshot", er_snapshot, "--out", str(out),
-              "--failures", "2", "--reps", "2"])
+              "--failures", "2", "--reps", "2", "--format", "csv"])
         assert "seed=77" in out.read_text().splitlines()[0]

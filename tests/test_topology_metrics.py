@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -12,7 +14,8 @@ from pcn_resilience.graph_model import (connected_components, graph_from_dict,
                                         largest_connected_component)
 
 from oracles import (brute_betweenness, brute_transitivity,
-                     reference_simple_graph, union_find_components)
+                     reference_distances, reference_simple_graph,
+                     union_find_components)
 from test_graph_model import make_graph
 
 
@@ -271,13 +274,6 @@ class TestDistances:
         g = graph_from_dict({"nodes": [{"pub_key": "a"}], "edges": []})
         assert tm.distance_stats(g) == (0, 0.0)
 
-    def test_sampled_mode_close_to_exact(self):
-        g = tm.generate_reference("erdos-renyi", 300, 900, seed=1)
-        lcc = largest_connected_component(g)
-        _, exact = tm.distance_stats(lcc)
-        _, sampled = tm.distance_stats(lcc, sample_pairs=4000, seed=2)
-        assert abs(sampled - exact) < 0.15
-
     def test_avg_bounded_by_diameter(self):
         rng = random.Random(2)
         for _ in range(10):
@@ -286,6 +282,45 @@ class TestDistances:
                 continue
             diameter, avg = tm.distance_stats(g)
             assert 1 <= avg <= diameter <= g.node_count - 1
+
+
+    def test_peak_memory_below_one_byte_per_pair(self):
+        g = tm.generate_reference("erdos-renyi", 3000, 9000, seed=0)
+        g.simple_graph()
+        tracemalloc.start()
+        try:
+            tm.distance_stats(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.node_count ** 2
+
+
+@st.composite
+def split_graphs(draw):
+    """Two groups of nodes whose channels, a parallel pair among them, stay
+    inside their group, plus an isolated node; channel ids are shuffled."""
+    groups = [[f"{name}{i}" for i in range(draw(st.integers(2, 9)))]
+              for name in "pq"]
+    pairs = []
+    for group in groups:
+        pair = st.tuples(st.sampled_from(group), st.sampled_from(group)).filter(
+            lambda p: p[0] != p[1])
+        pairs += draw(st.lists(pair, min_size=1, max_size=20))
+    pairs.append(pairs[0])
+    pairs = draw(st.permutations(pairs))
+    return make_graph(groups[0] + groups[1] + ["z"], pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_graphs(), st.integers(1, 8))
+def test_distance_stats_matches_reference_bfs(g, block):
+    assert len(connected_components(g)) >= 3
+    want = reference_distances(g)
+    assert tm.distance_stats(g) == want
+    # blocks that split the sources, down to one source per block
+    with mock.patch.object(tm, "DISTANCE_BLOCK", block):
+        assert tm.distance_stats(g) == want
 
 
 class TestCentralPointDominance:
