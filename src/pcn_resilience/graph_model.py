@@ -80,9 +80,6 @@ class ChannelEdge:
     def policy(self, src: str) -> FeePolicy:
         return (self.policy_ab, self.policy_ba)[self._side(src)]
 
-    def other(self, v: str) -> str:
-        return (self.b, self.a)[self._side(v)]
-
 
 class ChannelView:
     """The directed arcs of a graph's channels, for routing.
@@ -217,7 +214,8 @@ class PcnGraph:
     exhaustion attacks on a copy), which drops the caches derived from them
     (`routable`, `balance_digraph`); the other columns are read-only and
     shared with copies. `copy()`, `induced_subgraph`, `remove_nodes` and
-    `remove_channels` return graphs without views or caches.
+    `remove_channels` return graphs without views or caches, except the
+    channel-id order that `induced_subgraph` carries.
     """
 
     nodes: set[str] = field(default_factory=set)
@@ -513,11 +511,18 @@ def largest_connected_component(g: PcnGraph) -> PcnGraph:
 
 
 def induced_subgraph(g: PcnGraph, keep: set[str]) -> PcnGraph:
+    """The nodes `keep` and the channels between them. A channel-id order
+    `g` has built is carried over, masked and renumbered, not sorted again."""
     alive = np.fromiter((v in keep for v in g.ids), dtype=bool, count=len(g.ids))
-    rows = g._channel_rows(alive[g.ends].all(axis=1))
+    kept = alive[g.ends].all(axis=1)
+    rows = g._channel_rows(kept)
     rows["ends"] = (np.cumsum(alive) - 1)[rows["ends"]]
-    return PcnGraph(nodes=set(keep), ids=list(compress(g.ids, alive)),
-                    snapshot_time=g.snapshot_time, **rows)
+    sub = PcnGraph(nodes=set(keep), ids=list(compress(g.ids, alive)),
+                   snapshot_time=g.snapshot_time, **rows)
+    if "channel_order" in vars(g):
+        order = g.channel_order
+        sub.channel_order = (np.cumsum(kept) - 1)[order[kept[order]]]
+    return sub
 
 
 def remove_nodes(g: PcnGraph, targets) -> PcnGraph:

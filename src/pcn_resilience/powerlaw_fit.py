@@ -8,6 +8,7 @@ is rejected when p <= 0.1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -54,47 +55,65 @@ class GofResult:
         return {k: v for k, v in asdict(self).items() if k != "warning" or v}
 
 
-def _tail_loglikelihood(alpha: float, x_min: int, n: int, log_sum: float) -> float:
-    return -n * math.log(zeta(alpha, x_min)) - alpha * log_sum
+def _loglikelihood(alpha, x_min, n, log_sum) -> np.ndarray:
+    """Discrete log-likelihood of each candidate's tail at its alpha. The
+    log is `math.log` per element, which numpy's log can differ from in the
+    last bit."""
+    logs = [math.log(z) for z in zeta(alpha, x_min).tolist()]
+    return -n * np.array(logs) - alpha * log_sum
 
 
-def _mle_alpha(x_min: int, n: int, log_sum: float) -> float:
+def _mle_alpha(x_min, n, log_sum) -> np.ndarray:
     """Golden-section maximization of the discrete log-likelihood over
-    alpha in (1, 6]."""
+    alpha in (1, 6], for every candidate at once: each runs the float
+    operations of its own scalar search and stops once its interval is
+    within ALPHA_TOL."""
     invphi = (math.sqrt(5) - 1) / 2
-    a, b = ALPHA_MIN, ALPHA_MAX
+    a, b = np.full(len(x_min), ALPHA_MIN), np.full(len(x_min), ALPHA_MAX)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = _tail_loglikelihood(c, x_min, n, log_sum)
-    fd = _tail_loglikelihood(d, x_min, n, log_sum)
-    while b - a > ALPHA_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _tail_loglikelihood(c, x_min, n, log_sum)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _tail_loglikelihood(d, x_min, n, log_sum)
+    fc = _loglikelihood(c, x_min, n, log_sum)
+    fd = _loglikelihood(d, x_min, n, log_sum)
+    live = np.flatnonzero(b - a > ALPHA_TOL)
+    while live.size:
+        left = fc[live] > fd[live]  # the maximum lies in [a, d]
+        lo, hi = live[left], live[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - invphi * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + invphi * (b[hi] - a[hi])
+        f = _loglikelihood(np.where(left, c[live], d[live]), x_min[live],
+                           n[live], log_sum[live])
+        fc[lo], fd[hi] = f[left], f[~left]
+        live = live[b[live] - a[live] > ALPHA_TOL]
     return (a + b) / 2
 
 
-def _ks_distance(tail: np.ndarray, alpha: float, x_min: int) -> float:
-    """Max |empirical - model| CDF gap over the observed tail values."""
-    values, counts = np.unique(tail, return_counts=True)
-    emp_cdf = np.cumsum(counts) / tail.size
-    z0 = zeta(alpha, x_min)
-    model_cdf = 1.0 - zeta(alpha, values + 1) / z0
-    return float(np.max(np.abs(emp_cdf - model_cdf)))
+def _ks_distances(values, starts, n, cand, alpha) -> list[float]:
+    """Max |empirical - model| CDF gap of each candidate's fit over its
+    tail's distinct values, `values[cand[j]:]`. `starts[v]` counts the n
+    observations below `values[v]`."""
+    upto = np.append(starts[1:], n)  # observations <= values[v]
+    ks = []
+    for first, a in zip(cand.tolist(), alpha.tolist()):
+        emp_cdf = (upto[first:] - starts[first]) / (n - starts[first])
+        model_cdf = 1.0 - zeta(a, values[first:] + 1) / zeta(a, values[first])
+        ks.append(float(np.max(np.abs(emp_cdf - model_cdf))))
+    return ks
 
 
 def fit_power_law(degrees) -> FitResult:
     """Fit a discrete power law, choosing x_min by KS-distance minimization
-    over the sorted unique observed values (ties broken by smaller x_min)."""
-    data = np.asarray(sorted(degrees), dtype=np.int64)
-    if data.size == 0 or data.min() < 1:
+    over the sorted unique observed values (ties broken by smaller x_min).
+    The data are sorted once: the candidates' golden-section searches run
+    together, and their KS distances read the distinct values and where
+    each starts."""
+    data = np.sort(np.asarray(degrees, dtype=np.int64))
+    if data.size == 0 or data[0] < 1:
         raise FitError("need positive integer observations")
-    if np.unique(data).size < 10:
+    starts = np.flatnonzero(np.diff(data, prepend=0))  # each value's first
+    values = data[starts]
+    if values.size < 10:
         raise FitError("need at least 10 distinct observations")
 
     if data.size >= 500:
@@ -104,29 +123,32 @@ def fit_power_law(degrees) -> FitResult:
     logs = np.log(data.astype(float))
     log_suffix = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
 
-    best = None
-    for x_min in np.unique(data):
-        lo = int(np.searchsorted(data, x_min, side="left"))
-        tail = data[lo:]
-        if tail.size < min_tail or np.unique(tail).size < 2:
-            continue
-        alpha = _mle_alpha(int(x_min), tail.size, float(log_suffix[lo]))
-        ks = _ks_distance(tail, alpha, int(x_min))
-        if best is None or ks < best.ks_distance:
-            best = FitResult(alpha=alpha, x_min=int(x_min),
-                             ks_distance=ks, tail_count=int(tail.size))
-    if best is None:
-        raise FitError("no x_min candidate leaves a usable tail")
-    return best
+    # a candidate leaves min_tail observations of two distinct values; the
+    # smallest value, whose tail is all the data, always qualifies
+    cand = np.flatnonzero(data.size - starts[:-1] >= min_tail)
+    x_min, tail = values[cand], data.size - starts[cand]
+    alpha = _mle_alpha(x_min, tail, log_suffix[starts[cand]])
+    ks = _ks_distances(values, starts, data.size, cand, alpha)
+    best = min(range(cand.size), key=ks.__getitem__)  # the first smallest
+    return FitResult(alpha=float(alpha[best]), x_min=int(x_min[best]),
+                     ks_distance=ks[best], tail_count=int(tail[best]))
+
+
+@functools.lru_cache(maxsize=1)
+def _power_law_cdf(alpha: float, x_min: int) -> tuple[int, np.ndarray]:
+    """(table_max, CDF of the law over x_min..table_max), read-only: the
+    sampler's table, built once per law."""
+    table_max = max(x_min + 1, 100_000)
+    ks = np.arange(x_min, table_max + 1, dtype=float)
+    cdf = np.cumsum(ks ** (-alpha) / zeta(alpha, x_min))
+    cdf.flags.writeable = False
+    return table_max, cdf
 
 
 def sample_discrete_power_law(alpha: float, x_min: int, size: int,
                               rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sampling of the zeta-normalized discrete power law."""
-    table_max = max(x_min + 1, 100_000)
-    ks = np.arange(x_min, table_max + 1, dtype=float)
-    pmf = ks ** (-alpha) / zeta(alpha, x_min)
-    cdf = np.cumsum(pmf)
+    table_max, cdf = _power_law_cdf(alpha, x_min)
     u = rng.random(size)
     out = x_min + np.searchsorted(cdf, u, side="left")
     overflow = out > table_max
@@ -146,7 +168,7 @@ def goodness_of_fit(degrees, fit: FitResult, synthetic_runs: int = 1000,
     refitted) whose KS distance is at least the empirical one."""
     if synthetic_runs < 1:
         raise ValueError("goodness of fit needs synthetic_runs >= 1")
-    data = np.asarray(sorted(degrees), dtype=np.int64)
+    data = np.sort(np.asarray(degrees, dtype=np.int64))
     body = data[data < fit.x_min]
     n = data.size
     p_tail = (n - body.size) / n
@@ -154,22 +176,16 @@ def goodness_of_fit(degrees, fit: FitResult, synthetic_runs: int = 1000,
     rng = np.random.default_rng(seed)
     at_least = 0
     for _ in range(synthetic_runs):
+        # an empty body has p_tail = 1; draws of size 0 leave rng as it is
         n_tail = int(rng.binomial(n, p_tail))
-        parts = []
-        if n - n_tail > 0 and body.size > 0:
-            parts.append(rng.choice(body, size=n - n_tail, replace=True))
-        elif n - n_tail > 0:
-            n_tail = n
-        if n_tail > 0:
-            parts.append(sample_discrete_power_law(fit.alpha, fit.x_min, n_tail, rng))
-        synthetic = np.concatenate(parts)
+        synthetic = np.concatenate((
+            rng.choice(body, size=n - n_tail, replace=True),
+            sample_discrete_power_law(fit.alpha, fit.x_min, n_tail, rng)))
         try:
-            synth_fit = fit_power_law(synthetic)
-            ks = synth_fit.ks_distance
+            ks = fit_power_law(synthetic).ks_distance
         except FitError:
             ks = math.inf
-        if ks >= fit.ks_distance:
-            at_least += 1
+        at_least += ks >= fit.ks_distance
 
     p_value = at_least / synthetic_runs
     warning = None
@@ -182,15 +198,13 @@ def goodness_of_fit(degrees, fit: FitResult, synthetic_runs: int = 1000,
 def ccdf_table(degrees, fit: FitResult | None = None):
     """Rows (k, empirical P(K >= k), fitted P(K >= k) or None) for log-log
     plotting of the degree distribution."""
-    data = np.asarray(sorted(degrees), dtype=np.int64)
+    data = np.asarray(degrees, dtype=np.int64)
     values, counts = np.unique(data, return_counts=True)
     ccdf = 1.0 - np.concatenate([[0.0], np.cumsum(counts)[:-1]]) / data.size
-    rows = []
-    z0 = zeta(fit.alpha, fit.x_min) if fit is not None else None
-    tail_frac = (data >= fit.x_min).mean() if fit is not None else None
-    for k, emp in zip(values, ccdf):
-        fitted = None
-        if fit is not None and k >= fit.x_min:
-            fitted = float(tail_frac * zeta(fit.alpha, int(k)) / z0)
-        rows.append((int(k), float(emp), fitted))
-    return rows
+    fitted = [None] * values.size
+    if fit is not None:
+        tail = int(np.searchsorted(values, fit.x_min))
+        tail_frac = (data >= fit.x_min).mean()
+        fitted[tail:] = (tail_frac * zeta(fit.alpha, values[tail:])
+                         / zeta(fit.alpha, fit.x_min)).tolist()
+    return list(zip(values.tolist(), ccdf.tolist(), fitted))

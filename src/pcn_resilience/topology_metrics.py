@@ -3,7 +3,8 @@ clustering, small-world coefficient) plus reference random graphs.
 
 All metrics here work on the undirected simple projection of the channel
 graph, `PcnGraph.simple_graph()`: parallel channels are collapsed and their
-capacities summed. networkx is imported only to generate reference graphs.
+capacities summed. The reference random graphs replay networkx's
+generators without importing networkx.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
+from itertools import combinations
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -274,33 +276,60 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
     erdos-renyi: G(n, M) with exactly target_edges edges.
     barabasi-albert: attachment parameter m = round(target_edges / n); the
     resulting edge count is whatever preferential attachment produces.
-    networkx's generators, and their random streams, define these graphs.
+    The graphs are those of networkx 3.6's `gnm_random_graph` and
+    `barabasi_albert_graph`: the helpers below replay their random streams,
+    making the same `random.Random(seed).choice` calls.
     """
-    import networkx as nx
-
     if n < 2:
         raise ValueError("need n >= 2")
     if kind == "erdos-renyi":
         if target_edges > n * (n - 1) // 2:
             raise ValueError("target_edges exceeds the complete graph")
-        sg = nx.gnm_random_graph(n, target_edges, seed=seed)
+        edges = _gnm_edges(n, target_edges, seed)
     elif kind == "barabasi-albert":
         m = max(1, round(target_edges / n))
         if m >= n:
             raise ValueError("attachment parameter m must be < n")
-        sg = nx.barabasi_albert_graph(n, m, seed=seed)
+        edges = _barabasi_albert_edges(n, m, seed)
     else:
         raise ValueError(f"unknown reference kind {kind!r}")
 
-    g = PcnGraph(nodes={f"n{i}" for i in sg.nodes()})
-    ends = np.array([(g.index[f"n{u}"], g.index[f"n{v}"])
-                     for u, v in sorted(sg.edges())], dtype=np.int64).reshape(-1, 2)
+    g = PcnGraph(nodes={f"n{i}" for i in range(n)})
+    node = np.array([g.index[f"n{i}"] for i in range(n)], dtype=np.int64)
+    ends = node[np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)]
     m = len(ends)
     return replace(g, channel_ids=np.array([f"ref{i}" for i in range(m)], dtype=object),
                    ends=ends, capacity=np.ones(m, dtype=np.int64),
                    balance=np.ones((m, 2), dtype=np.int64),
                    base_fee=np.full((m, 2), DEFAULT_BASE_FEE_MSAT),
                    fee_rate=np.full((m, 2), DEFAULT_RATE_PPM))
+
+
+def _gnm_edges(n: int, m: int, seed: int) -> set[tuple[int, int]]:
+    """Edges (u, v), u < v, of `networkx.gnm_random_graph(n, m, seed)`."""
+    if m >= n * (n - 1) / 2:
+        return set(combinations(range(n), 2))
+    rng, edges = random.Random(seed), set()
+    while len(edges) < m:
+        u, v = rng.choice(range(n)), rng.choice(range(n))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return edges
+
+
+def _barabasi_albert_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, of `networkx.barabasi_albert_graph(n, m, seed)`:
+    a star on 0..m, then each new node joins m distinct targets drawn from
+    the list of edge endpoints, extended in the target set's order."""
+    rng, edges = random.Random(seed), [(0, v) for v in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        edges += [(t, source) for t in targets]
+        repeated += [*targets] + [source] * m
+    return edges
 
 
 def smallworld_coefficient(g: PcnGraph, reference_runs: int = 10, seed: int = 0):

@@ -3,13 +3,20 @@
 These deliberately avoid the library's own algorithms: path enumeration by
 DFS, a queue-based BFS for distances, union-find for components, a
 from-scratch augmenting path max-flow, networkx's preflow-push for minimum
-cuts on the networkx form of the simple projection, and graph operations
-on snapshot dicts. Only usable on small graphs.
+cuts on the networkx form of the simple projection, graph operations on
+snapshot dicts, a power-law fit that searches one x_min candidate at a
+time, and networkx's random-graph generators. Only usable on small graphs.
 """
 
 import copy
+import math
 from collections import deque
 from itertools import combinations
+
+import numpy as np
+from scipy.special import zeta
+
+from pcn_resilience import powerlaw_fit as pl
 
 
 def all_paths(adj, s, t, path=None, seen=None):
@@ -257,3 +264,132 @@ def reference_drain(snapshot, sides):
                 e[dst + "_balance"] += e[src + "_balance"]
                 e[src + "_balance"] = 0
     return out
+
+
+def _reference_loglikelihood(alpha, x_min, n, log_sum):
+    return -n * math.log(zeta(alpha, x_min)) - alpha * log_sum
+
+
+def _reference_mle_alpha(x_min, n, log_sum):
+    """Scalar golden-section maximization of the discrete log-likelihood
+    over alpha in (1, 6]."""
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = pl.ALPHA_MIN, pl.ALPHA_MAX
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = _reference_loglikelihood(c, x_min, n, log_sum)
+    fd = _reference_loglikelihood(d, x_min, n, log_sum)
+    while b - a > pl.ALPHA_TOL:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _reference_loglikelihood(c, x_min, n, log_sum)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _reference_loglikelihood(d, x_min, n, log_sum)
+    return (a + b) / 2
+
+
+def _reference_ks_distance(tail, alpha, x_min):
+    values, counts = np.unique(tail, return_counts=True)
+    emp_cdf = np.cumsum(counts) / tail.size
+    z0 = zeta(alpha, x_min)
+    model_cdf = 1.0 - zeta(alpha, values + 1) / z0
+    return float(np.max(np.abs(emp_cdf - model_cdf)))
+
+
+def reference_fit_power_law(degrees):
+    """`fit_power_law` one x_min candidate at a time: a scalar golden-section
+    search and a KS distance from each candidate's own tail."""
+    data = np.asarray(sorted(degrees), dtype=np.int64)
+    if data.size == 0 or data.min() < 1:
+        raise pl.FitError("need positive integer observations")
+    if np.unique(data).size < 10:
+        raise pl.FitError("need at least 10 distinct observations")
+
+    if data.size >= 500:
+        min_tail = max(pl.MIN_TAIL_LARGE, data.size // pl.MIN_TAIL_FRACTION)
+    else:
+        min_tail = pl.MIN_TAIL
+    logs = np.log(data.astype(float))
+    log_suffix = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
+
+    best = None
+    for x_min in np.unique(data):
+        lo = int(np.searchsorted(data, x_min, side="left"))
+        tail = data[lo:]
+        if tail.size < min_tail or np.unique(tail).size < 2:
+            continue
+        alpha = _reference_mle_alpha(int(x_min), tail.size, float(log_suffix[lo]))
+        ks = _reference_ks_distance(tail, alpha, int(x_min))
+        if best is None or ks < best.ks_distance:
+            best = pl.FitResult(alpha=alpha, x_min=int(x_min),
+                                ks_distance=ks, tail_count=int(tail.size))
+    if best is None:
+        raise pl.FitError("no x_min candidate leaves a usable tail")
+    return best
+
+
+def _reference_sample(alpha, x_min, size, rng):
+    """Inverse-CDF sampling with the CDF table rebuilt on every call."""
+    table_max = max(x_min + 1, 100_000)
+    ks = np.arange(x_min, table_max + 1, dtype=float)
+    pmf = ks ** (-alpha) / zeta(alpha, x_min)
+    cdf = np.cumsum(pmf)
+    u = rng.random(size)
+    out = x_min + np.searchsorted(cdf, u, side="left")
+    overflow = out > table_max
+    if overflow.any():
+        uu = u[overflow]
+        out[overflow] = np.floor(
+            (x_min - 0.5) * (1.0 - uu) ** (-1.0 / (alpha - 1.0)) + 0.5
+        ).astype(np.int64)
+    return out
+
+
+def reference_goodness_of_fit(degrees, fit, synthetic_runs=1000, seed=0):
+    """`goodness_of_fit` with every replicate refitted by
+    `reference_fit_power_law`."""
+    if synthetic_runs < 1:
+        raise ValueError("goodness of fit needs synthetic_runs >= 1")
+    data = np.asarray(sorted(degrees), dtype=np.int64)
+    body = data[data < fit.x_min]
+    n = data.size
+    p_tail = (n - body.size) / n
+
+    rng = np.random.default_rng(seed)
+    at_least = 0
+    for _ in range(synthetic_runs):
+        n_tail = int(rng.binomial(n, p_tail))
+        parts = []
+        if n - n_tail > 0 and body.size > 0:
+            parts.append(rng.choice(body, size=n - n_tail, replace=True))
+        elif n - n_tail > 0:
+            n_tail = n
+        if n_tail > 0:
+            parts.append(_reference_sample(fit.alpha, fit.x_min, n_tail, rng))
+        synthetic = np.concatenate(parts)
+        try:
+            ks = reference_fit_power_law(synthetic).ks_distance
+        except pl.FitError:
+            ks = math.inf
+        if ks >= fit.ks_distance:
+            at_least += 1
+
+    p_value = at_least / synthetic_runs
+    warning = None
+    if synthetic_runs < 100:
+        warning = "fewer than 100 synthetic runs: p-value resolution is coarse"
+    return pl.GofResult(p_value=p_value, synthetic_runs=synthetic_runs,
+                        reject=p_value <= pl.REJECT_THRESHOLD, warning=warning)
+
+
+def reference_generator_edges(kind, n, m, seed):
+    """Sorted (u, v) edges, u < v, of networkx's `gnm_random_graph(n, m)`
+    or `barabasi_albert_graph(n, m)` with `seed`."""
+    import networkx as nx
+
+    make = {"erdos-renyi": nx.gnm_random_graph,
+            "barabasi-albert": nx.barabasi_albert_graph}[kind]
+    return sorted(tuple(sorted(e)) for e in make(n, m, seed=seed).edges())

@@ -285,8 +285,8 @@ def test_zero_counts_are_one_line(tmp_path, capsys, argv):
 
 
 def test_networkx_stays_unimported(tmp_path):
-    # networkx only generates reference graphs; the CLI and a robustness
-    # run must not load it
+    # networkx is needed only by the tests: the CLI, a robustness run and
+    # an analyze run with both reference graphs must not load it
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -296,7 +296,11 @@ def test_networkx_stays_unimported(tmp_path):
         "assert 'networkx' not in sys.modules, 'import'\n"
         f"assert main(['robustness', '--snapshot', {FIXTURE!r}, '--out', "
         f"{str(tmp_path / 'rob.csv')!r}, '--failures', '1', '--reps', '3']) == 0\n"
-        "assert 'networkx' not in sys.modules, 'robustness'\n")
+        "assert 'networkx' not in sys.modules, 'robustness'\n"
+        f"assert main(['analyze', '--snapshot', {FIXTURE!r}, '--out', "
+        f"{str(tmp_path / 'report')!r}, '--reference', 'erdos-renyi', "
+        "'--reference', 'barabasi-albert', '--gof-runs', '2']) == 0\n"
+        "assert 'networkx' not in sys.modules, 'analyze'\n")
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -349,3 +350,23 @@ def test_remove_nodes_composes_over_disjoint_sets(data):
     stepwise = remove_nodes(remove_nodes(g, a), b)
     assert combined.nodes == stepwise.nodes
     assert set(combined.edges) == set(stepwise.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subgraphs_carry_the_channel_id_order(data):
+    nodes = [f"n{i}" for i in range(8)]
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        .filter(lambda p: p[0] != p[1]),
+        max_size=16))
+    ids = data.draw(st.permutations(range(len(pairs))))
+    g = graph_from_dict({
+        "nodes": [{"pub_key": n} for n in nodes],
+        "edges": [{"channel_id": f"c{i}", "node1_pub": a, "node2_pub": b,
+                   "capacity": 100} for i, (a, b) in zip(ids, pairs)]})
+    g.channel_order  # built, so carried over
+    sub = remove_nodes(g, data.draw(st.sets(st.sampled_from(nodes))))
+    for h in (sub, largest_connected_component(sub)):
+        assert "channel_order" in vars(h)
+        assert (h.channel_order == np.argsort(h.channel_ids)).all()

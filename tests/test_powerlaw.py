@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
 from pcn_resilience import powerlaw_fit as pl
+
+from oracles import reference_fit_power_law, reference_goodness_of_fit
 
 
 def power_law_sample(alpha, x_min, n, seed):
@@ -60,7 +63,6 @@ class TestSampler:
 
     def test_tail_frequencies(self):
         # P(X = x_min) = x_min^-alpha / zeta(alpha, x_min)
-        from scipy.special import zeta
         data = power_law_sample(2.5, 5, 50_000, seed=2)
         expected = 5 ** -2.5 / zeta(2.5, 5)
         assert np.mean(data == 5) == pytest.approx(expected, rel=0.05)
@@ -117,6 +119,17 @@ class TestCcdfTable:
         ks = [r[0] for r in ccdf]
         assert ks == sorted(ks)
 
+    @pytest.mark.parametrize("x_min", [1, 5, 8, 90])
+    def test_fitted_column_matches_scalar_zeta(self, x_min):
+        data = [1, 1, 2, 3, 5, 8, 8, 13, 21, 34, 55, 89]
+        fit = pl.FitResult(alpha=2.3, x_min=x_min, ks_distance=0.1,
+                           tail_count=sum(d >= x_min for d in data))
+        tail_frac = (np.array(data) >= x_min).mean()
+        z0 = zeta(2.3, x_min)
+        want = [float(tail_frac * zeta(2.3, k) / z0) if k >= x_min else None
+                for k in sorted(set(data))]
+        assert [fitted for _, _, fitted in pl.ccdf_table(data, fit)] == want
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
@@ -124,3 +137,66 @@ def test_fit_alpha_within_bracket(seed):
     data = power_law_sample(2.0 + (seed % 10) / 10, 2, 500, seed=seed)
     fit = pl.fit_power_law(data)
     assert 1.0 < fit.alpha <= 6.0
+
+
+def same_outcome(fn, reference, *args):
+    """`fn(*args)` and `reference(*args)` return equal results or raise the
+    same FitError message."""
+    try:
+        want = reference(*args)
+    except pl.FitError as exc:
+        with pytest.raises(pl.FitError) as got:
+            fn(*args)
+        assert str(got.value) == str(exc)
+        return None
+    assert fn(*args) == want
+    return want
+
+
+@st.composite
+def fit_inputs(draw):
+    """Power-law and exponential samples on both sides of the 500
+    observations that switch MIN_TAIL, and short lists with repeated,
+    few distinct or non-positive values."""
+    kind = draw(st.sampled_from(["power-law", "exponential", "list"]))
+    if kind == "list":
+        return draw(st.lists(st.integers(-1, 40), max_size=80))
+    size = draw(st.sampled_from([10, 40, 120, 499, 500, 1500]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "power-law":
+        return pl.sample_discrete_power_law(
+            draw(st.floats(1.5, 3.5)), draw(st.integers(1, 8)), size, rng)
+    return np.ceil(rng.exponential(draw(st.floats(1.0, 20.0)), size)).astype(int)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fit_inputs(), st.integers(1, 4), st.integers(0, 100))
+def test_fit_and_bootstrap_match_scalar_oracle(data, runs, seed):
+    fit = same_outcome(pl.fit_power_law, reference_fit_power_law, data)
+    if fit is not None:
+        assert pl.goodness_of_fit(data, fit, runs, seed) == \
+            reference_goodness_of_fit(data, fit, runs, seed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("kind", ["power-law", "exponential"])
+def test_criterion_4_inputs_match_scalar_oracle(kind, seed):
+    # the 40 data sets of acceptance criterion 4
+    if kind == "power-law":
+        data = pl.sample_discrete_power_law(
+            2.5, 5, 10_000, np.random.default_rng(1000 + seed))
+    else:
+        rng = np.random.default_rng(2000 + seed)
+        data = np.ceil(rng.exponential(scale=5.0, size=2000)).astype(int)
+    fit = pl.fit_power_law(data)
+    assert fit == reference_fit_power_law(data)
+    assert pl.goodness_of_fit(data, fit, 20, seed) == \
+        reference_goodness_of_fit(data, fit, 20, seed)
+
+
+def test_candidates_with_short_or_single_valued_tails_are_skipped():
+    # min_tail is 65: the tail from 21 holds 50 observations, the one from
+    # 22 a single distinct value
+    data = list(range(1, 21)) * 30 + [21] * 10 + [22] * 40
+    fit = pl.fit_power_law(data)
+    assert fit == reference_fit_power_law(data) and fit.x_min <= 20

@@ -14,6 +14,7 @@ from pcn_resilience.graph_model import (connected_components, graph_from_dict,
                                         largest_connected_component)
 
 from oracles import (brute_betweenness, brute_transitivity,
+                     reference_generator_edges,
                      reference_distances, reference_simple_graph,
                      union_find_components)
 from test_graph_model import make_graph
@@ -360,6 +361,32 @@ class TestGenerateReference:
             tm.generate_reference("erdos-renyi", 4, 100, seed=0)
         with pytest.raises(ValueError):
             tm.generate_reference("banana", 10, 20, seed=0)
+
+
+def reference_cases():
+    """(kind, n, target_edges) on a grid, with n = 2, the complete graph
+    (no random draw) and barabasi-albert with m = n - 1."""
+    for n in (2, 3, 5, 12, 40, 150):
+        complete = n * (n - 1) // 2
+        for edges in sorted({0, 1, n, 3 * n, complete - 1, complete}):
+            if 0 <= edges <= complete:
+                yield "erdos-renyi", n, edges
+        for m in sorted({1, 2, 3, n - 1}):
+            if 1 <= m < n:
+                yield "barabasi-albert", n, m * n
+
+
+@pytest.mark.parametrize("kind, n, target_edges", list(reference_cases()))
+@pytest.mark.parametrize("seed", [0, 1, 29])
+def test_generate_reference_matches_networkx(kind, n, target_edges, seed):
+    g = tm.generate_reference(kind, n, target_edges, seed)
+    m = target_edges if kind == "erdos-renyi" else max(1, round(target_edges / n))
+    # channels in record order join node ints (u, v), u < v, of sorted edges
+    label = [int(v[1:]) for v in g.ids]
+    assert [(label[a], label[b]) for a, b in g.ends.tolist()] == \
+        reference_generator_edges(kind, n, m, seed)
+    assert g.channel_ids.tolist() == [f"ref{i}" for i in range(g.edge_count)]
+    assert g.nodes == {f"n{i}" for i in range(n)}
 
 
 class TestSmallWorld:
