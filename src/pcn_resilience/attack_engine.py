@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import payment_sim
 from .graph_model import (PcnGraph, connected_components, remove_channels,
                           remove_nodes)
 from .payment_sim import VolumeModel, UNIT_VOLUMES
 from .topology_metrics import betweenness_centrality, eigenvector_centrality
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 STRATEGY_KINDS = ("degree", "betweenness", "eigenvector",
                   "ranked-min-cut", "parallel-paths", "random")
@@ -247,6 +249,7 @@ def _sink_side(capacity: csr_array, s: int, t: int) -> np.ndarray | None:
     flow, or None when no flow passes. Every maximum flow leaves the same
     set (the sink side of the minimum cut closest to t; Picard & Queyranne
     1980), which is the one networkx's `minimum_cut` reports."""
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
     flow = maximum_flow(capacity, s, t)
     if flow.flow_value == 0:
         return None
@@ -274,14 +277,14 @@ def _measure(g: PcnGraph, specs, flow_pairs, params: MetricParams,
     return MetricBundle(s=s, r=reachability(g), F_bar=f_bar, g_bar=g_bar)
 
 
-def _walk(g: PcnGraph, plan: AttackPlan, constraint: tuple,
-          griefing: bool) -> tuple[PcnGraph, int, int]:
-    """The graph surviving `plan` under `constraint`, with the satoshi spent
-    and the number of targets removed. Costs were fixed at planning time,
-    so the walk only picks targets; the surviving graph is built once."""
+def _walk(plan: AttackPlan, constraint: tuple, griefing: bool
+          ) -> tuple[tuple[frozenset, frozenset], int, int]:
+    """The nodes and the channels `plan` removes under `constraint`, with
+    the satoshi spent and the number of targets removed. Costs were fixed
+    at planning time, so the walk only picks targets."""
     kind, value = constraint
     doomed_nodes: set[str] = set()
-    doomed_channels: list[str] = []
+    doomed_channels: set[str] = set()
     spent = 0
     removed = 0
     budget = value if kind == "budget" else None
@@ -295,14 +298,10 @@ def _walk(g: PcnGraph, plan: AttackPlan, constraint: tuple,
         if isinstance(target, NodeTarget):
             doomed_nodes.add(target.node)
         else:
-            doomed_channels.extend(target.channel_ids)
+            doomed_channels.update(target.channel_ids)
         spent += cost
         removed += 1
-
-    current = remove_nodes(g, doomed_nodes) if doomed_nodes else g
-    if doomed_channels:
-        current = remove_channels(current, doomed_channels)
-    return current, spent, removed
+    return (frozenset(doomed_nodes), frozenset(doomed_channels)), spent, removed
 
 
 def _delta(m: float | None, m_prime: float | None) -> float | None:
@@ -316,6 +315,7 @@ def execute_attack(g: PcnGraph, plans: list[AttackPlan], constraints: list[tuple
     """One report per (plan, constraint), plan-major: walk the plan under a
     ('count', n) or ('budget', satoshi) constraint and measure the surviving
     graph against the a-priori metrics of `g`, which are measured once.
+    Rows that remove the same nodes and channels share one measurement.
 
     Every measurement shares one sampled payment/flow sequence per seed;
     sequences hitting removed nodes count as failures (s) or zero (F_bar).
@@ -346,11 +346,20 @@ def execute_attack(g: PcnGraph, plans: list[AttackPlan], constraints: list[tuple
     flow_pairs = payment_sim.sample_pairs(g.nodes, metric_params.flow_rounds, rng)
     before = _measure(g, specs, flow_pairs, metric_params, seed)
 
+    # the metrics of each distinct surviving graph, keyed by what it lacks
+    measured = {(frozenset(), frozenset()): before}
     reports = []
     for plan in plans:
         for constraint in constraints:
-            current, spent, removed = _walk(g, plan, constraint, griefing)
-            after = _measure(current, specs, flow_pairs, metric_params, seed)
+            doomed, spent, removed = _walk(plan, constraint, griefing)
+            if doomed not in measured:
+                nodes, channels = doomed
+                current = remove_nodes(g, nodes) if nodes else g
+                if channels:
+                    current = remove_channels(current, channels)
+                measured[doomed] = _measure(current, specs, flow_pairs,
+                                            metric_params, seed)
+            after = measured[doomed]
             reports.append(SimReport(
                 a_priori=before,
                 a_posteriori=after,

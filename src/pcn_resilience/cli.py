@@ -25,7 +25,6 @@ from .attack_engine import (STRATEGY_KINDS, MetricParams, StalePlanError,
 from .graph_model import (BALANCE_MODELS, PcnGraph, SnapshotError,
                           ValidationError, load_snapshot)
 from .payment_sim import UNIT_VOLUMES, load_volumes
-from .powerlaw_fit import FitError, ccdf_table, fit_power_law, goodness_of_fit
 from .topology_metrics import (ConvergenceError, MetricReport,
                                degree_distribution, generate_reference,
                                metric_report, random_failure_experiment)
@@ -74,6 +73,8 @@ def _parse_sweep(text: str) -> list[int]:
 
 
 def cmd_analyze(args) -> int:
+    from .powerlaw_fit import (FitError, ccdf_table, fit_power_law,
+                               goodness_of_fit)
     seed, g, meta, comment = _setup(args)
     out = Path(args.out)
 

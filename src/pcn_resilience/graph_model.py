@@ -8,15 +8,18 @@ policies). Unknown fields are ignored.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components as csgraph_components
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 # Fallback policy when a snapshot omits one side (common network defaults).
 DEFAULT_BASE_FEE_MSAT = 1000
@@ -113,9 +116,10 @@ class SimpleView:
     Node ids and their ints are the graph's `ids` and `index`. CSR row i
     (`rows`, `indices`, `indptr`) lists node i's neighbours once each, in
     the order of the first channel (in record order) joining the two, with
-    their summed `capacity`, and `adjacency` holds the same entries as ones;
-    `insertion` is the node set's iteration order. These are the orders of
-    the networkx graph betweenness reproduces.
+    their summed `capacity`, and `adjacency`, a scipy matrix built on first
+    use, holds the same entries as ones; `insertion` is the node set's
+    iteration order. These are the orders of the networkx graph
+    betweenness reproduces.
     """
 
     def __init__(self, g: PcnGraph):
@@ -134,15 +138,22 @@ class SimpleView:
         self.indices = np.concatenate((b[first], a[first]))[order]
         self.capacity = np.tile(summed, 2)[order]
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
-        self.adjacency = csr_array((np.ones(len(order), dtype=np.int64),
-                                    self.indices, self.indptr), shape=(n, n))
+
+    @cached_property
+    def adjacency(self) -> csr_array:
+        from scipy.sparse import csr_array
+        n = len(self.ids)
+        return csr_array((np.ones(len(self.indices), dtype=np.int64),
+                          self.indices, self.indptr), shape=(n, n))
 
     def capacity_csr(self) -> csr_array:
         """Symmetric capacity matrix for minimum cuts: entries [i, j] and
         [j, i] both hold the summed capacity of the channels between nodes
         i and j, split through relay nodes like the balance view."""
+        from scipy.sparse import csr_array
+        n = len(self.ids)
         return _relay_csr(csr_array((self.capacity, self.indices, self.indptr),
-                                    shape=self.adjacency.shape))
+                                    shape=(n, n)))
 
 
 def _relay_csr(summed: csr_array) -> csr_array:
@@ -153,6 +164,7 @@ def _relay_csr(summed: csr_array) -> csr_array:
     MAX_ARC_BALANCE is routed through relay nodes appended after the real
     ones, one per piece of at most MAX_ARC_BALANCE; every max-flow value,
     and the real nodes on each side of a minimum cut, stay exact."""
+    from scipy.sparse import csr_array
     summed = summed.tocoo()
     pieces = np.maximum(1, -(-summed.data // MAX_ARC_BALANCE))
     arc = np.repeat(np.arange(len(pieces)), pieces)
@@ -215,7 +227,7 @@ class PcnGraph:
     (`routable`, `balance_digraph`); the other columns are read-only and
     shared with copies. `copy()`, `induced_subgraph`, `remove_nodes` and
     `remove_channels` return graphs without views or caches, except the
-    channel-id order that `induced_subgraph` carries.
+    channel-id order that `copy()` and `induced_subgraph` carry.
     """
 
     nodes: set[str] = field(default_factory=set)
@@ -300,8 +312,13 @@ class PcnGraph:
         return {v: (h << 32) + lo for v, h, lo in zip(self.ids, high, low)}
 
     def copy(self) -> "PcnGraph":
-        """A graph with its own node set and balances."""
-        return replace(self, nodes=set(self.nodes), balance=self.balance.copy())
+        """A graph with its own node set and balances. A channel-id order
+        the graph has built is shared; its views are not, as the
+        `ChannelView` reads the graph's own balance column."""
+        out = replace(self, nodes=set(self.nodes), balance=self.balance.copy())
+        if "channel_order" in vars(self):
+            out.channel_order = self.channel_order
+        return out
 
     def _channel_rows(self, keep) -> dict[str, np.ndarray]:
         """The channel columns restricted to the channels `keep` selects."""
@@ -337,6 +354,7 @@ class PcnGraph:
         MAX_ARC_BALANCE goes through relay nodes (`_relay_csr`). Cached
         until a balance is written; read-only."""
         if self._flow is None:
+            from scipy.sparse import csr_array
             n = len(self.ids)
             # parallel arcs add up as the matrix is built
             self._flow = _relay_csr(csr_array((self.balance.reshape(-1), (
@@ -484,23 +502,59 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
 
 def load_snapshot(path, balance_model: str = "capacity-both-ways") -> PcnGraph:
     """Load and validate a describegraph-style JSON snapshot."""
+    # A parsed JSON tree, and the graph built from it, hold no reference
+    # cycles, so the cyclic collector is paused until the tree is freed:
+    # each collection would walk the whole tree again.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    return graph_from_dict(data, balance_model=balance_model)
+        try:
+            with open(path, encoding="utf-8") as f:
+                data = json.load(f)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
+        g = graph_from_dict(data, balance_model=balance_model)
+        del data
+        return g
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest node of each of the n nodes' components, for the edges
+    (u[i], v[i]). Each round hooks the larger root of every edge whose ends
+    lie in two trees under the smallest root across its edges, then pointer
+    jumping points every node at its root. A parent is always smaller than
+    its child, so a root is its tree's smallest node. A root hooked by no
+    edge sees its neighbours hooked under it or under a smaller root, which
+    then hooks it in the next round: every tree with an edge out merges
+    within two rounds, so there are O(log n) rounds."""
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return label
+        lu, lv = lu[split], lv[split]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
 
 
 def connected_components(g: PcnGraph) -> list[set[str]]:
     """Components sorted by (size desc, smallest member id) for determinism."""
     view = g.simple_graph()
-    count, labels = csgraph_components(view.adjacency, directed=False)
-    comps = [set() for _ in range(count)]
+    comps: dict[int, set[str]] = {}
+    labels = component_labels(len(view.ids), view.rows, view.indices)
     for v, label in zip(view.ids, labels.tolist()):
-        comps[label].add(v)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
+        comps.setdefault(label, set()).add(v)
+    # a label is its component's smallest member, and the ids are sorted
+    return [comps[label] for label in sorted(
+        comps, key=lambda label: (-len(comps[label]), label))]
 
 
 def largest_connected_component(g: PcnGraph) -> PcnGraph:

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import maximum_flow
 
 from .graph_model import PcnGraph
 
@@ -163,6 +162,7 @@ def max_flow(g: PcnGraph, s: str, t: str) -> int:
         raise KeyError("unknown max-flow endpoint")
     if s == t:
         raise ValueError("max-flow endpoints must differ")
+    from scipy.sparse.csgraph import maximum_flow
     arcs, index = g.balance_digraph()
     return int(maximum_flow(arcs, index[s], index[t]).flow_value)
 

@@ -16,10 +16,9 @@ from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .graph_model import (DEFAULT_BASE_FEE_MSAT, DEFAULT_RATE_PPM, PcnGraph,
-                          largest_connected_component)
+                          component_labels, largest_connected_component)
 
 
 class ConvergenceError(Exception):
@@ -375,7 +374,10 @@ def random_failure_experiment(g: PcnGraph, failures: list[int], runs: int = 100,
     if failures and max(failures) >= g.node_count:
         raise ValueError("failure count must be smaller than the node count")
     view = g.simple_graph()
-    n, adj = len(view.ids), view.adjacency
+    n = len(view.ids)
+    once = view.rows < view.indices  # each neighbour pair once
+    u, v = view.rows[once], view.indices[once]
+    nodes = np.arange(n)
     rng = random.Random(seed)
     result = {}
     for k in failures:
@@ -383,8 +385,10 @@ def random_failure_experiment(g: PcnGraph, failures: list[int], runs: int = 100,
         for _ in range(runs):
             alive = np.ones(n, dtype=bool)
             alive[rng.sample(range(n), k)] = False
-            total += connected_components(adj[alive][:, alive],
-                                          directed=False)[0]
+            kept = alive[u] & alive[v]
+            labels = component_labels(n, u[kept], v[kept])
+            # each failed node is left a root of its own
+            total += int(np.count_nonzero(labels == nodes)) - k
         result[k] = total / runs
     return result
 

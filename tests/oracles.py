@@ -1,11 +1,12 @@
 """Independent brute-force implementations used to cross-check the library.
 
 These deliberately avoid the library's own algorithms: path enumeration by
-DFS, a queue-based BFS for distances, union-find for components, a
-from-scratch augmenting path max-flow, networkx's preflow-push for minimum
-cuts on the networkx form of the simple projection, graph operations on
-snapshot dicts, a power-law fit that searches one x_min candidate at a
-time, and networkx's random-graph generators. Only usable on small graphs.
+DFS, a queue-based BFS for distances and for components, union-find for
+components, a from-scratch augmenting path max-flow, networkx's
+preflow-push for minimum cuts on the networkx form of the simple
+projection, graph operations on snapshot dicts, a power-law fit that
+searches one x_min candidate at a time, and networkx's random-graph
+generators. Only usable on small graphs.
 """
 
 import copy
@@ -95,6 +96,29 @@ def union_find_components(nodes, edges):
     for v in nodes:
         comps.setdefault(uf.find(v), set()).add(v)
     return list(comps.values())
+
+
+def reference_components(nodes, edges):
+    """Component node-sets by a queue-based BFS from each unseen node,
+    sorted by (size desc, smallest member id)."""
+    adj = {v: [] for v in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, comps = set(), []
+    for s in adj:
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, queue = {s}, deque([s])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(comp)
+    return sorted(comps, key=lambda c: (-len(c), min(c)))
 
 
 def augmenting_path_max_flow(capacities, s, t):

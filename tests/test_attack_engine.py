@@ -404,8 +404,7 @@ class TestSweep:
         assert rows == singles
         assert any(row.removed for row in rows)
 
-    def test_measures_before_once(self, monkeypatch):
-        g = generate_reference("barabasi-albert", 60, 120, seed=2)
+    def counting_measure(self, monkeypatch) -> list:
         calls = []
         measure = ae._measure
 
@@ -413,12 +412,38 @@ class TestSweep:
             calls.append(args[0])
             return measure(*args)
         monkeypatch.setattr(ae, "_measure", counting)
+        return calls
+
+    def test_measures_before_once(self, monkeypatch):
+        # and each distinct surviving graph once: the count-0 rows remove
+        # nothing and reuse the a-priori metrics
+        g = generate_reference("barabasi-albert", 60, 120, seed=2)
+        calls = self.counting_measure(monkeypatch)
         plans = self.plans(g)
         counts = [("count", n) for n in (0, 2, 5)]
         rows = ae.execute_attack(g, plans, counts,
                                  ae.MetricParams(attempts=20, flow_rounds=4))
-        assert len(calls) == 1 + len(rows) == 1 + len(plans) * len(counts)
+        assert len(rows) == len(plans) * len(counts)
+        distinct = {frozenset(plan.targets[:n]) for plan in plans
+                    for _, n in counts} - {frozenset()}
+        assert len(calls) == 1 + len(distinct) == 1 + 2 * len(plans)
         assert calls[0] is g
+        assert all(row.a_posteriori == row.a_priori
+                   for row in rows[::len(counts)])
+
+    def test_rows_removing_the_same_targets_share_a_measurement(
+            self, monkeypatch):
+        # a plan of 10 targets picks the same ones under count 10 and 30
+        g = generate_reference("barabasi-albert", 60, 120, seed=2)
+        plan = ae.plan_targets(g, ae.Strategy("degree"), limit=10)
+        assert len(plan.targets) == 10
+        params = ae.MetricParams(attempts=30, flow_rounds=6, hub="n3")
+        counts = [("count", 10), ("count", 30)]
+        singles = [attack(g, plan, count, params, seed=4) for count in counts]
+        calls = self.counting_measure(monkeypatch)
+        rows = ae.execute_attack(g, [plan], counts, params, seed=4)
+        assert rows == singles
+        assert len(calls) == 2  # the a-priori graph and the survivor
 
 
 class TestSingleRemoval:

@@ -284,13 +284,20 @@ def test_zero_counts_are_one_line(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-def test_networkx_stays_unimported(tmp_path):
-    # networkx is needed only by the tests: the CLI, a robustness run and
-    # an analyze run with both reference graphs must not load it
+def run_fresh(code: str) -> None:
+    """Run `code` in a new interpreter that imports this package."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_networkx_stays_unimported(tmp_path):
+    # networkx is needed only by the tests: the CLI, a robustness run and
+    # an analyze run with both reference graphs must not load it
+    run_fresh(
         "import sys\n"
         "from pcn_resilience.cli import main\n"
         "assert 'networkx' not in sys.modules, 'import'\n"
@@ -301,9 +308,30 @@ def test_networkx_stays_unimported(tmp_path):
         f"{str(tmp_path / 'report')!r}, '--reference', 'erdos-renyi', "
         "'--reference', 'barabasi-albert', '--gof-runs', '2']) == 0\n"
         "assert 'networkx' not in sys.modules, 'analyze'\n")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("argv, absent, present", [
+    (["robustness", "--failures", "1", "--reps", "3"], "scipy", None),
+    (["attack", "--strategy", "all", "--n-sweep", "1:2", "--cut-samples", "4",
+      "--payment-samples", "4", "--attempts", "4", "--flow-rounds", "2"],
+     "scipy.special", "scipy.sparse.csgraph"),
+    (["analyze", "--reference", "erdos-renyi", "--gof-runs", "2"],
+     "scipy.sparse.csgraph", "scipy.special"),
+])
+def test_scipy_loads_where_it_is_called(tmp_path, argv, absent, present):
+    # importing the CLI loads no scipy module; each subcommand loads only
+    # the ones its own computations call
+    run_fresh(
+        "import sys\n"
+        "from pcn_resilience.cli import main\n"
+        "def loaded(name):\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == name or m.startswith(name + '.'))\n"
+        "assert not loaded('scipy'), loaded('scipy')\n"
+        f"assert main({argv!r} + ['--snapshot', {FIXTURE!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}]) == 0\n"
+        f"assert not loaded({absent!r}), loaded({absent!r})\n"
+        + (f"assert {present!r} in sys.modules\n" if present else ""))
 
 
 class TestSeedFallback:

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -40,6 +41,29 @@ class TestLoadSnapshot:
         assert caps == [75000, 100000, 125000]
         for e in g.edges.values():
             assert e.balance_ab == e.balance_ba == e.capacity
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_restores_the_callers_gc_state(self, tmp_path, collecting):
+        # the cyclic collector is paused while a snapshot is read, and left
+        # as the caller had it, also when the snapshot is rejected
+        unreadable, invalid = tmp_path / "bad.json", tmp_path / "loop.json"
+        unreadable.write_text("{")
+        invalid.write_text(json.dumps({
+            "nodes": [{"pub_key": "a"}],
+            "edges": [{"channel_id": "c", "node1_pub": "a", "node2_pub": "a",
+                       "capacity": 1}]}))
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            load_snapshot(FIXTURE)
+            assert gc.isenabled() is collecting
+            for path, error in ((unreadable, SnapshotError),
+                                (invalid, ValidationError)):
+                with pytest.raises(error):
+                    load_snapshot(path)
+                assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_half_split(self):
         g = load_snapshot(FIXTURE, balance_model="half-split")
@@ -367,6 +391,6 @@ def test_subgraphs_carry_the_channel_id_order(data):
                    "capacity": 100} for i, (a, b) in zip(ids, pairs)]})
     g.channel_order  # built, so carried over
     sub = remove_nodes(g, data.draw(st.sets(st.sampled_from(nodes))))
-    for h in (sub, largest_connected_component(sub)):
+    for h in (sub, largest_connected_component(sub), g.copy()):
         assert "channel_order" in vars(h)
         assert (h.channel_order == np.argsort(h.channel_ids)).all()

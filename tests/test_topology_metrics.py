@@ -14,7 +14,7 @@ from pcn_resilience.graph_model import (connected_components, graph_from_dict,
                                         largest_connected_component)
 
 from oracles import (brute_betweenness, brute_transitivity,
-                     reference_generator_edges,
+                     reference_components, reference_generator_edges,
                      reference_distances, reference_simple_graph,
                      union_find_components)
 from test_graph_model import make_graph
@@ -435,6 +435,61 @@ class TestRandomFailures:
                      if e.a in rest and e.b in rest]
             total += len(union_find_components(rest, edges))
         assert ours == pytest.approx(total / 30)
+
+
+@st.composite
+def failure_cases(draw):
+    """Graphs with isolated nodes and parallel channels, or paths whose
+    node ids run in shuffled order, with failure counts 0, n - 1 and one
+    drawn between them."""
+    n = draw(st.integers(1, 14))
+    nodes = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    if draw(st.booleans()):
+        pairs = list(zip(nodes, nodes[1:]))
+    else:
+        pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+            lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, max_size=30)) if n > 1 else []
+    failures = sorted({0, n - 1, draw(st.integers(0, n - 1))})
+    return make_graph(nodes, pairs), failures, draw(st.integers(0, 99))
+
+
+def reference_failures(g, failures, runs, seed):
+    """`random_failure_experiment` from the same draws, by BFS components."""
+    rng, ids = random.Random(seed), sorted(g.nodes)
+    edges = [(e.a, e.b) for e in g.edges.values()]
+    result = {}
+    for k in failures:
+        total = 0
+        for _ in range(runs):
+            rest = g.nodes - set(rng.sample(ids, k))
+            total += len(reference_components(
+                rest, [(a, b) for a, b in edges if a in rest and b in rest]))
+        result[k] = total / runs
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(failure_cases())
+def test_components_match_reference_components(case):
+    g, failures, seed = case
+    edges = [(e.a, e.b) for e in g.edges.values()]
+    assert connected_components(g) == reference_components(g.nodes, edges)
+    assert (tm.random_failure_experiment(g, failures, runs=3, seed=seed)
+            == reference_failures(g, failures, 3, seed))
+
+
+def test_components_of_long_permuted_paths():
+    # ids in shuffled order along two long paths take many hooking rounds
+    rng = random.Random(5)
+    ids = [f"v{i}" for i in range(6000)]
+    rng.shuffle(ids)
+    g = make_graph(ids, list(zip(ids[:3999], ids[1:4000]))
+                   + list(zip(ids[4000:-1], ids[4001:])))
+    edges = [(e.a, e.b) for e in g.edges.values()]
+    assert connected_components(g) == reference_components(g.nodes, edges)
+    assert (tm.random_failure_experiment(g, [0, 10, 5999], runs=2, seed=1)
+            == reference_failures(g, [0, 10, 5999], 2, 1))
 
 
 @settings(max_examples=30, deadline=None)
