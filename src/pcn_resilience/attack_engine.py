@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import payment_sim
-from .graph_model import (PcnGraph, connected_components, remove_channels,
-                          remove_nodes)
+from .graph_model import (ChannelView, PcnGraph, connected_components,
+                          remove_channels, remove_nodes)
 from .payment_sim import VolumeModel, UNIT_VOLUMES
 from .topology_metrics import betweenness_centrality, eigenvector_centrality
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 STRATEGY_KINDS = ("degree", "betweenness", "eigenvector",
                   "ranked-min-cut", "parallel-paths", "random")
@@ -230,13 +226,15 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     params = strategy.params
     rng = random.Random(params.get("seed", 0))
     pairs = payment_sim.sample_pairs(g.nodes, params["cut_samples"], rng)
-    capacity = g.simple_graph().capacity_csr()
+    view = g.channel_view()
+    # a channel carries up to its capacity either way
+    capacity = np.repeat(g.capacity, 2)
     order = g.channel_order
     channel_ids, (a, b) = g.channel_ids[order], g.ends[order].T
 
     occurrences: dict[tuple[str, ...], int] = {}
     for s, t in pairs:
-        sink = _sink_side(capacity, g.index[s], g.index[t])
+        sink = _sink_side(view, capacity, g.index[s], g.index[t])
         if sink is None:
             continue
         key = tuple(channel_ids[sink[a] != sink[b]].tolist())
@@ -244,21 +242,27 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     return sorted(occurrences, key=lambda c: (-occurrences[c], c))
 
 
-def _sink_side(capacity: csr_array, s: int, t: int) -> np.ndarray | None:
+def _sink_side(view: ChannelView, capacity: np.ndarray, s: int, t: int
+               ) -> np.ndarray | None:
     """Mask of the nodes that reach `t` in the residual of a maximum s-t
-    flow, or None when no flow passes. Every maximum flow leaves the same
-    set (the sink side of the minimum cut closest to t; Picard & Queyranne
-    1980), which is the one networkx's `minimum_cut` reports."""
-    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-    flow = maximum_flow(capacity, s, t)
-    if flow.flow_value == 0:
+    flow over arcs of the per-slot `capacity`, or None when no flow passes.
+    Every maximum flow leaves the same set (the sink side of the minimum
+    cut closest to t; Picard & Queyranne 1980), which is the one networkx's
+    `minimum_cut` reports."""
+    residual = capacity.copy()
+    if view.max_flow(residual, s, t) == 0:
         return None
-    residual = capacity - flow.flow
-    residual.eliminate_zeros()
-    reach = breadth_first_order(residual.T, t, directed=True,
-                                return_predecessors=False)
-    sink = np.zeros(capacity.shape[0], dtype=bool)
-    sink[reach] = True
+    # a reverse BFS from t: arc v -> w is the reverse of an arc out of w
+    sink = np.zeros(len(view.ids), dtype=bool)
+    sink[t] = True
+    frontier = np.array([t])
+    while len(frontier):
+        pos = view.out_arcs(frontier)
+        fresh = np.zeros(len(sink), dtype=bool)
+        fresh[view.dst[pos][residual[view.slot[pos] ^ 1] > 0]] = True
+        fresh &= ~sink
+        sink |= fresh
+        frontier = np.flatnonzero(fresh)
     return sink
 
 

@@ -69,7 +69,18 @@ def _parse_sweep(text: str) -> list[int]:
     if len(parts) not in (2, 3):
         raise ValueError(f"bad sweep spec {text!r}, expected start:end[:step]")
     start, end, step = (parts + [1])[:3]
+    if step <= 0:
+        raise ValueError(f"sweep {text!r} has step {step}, expected >= 1")
     return list(range(start, end + 1, step))
+
+
+def _sweep_points(kind: str, values: list[int], text: str) -> list[tuple]:
+    """The (kind, value) constraints of a sweep: at least one, none negative."""
+    if not values:
+        raise ValueError(f"sweep {text!r} has no points")
+    if min(values) < 0:
+        raise ValueError(f"sweep {text!r} has a negative {kind} {min(values)}")
+    return [(kind, v) for v in values]
 
 
 def cmd_analyze(args) -> int:
@@ -140,15 +151,17 @@ def cmd_attack(args) -> int:
                                  volumes=volumes, hub=args.hub)
 
     if args.n_sweep:
-        points = [("count", n) for n in _parse_sweep(args.n_sweep)]
+        points = _sweep_points("count", _parse_sweep(args.n_sweep), args.n_sweep)
     elif args.budget_sweep:
-        points = [("budget", int(b)) for b in args.budget_sweep.split(",")]
+        points = _sweep_points("budget", [int(b) for b in
+                                          args.budget_sweep.split(",")],
+                               args.budget_sweep)
     else:
         raise SystemExit("one of --n-sweep or --budget-sweep is required")
 
     kinds = list(STRATEGY_KINDS) if "all" in args.strategy else args.strategy
     limit = args.plan_limit
-    if points and points[0][0] == "count":
+    if points[0][0] == "count":
         limit = max(limit, max(v for _, v in points))
 
     plans = [plan_targets(g, _strategy_for(kind, args, seed), limit=limit)

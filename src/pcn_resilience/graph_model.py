@@ -27,11 +27,6 @@ DEFAULT_RATE_PPM = 1
 
 BALANCE_MODELS = ("capacity-both-ways", "half-split", "explicit")
 
-# scipy's maximum_flow keeps capacities and residuals in int32, and the
-# residual of an arc can reach its capacity plus that of its reverse arc, so
-# no arc of the balance or capacity view may exceed half the int32 range.
-MAX_ARC_BALANCE = 2**30 - 1
-
 # No channel or balance can exceed the 21 million bitcoin ever issued; the
 # bound also keeps every balance, and sums of a few thousand, inside int64.
 MAX_SAT = 21_000_000 * 100_000_000
@@ -85,12 +80,13 @@ class ChannelEdge:
 
 
 class ChannelView:
-    """The directed arcs of a graph's channels, for routing.
+    """The directed arcs of a graph's channels, for routing and max flow.
 
     Arc `slot[x]` (a slot of `PcnGraph`) leaves `src[x]` for `dst[x]`. Arcs
     are ordered by (source, destination, channel id) with a CSR row pointer
     by source, so the first usable arc in a row reaches the smallest
-    destination id through the smallest channel id.
+    destination id through the smallest channel id. The reverse of slot y
+    is slot y ^ 1, the other side of the same channel.
     """
 
     def __init__(self, g: PcnGraph):
@@ -101,6 +97,7 @@ class ChannelView:
         self.slot = np.lexsort((np.repeat(rank, 2), dst, src))
         self.src, self.dst = src[self.slot], dst[self.slot]
         self.indptr = np.searchsorted(self.src, np.arange(len(self.ids) + 1))
+        self.degree = np.diff(self.indptr)
         self._balances = g.balance.reshape(-1)
 
     @property
@@ -108,10 +105,130 @@ class ChannelView:
         """Routable balance of every arc, read from the graph's column."""
         return self._balances[self.slot]
 
+    def out_arcs(self, nodes: np.ndarray) -> np.ndarray:
+        """Positions of the arcs out of `nodes`, row after row."""
+        lo, counts = self.indptr[nodes], self.degree[nodes]
+        return (np.repeat(lo - np.cumsum(counts) + counts, counts)
+                + np.arange(counts.sum()))
+
+    def max_flow(self, residual: np.ndarray, s: int, t: int) -> int:
+        """Push a maximum flow from node `s` to node `t` through `residual`,
+        an int64 amount per slot that is written in place, and return its
+        value as a Python int.
+
+        Dinic (1970): each phase finds the arcs with residual > 0 on
+        shortest s-t paths and saturates them with a blocking flow. Pushing
+        f along slot y moves f from residual[y] to residual[y ^ 1], as
+        `PcnGraph.shift` moves a balance, so no residual exceeds its
+        channel's two sides together. The search ends once t is cut off or
+        the flow reaches the residual out of s or into t, whichever is
+        smaller (summed as Python ints)."""
+        bound = min(sum(residual[self.slot[self.indptr[v]:self.indptr[v + 1]]
+                                 ^ side].tolist()) for v, side in ((s, 0), (t, 1)))
+        total = 0
+        while total < bound:
+            arcs = self._shortest_path_arcs(residual, s, t)
+            if arcs is None:
+                break
+            slots, tails, heads = arcs
+            before = residual[slots]
+            cap = before.tolist()
+            total += _blocking_flow(tails.tolist(), heads.tolist(), cap, s, t,
+                                    bound - total)
+            pushed = before - np.array(cap, dtype=np.int64)
+            residual[slots] -= pushed
+            residual[slots ^ 1] += pushed
+        return total
+
+    def _shortest_path_arcs(self, residual: np.ndarray, s: int, t: int):
+        """(slots, tails, heads) of the arcs with residual > 0 on shortest
+        s-t paths, or None when t is cut off.
+
+        A bidirectional BFS labels levels from s over arcs out of the
+        frontier and levels to t over arcs into it (the reverses of the
+        arcs out of it), each step growing the side whose frontier has
+        fewer arcs, until a new level meets the other side. Each side's
+        layers of arcs are then walked back from the meeting nodes,
+        keeping the arcs whose newly labelled end leads to them."""
+        n = len(self.ids)
+        dist = (np.full(n, -1), np.full(n, -1))  # from s, and to t
+        dist[0][s] = dist[1][t] = 0
+        frontier = [np.array([s]), np.array([t])]
+        width = [int(self.degree[s]), int(self.degree[t])]  # arcs to scan
+        layers: tuple[list, list] = ([], [])
+        while True:
+            side = int(width[1] < width[0])
+            pos = self.out_arcs(frontier[side])
+            new = self.dst[pos]
+            pos = pos[(residual[self.slot[pos] ^ side] > 0) & (dist[side][new] < 0)]
+            if not len(pos):
+                return None
+            new = self.dst[pos]
+            level = len(layers[side]) + 1
+            dist[side][new] = level
+            layers[side].append(pos)
+            if (dist[1 - side][new] >= 0).any():
+                break
+            frontier[side] = np.flatnonzero(dist[side] == level)
+            width[side] = int(self.degree[frontier[side]].sum())
+        meet = new[dist[1 - side][new] >= 0]
+        kept = ([np.zeros(0, np.int64)], [np.zeros(0, np.int64)])
+        for grown in (0, 1):
+            useful = np.zeros(n, dtype=bool)
+            useful[meet] = True
+            for pos in reversed(layers[grown]):
+                pos = pos[useful[self.dst[pos]]]
+                useful[self.src[pos]] = True
+                kept[grown].append(pos)
+        out, back = map(np.concatenate, kept)
+        # an arc found from t's side runs against the arc out of its row
+        return (np.concatenate((self.slot[out], self.slot[back] ^ 1)),
+                np.concatenate((self.src[out], self.dst[back])),
+                np.concatenate((self.dst[out], self.src[back])))
+
+
+def _blocking_flow(tails: list, heads: list, cap: list, s: int, t: int,
+                   limit: int) -> int:
+    """Saturate the layered arcs `tails[i] -> heads[i]` (every one on a
+    shortest s-t path) by a current-arc DFS, lowering `cap` in place; stop
+    early once `limit` has passed. Returns the flow pushed."""
+    out: dict[int, list[int]] = {}
+    for i, u in enumerate(tails):
+        out.setdefault(u, []).append(i)
+    pushed = 0
+    path: list[int] = []
+    u = s
+    while True:
+        if u == t:
+            push = min(cap[i] for i in path)
+            for i in path:
+                cap[i] -= push
+            pushed += push
+            if pushed >= limit:
+                return pushed
+            # resume from the tail of the first arc the push saturated
+            cut = next(k for k, i in enumerate(path) if cap[i] == 0)
+            u = tails[path[cut]]
+            del path[cut:]
+            continue
+        arcs = out.get(u, ())
+        while arcs and cap[arcs[-1]] == 0:
+            arcs.pop()
+        if arcs:
+            path.append(arcs[-1])
+            u = heads[arcs[-1]]
+        elif path:
+            # a dead end: drop the arc into it
+            i = path.pop()
+            u = tails[i]
+            out[u].pop()
+        else:
+            return pushed
+
 
 class SimpleView:
     """Integer-indexed undirected simple projection, for the topology
-    measures and minimum cuts.
+    measures.
 
     Node ids and their ints are the graph's `ids` and `index`. CSR row i
     (`rows`, `indices`, `indptr`) lists node i's neighbours once each, in
@@ -145,39 +262,6 @@ class SimpleView:
         n = len(self.ids)
         return csr_array((np.ones(len(self.indices), dtype=np.int64),
                           self.indices, self.indptr), shape=(n, n))
-
-    def capacity_csr(self) -> csr_array:
-        """Symmetric capacity matrix for minimum cuts: entries [i, j] and
-        [j, i] both hold the summed capacity of the channels between nodes
-        i and j, split through relay nodes like the balance view."""
-        from scipy.sparse import csr_array
-        n = len(self.ids)
-        return _relay_csr(csr_array((self.capacity, self.indices, self.indptr),
-                                    shape=(n, n)))
-
-
-def _relay_csr(summed: csr_array) -> csr_array:
-    """int32 copy of `summed`, a square int64 matrix of amounts, for
-    maximum flow.
-
-    scipy's maximum_flow keeps residuals in int32, so an amount above
-    MAX_ARC_BALANCE is routed through relay nodes appended after the real
-    ones, one per piece of at most MAX_ARC_BALANCE; every max-flow value,
-    and the real nodes on each side of a minimum cut, stay exact."""
-    from scipy.sparse import csr_array
-    summed = summed.tocoo()
-    pieces = np.maximum(1, -(-summed.data // MAX_ARC_BALANCE))
-    arc = np.repeat(np.arange(len(pieces)), pieces)
-    # all pieces of an amount but its last are full
-    amount = np.full(len(arc), MAX_ARC_BALANCE, dtype=np.int64)
-    amount[np.cumsum(pieces) - 1] = summed.data - (pieces - 1) * MAX_ARC_BALANCE
-    split = pieces[arc] > 1
-    relay = summed.shape[0] + np.arange(np.count_nonzero(split))
-    rows = np.concatenate((summed.row[arc[~split]], summed.row[arc[split]], relay))
-    cols = np.concatenate((summed.col[arc[~split]], relay, summed.col[arc[split]]))
-    values = np.concatenate((amount[~split], amount[split], amount[split]))
-    size = summed.shape[0] + len(relay)
-    return csr_array((values, (rows, cols)), shape=(size, size), dtype="int32")
 
 
 def _column(*shape, dtype=np.int64):
@@ -219,13 +303,13 @@ class PcnGraph:
     and indexes every two-column array flattened. `edges` reads the columns
     as `ChannelEdge` records.
 
-    Routing runs on a `ChannelView`, the topology measures and minimum cuts
-    on a `SimpleView`; each is built on first use, cached on the graph, and
-    holds no balances. Mutation contract: balances change only by writing
-    the column through `shift` (routed payments with `apply`, and the
-    exhaustion attacks on a copy), which drops the caches derived from them
-    (`routable`, `balance_digraph`); the other columns are read-only and
-    shared with copies. `copy()`, `induced_subgraph`, `remove_nodes` and
+    Routing, max flow and minimum cuts run on a `ChannelView`, the topology
+    measures on a `SimpleView`; each is built on first use, cached on the
+    graph, and holds no balances. Mutation contract: balances change only
+    by writing the column through `shift` (routed payments with `apply`,
+    and the exhaustion attacks on a copy), which drops the `routable` cache
+    derived from them; the other columns are read-only and shared with
+    copies. `copy()`, `induced_subgraph`, `remove_nodes` and
     `remove_channels` return graphs without views or caches, except the
     channel-id order that `copy()` and `induced_subgraph` carry.
     """
@@ -241,7 +325,6 @@ class PcnGraph:
     ids: list[str] | None = None
     index: dict[str, int] | None = None
     _view: ChannelView | None = field(default=None, init=False, repr=False)
-    _flow: csr_array | None = field(default=None, init=False, repr=False)
     _routable: tuple | None = field(default=None, init=False, repr=False)
     _simple: SimpleView | None = field(default=None, init=False, repr=False)
 
@@ -292,7 +375,7 @@ class PcnGraph:
         flat = self.balance.reshape(-1)
         np.subtract.at(flat, slots, amounts)
         np.add.at(flat, slots ^ 1, amounts)
-        self._flow = self._routable = None
+        self._routable = None
 
     def outbound_balance(self, v: str) -> int:
         return sum(self.balance.reshape(-1)[self.out_slots(v)].tolist())
@@ -347,20 +430,13 @@ class PcnGraph:
             self._routable = (amount, usable, view.src[usable], view.dst[usable])
         return self._routable[1:]
 
-    def balance_digraph(self) -> tuple[csr_array, dict[str, int]]:
-        """Directed balance view for max flow, with the node id -> index map
-        (ids in sorted order). Entry [i, j] is the total routable balance from
-        node i to node j, parallel channels summed, and one above
-        MAX_ARC_BALANCE goes through relay nodes (`_relay_csr`). Cached
-        until a balance is written; read-only."""
-        if self._flow is None:
-            from scipy.sparse import csr_array
-            n = len(self.ids)
-            # parallel arcs add up as the matrix is built
-            self._flow = _relay_csr(csr_array((self.balance.reshape(-1), (
-                self.ends.reshape(-1), self.ends[:, ::-1].reshape(-1))),
-                shape=(n, n)))
-        return self._flow, self.index
+    def balance_digraph(self) -> np.ndarray:
+        """The max-flow input: the int64 routable balance of every arc, by
+        slot, as a read-only view of the balance column (it follows later
+        writes through `shift`). The `ChannelView` gives each slot's ends."""
+        arcs = self.balance.reshape(-1).view()
+        arcs.flags.writeable = False
+        return arcs
 
     def to_snapshot_dict(self) -> dict:
         """Serialize back to the snapshot schema (with explicit balances)."""

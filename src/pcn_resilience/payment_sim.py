@@ -157,14 +157,14 @@ def evaluate_payments(g: PcnGraph, specs, apply: bool = False) -> list[PaymentOu
 
 
 def max_flow(g: PcnGraph, s: str, t: str) -> int:
-    """Exact maximum flow on the directed balance view (Dinic's algorithm)."""
+    """Exact maximum flow over the channels' arcs, each with its routable
+    balance (Dinic's algorithm on an int64 copy; `ChannelView.max_flow`)."""
     if s not in g.nodes or t not in g.nodes:
         raise KeyError("unknown max-flow endpoint")
     if s == t:
         raise ValueError("max-flow endpoints must differ")
-    from scipy.sparse.csgraph import maximum_flow
-    arcs, index = g.balance_digraph()
-    return int(maximum_flow(arcs, index[s], index[t]).flow_value)
+    return g.channel_view().max_flow(g.balance_digraph().copy(),
+                                     g.index[s], g.index[t])
 
 
 def evaluate_flows(g: PcnGraph, pairs) -> list[int]:

@@ -121,6 +121,15 @@ def reference_components(nodes, edges):
     return sorted(comps, key=lambda c: (-len(c), min(c)))
 
 
+def balance_caps(g):
+    """Summed balance per direction, the max-flow oracle's input."""
+    caps = {}
+    for e in g.edges.values():
+        caps[(e.a, e.b)] = caps.get((e.a, e.b), 0) + e.balance_ab
+        caps[(e.b, e.a)] = caps.get((e.b, e.a), 0) + e.balance_ba
+    return caps
+
+
 def augmenting_path_max_flow(capacities, s, t):
     """Edmonds-Karp on a dict {(u, v): capacity}."""
     residual = dict(capacities)

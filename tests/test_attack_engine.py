@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 from pcn_resilience import attack_engine as ae
 from pcn_resilience import payment_sim as ps
-from pcn_resilience.graph_model import (graph_from_dict,
+from pcn_resilience.graph_model import (MAX_SAT, graph_from_dict,
                                         largest_connected_component,
                                         remove_nodes)
 from pcn_resilience.topology_metrics import generate_reference
 
-from oracles import (reference_balances, reference_drain,
+from oracles import (augmenting_path_max_flow, balance_caps,
+                     reference_balances, reference_drain,
                      reference_largest_component, reference_min_cut,
                      reference_remove_nodes, reference_route)
 from test_graph_model import make_graph
@@ -216,9 +218,9 @@ def ranked_cuts(g, cut_samples, seed):
         g, ae.Strategy("ranked-min-cut", {"cut_samples": cut_samples, "seed": seed}))
 
 
-# Small capacities tie many cuts; the large ones need relay nodes alone or
-# summed over parallel channels.
-CUT_CAPACITIES = [1, 2, 3, 2**30 - 1, 2**30, 3 * 2**30 + 7]
+# Small capacities tie many cuts; the large ones pass int32, alone or with
+# a parallel channel or the flow on the reverse arc, up to the supply cap.
+CUT_CAPACITIES = [1, 2, 3, 2**30 - 1, 2**30, 3 * 2**30 + 7, MAX_SAT]
 
 
 @st.composite
@@ -257,6 +259,23 @@ def test_min_cut_across_parallel_channels_past_int32():
     cuts = ranked_cuts(g, 60, 5)
     assert ("bridge", "bridge2") in cuts
     assert cuts == reference_ranked_cuts(g, 60, 5)
+
+
+def test_min_cut_of_a_channel_at_the_supply_cap():
+    # 21M BTC in one channel is one arc each way, not a chain of pieces
+    g = graph_from_dict({
+        "nodes": [{"pub_key": "a"}, {"pub_key": "b"}],
+        "edges": [{"channel_id": "c0", "node1_pub": "a", "node2_pub": "b",
+                   "capacity": MAX_SAT}]})
+    strategy = ae.Strategy("ranked-min-cut", {"cut_samples": 3})
+    tracemalloc.start()
+    try:
+        plan = ae.plan_targets(g, strategy, limit=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.targets == [ae.CutTarget(channel_ids=("c0",), cost=MAX_SAT)]
+    assert peak < 256 * 1024
 
 
 def attack(g, plan, constraint, params, seed=0, griefing=False):
@@ -522,10 +541,10 @@ def derived_cases(draw):
 
 
 def observed(g):
-    """Everything a derived graph could share with `g` by mistake."""
-    arcs, index = g.balance_digraph()
+    """Everything a derived graph, or a max flow, could change in `g` by
+    mistake."""
     view = g.simple_graph()
-    return (g.to_snapshot_dict(), arcs.toarray().tolist(), dict(index),
+    return (g.to_snapshot_dict(), g.balance_digraph().tolist(), dict(g.index),
             [column.tolist() for column in (view.rows, view.indices,
                                             view.capacity, view.indptr,
                                             view.insertion)])
@@ -569,4 +588,13 @@ def test_derived_graphs_never_alias_their_source(g, data):
     earned = sum(reference_route(g, spec, state, apply=True)
                  .per_hop_fees.get(v, 0) for spec in specs)
     assert ps.fee_gain(g, v, 12, volumes, seed=7) == earned / 12
+    assert observed(g) == before
+
+    # max flows and min cuts push through copies of the balances
+    for s in nodes:
+        for t in nodes:
+            if s != t:
+                assert ps.max_flow(g, s, t) == augmenting_path_max_flow(
+                    balance_caps(g), s, t)
+    ranked_cuts(g, 4, 0)
     assert observed(g) == before

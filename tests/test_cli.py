@@ -210,6 +210,22 @@ class TestAttack:
             assert out.read_text().splitlines()[2] == \
                 "degree,count,1,1000,0.2,0.2,2,2,0,0,0,0,"
 
+    @pytest.mark.parametrize("sweep, message", [
+        (["--n-sweep=-5:5:5"], "sweep '-5:5:5' has a negative count -5"),
+        (["--budget-sweep=-100,5"], "sweep '-100,5' has a negative budget -100"),
+        (["--n-sweep", "30:10"], "sweep '30:10' has no points"),
+        (["--n-sweep", "10:30:0"], "sweep '10:30:0' has step 0, expected >= 1"),
+        (["--n-sweep", "10:30:-5"], "sweep '10:30:-5' has step -5, expected >= 1"),
+    ])
+    def test_bad_sweep_is_one_line(self, tmp_path, capsys, sweep, message):
+        out = tmp_path / "x.json"
+        rc = main(["attack", "--snapshot", FIXTURE, "--out", str(out),
+                   "--strategy", "degree", *sweep, "--attempts", "5",
+                   "--flow-rounds", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_missing_sweep_is_error(self, tmp_path, er_snapshot):
         with pytest.raises(SystemExit):
             main(["attack", "--snapshot", er_snapshot,
@@ -314,7 +330,7 @@ def test_networkx_stays_unimported(tmp_path):
     (["robustness", "--failures", "1", "--reps", "3"], "scipy", None),
     (["attack", "--strategy", "all", "--n-sweep", "1:2", "--cut-samples", "4",
       "--payment-samples", "4", "--attempts", "4", "--flow-rounds", "2"],
-     "scipy.special", "scipy.sparse.csgraph"),
+     "scipy", None),
     (["analyze", "--reference", "erdos-renyi", "--gof-runs", "2"],
      "scipy.sparse.csgraph", "scipy.special"),
 ])

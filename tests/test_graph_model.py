@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcn_resilience.graph_model import (BALANCE_MODELS, MAX_ARC_BALANCE,
-                                        MAX_SAT, PcnGraph, SnapshotError,
-                                        ValidationError,
+from pcn_resilience.graph_model import (BALANCE_MODELS, MAX_SAT, PcnGraph,
+                                        SnapshotError, ValidationError,
                                         connected_components, graph_from_dict,
                                         largest_connected_component,
                                         load_snapshot, remove_nodes)
@@ -295,28 +294,24 @@ def explicit_channels(channels):
 
 
 class TestBalanceDigraph:
-    def test_parallel_channels_summed_per_direction(self):
+    def test_parallel_channels_stay_separate_arcs(self):
         g = explicit_channels([("c0", "b", "a", 7, 3), ("c1", "a", "b", 5, 2),
                                ("c2", "b", "c", 4, 0)])
-        arcs, index = g.balance_digraph()
-        assert index == {"a": 0, "b": 1, "c": 2}
-        assert arcs.toarray().tolist() == [[0, 8, 0],
-                                           [9, 0, 4],
-                                           [0, 0, 0]]
+        arcs, view = g.balance_digraph(), g.channel_view()
+        assert [(view.ids[u], view.ids[v], arcs[y]) for u, v, y in zip(
+            view.src.tolist(), view.dst.tolist(), view.slot.tolist())] == [
+            ("a", "b", 3), ("a", "b", 5), ("b", "a", 7), ("b", "a", 2),
+            ("b", "c", 4), ("c", "b", 0)]
 
-    def test_large_arc_split_through_relays(self):
-        big = 3_000_000_000
-        g = explicit_channels([("c0", "a", "b", big, 1)])
-        arcs, index = g.balance_digraph()
-        dense = arcs.toarray()
-        relays = range(len(index), dense.shape[0])
-        assert len(relays) == -(-big // MAX_ARC_BALANCE)
-        assert dense.max() <= MAX_ARC_BALANCE
-        assert dense[index["a"], index["b"]] == 0
-        assert dense[index["b"], index["a"]] == 1
-        assert [int(dense[index["a"], r]) for r in relays] == \
-               [int(dense[r, index["b"]]) for r in relays]
-        assert sum(int(dense[index["a"], r]) for r in relays) == big
+    def test_read_only_view_of_the_balance_column(self):
+        g = explicit_channels([("c0", "a", "b", MAX_SAT, 0)])
+        arcs = g.balance_digraph()
+        assert arcs.dtype == np.int64
+        assert arcs.tolist() == [MAX_SAT, 0]
+        with pytest.raises(ValueError):
+            arcs[0] = 0
+        g.shift([0], 5)
+        assert arcs.tolist() == [MAX_SAT - 5, 5]
 
 
 def test_outbound_balances_match_per_node_query():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,20 +9,11 @@ from pcn_resilience import payment_sim as ps
 from pcn_resilience.graph_model import MAX_SAT, graph_from_dict, remove_nodes
 from pcn_resilience.topology_metrics import generate_reference
 
-from oracles import (augmenting_path_max_flow, reference_balances,
-                     reference_route)
+from oracles import (augmenting_path_max_flow, balance_caps,
+                     reference_balances, reference_route)
 from test_graph_model import explicit_channels, make_graph
 
 VOLS = ps.VolumeModel(volumes=(1000, 5000, 20000))
-
-
-def balance_caps(g):
-    """Summed balance per direction, the oracle's input."""
-    caps = {}
-    for e in g.edges.values():
-        caps[(e.a, e.b)] = caps.get((e.a, e.b), 0) + e.balance_ab
-        caps[(e.b, e.a)] = caps.get((e.b, e.a), 0) + e.balance_ba
-    return caps
 
 
 def two_node_channel(capacity=100_000):
@@ -316,8 +308,8 @@ class TestMaxFlow:
             assert ps.max_flow(g, s, t) == \
                 augmenting_path_max_flow(balance_caps(g), s, t)
 
-    # scipy's solver works in int32: an arc of 2**31 or more reads as 0, and
-    # a residual (an arc plus the flow on its reverse) can wrap around.
+    # Amounts past int32: an arc of 2**31 or more, and a residual (an arc
+    # plus the flow on its reverse) past 2**31, stay exact in int64.
     def test_channel_past_int32_matches_oracle(self):
         g = two_node_channel(capacity=3_000_000_000)
         assert ps.max_flow(g, "a", "b") == 3_000_000_000
@@ -335,8 +327,8 @@ class TestMaxFlow:
         assert ps.max_flow(g, "a", "c") == 2_400_000_000
 
     def test_residual_past_int32_matches_oracle(self):
-        # Dinic first saturates s-a-b-t; the second path s-d-e-b-a-f-g-t
-        # needs the residual b->a = 1 + (2**31 - 1), past int32.
+        # once s-a-b-t is saturated, the longer path s-d-e-b-a-f-g-t needs
+        # the residual b->a = 1 + (2**31 - 1), past int32.
         big = 2**31 - 1
         g = explicit_channels([
             ("sa", "s", "a", big, 0), ("ab", "a", "b", big, 1),
@@ -347,6 +339,65 @@ class TestMaxFlow:
         assert ps.max_flow(g, "s", "t") == big + 1000
         assert ps.max_flow(g, "s", "t") == \
             augmenting_path_max_flow(balance_caps(g), "s", "t")
+
+    def test_channel_at_the_supply_cap_is_one_arc(self):
+        # 21M BTC in one channel is one arc, not a chain of split pieces
+        g = two_node_channel(capacity=MAX_SAT)
+        tracemalloc.start()
+        try:
+            assert ps.max_flow(g, "a", "b") == MAX_SAT
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_parallel_channels_past_int64_sum_exactly(self):
+        # 4,400 channels at the supply cap carry more than 2**63 - 1
+        # together: the flow and the endpoint bound must not wrap in int64
+        g = graph_from_dict({
+            "nodes": [{"pub_key": "a"}, {"pub_key": "b"}],
+            "edges": [{"channel_id": f"c{i}", "node1_pub": "a",
+                       "node2_pub": "b", "capacity": MAX_SAT}
+                      for i in range(4400)]})
+        flow = ps.max_flow(g, "a", "b")
+        assert flow == 4400 * MAX_SAT > 2**63
+        assert type(flow) is int
+
+
+# balances at the int32 limit and at the supply cap, and their neighbours
+FLOW_BALANCES = [0, 1, 2, 2**31 - 1, 2**31, 2**31 + 1,
+                 MAX_SAT // 2, MAX_SAT - 1, MAX_SAT]
+
+
+@st.composite
+def flow_cases(draw):
+    """Explicit-balance graphs with parallel and antiparallel channels and
+    zero sides, and a terminal pair."""
+    ids = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+        lambda p: p[0] != p[1])
+    balance = st.one_of(st.sampled_from(FLOW_BALANCES), st.integers(0, 20))
+    edges = []
+    for (a, b), ab, ba in draw(st.lists(st.tuples(pair, balance, balance),
+                                        max_size=14)):
+        capacity = max(1, ab + ba)
+        if capacity > MAX_SAT:
+            # sides past the cap together: both hold the whole capacity
+            ab = ba = capacity = max(ab, ba)
+        edges.append({"channel_id": f"c{len(edges)}", "node1_pub": a,
+                      "node2_pub": b, "capacity": capacity,
+                      "node1_balance": ab, "node2_balance": ba})
+    g = graph_from_dict({"nodes": [{"pub_key": v} for v in ids],
+                         "edges": edges}, balance_model="explicit")
+    return g, draw(pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_cases())
+def test_max_flow_matches_augmenting_path_oracle(case):
+    g, (s, t) = case
+    assert ps.max_flow(g, s, t) == augmenting_path_max_flow(
+        balance_caps(g), s, t)
 
 
 class TestAverageMaxFlow:
