@@ -127,7 +127,7 @@ def reachability(g: PcnGraph) -> int:
 def exhaust_channel(g: PcnGraph, channel_id: str, direction: str = "ab") -> PcnGraph:
     """New graph with the given channel direction drained to zero (the
     reverse direction is credited by the drained amount)."""
-    if channel_id not in g.edges:
+    if channel_id not in g.channel_index:
         raise KeyError(f"unknown channel {channel_id}")
     if direction not in ("ab", "ba"):
         raise ValueError("direction must be 'ab' or 'ba'")
@@ -252,18 +252,7 @@ def _sink_side(view: ChannelView, capacity: np.ndarray, s: int, t: int
     residual = capacity.copy()
     if view.max_flow(residual, s, t) == 0:
         return None
-    # a reverse BFS from t: arc v -> w is the reverse of an arc out of w
-    sink = np.zeros(len(view.ids), dtype=bool)
-    sink[t] = True
-    frontier = np.array([t])
-    while len(frontier):
-        pos = view.out_arcs(frontier)
-        fresh = np.zeros(len(sink), dtype=bool)
-        fresh[view.dst[pos][residual[view.slot[pos] ^ 1] > 0]] = True
-        fresh &= ~sink
-        sink |= fresh
-        frontier = np.flatnonzero(fresh)
-    return sink
+    return view.hops_to(t, residual, 1) >= 0
 
 
 def _measure(g: PcnGraph, specs, flow_pairs, params: MetricParams,
@@ -338,7 +327,7 @@ def execute_attack(g: PcnGraph, plans: list[AttackPlan], constraints: list[tuple
                 raise StalePlanError(
                     f"isolation cost of {target.node} changed since planning")
         else:
-            missing = [c for c in target.channel_ids if c not in g.edges]
+            missing = [c for c in target.channel_ids if c not in g.channel_index]
             if missing:
                 raise StalePlanError(f"planned channels missing: {missing}")
     if metric_params.hub is not None and metric_params.hub not in g.nodes:

@@ -86,6 +86,11 @@ def _sweep_points(kind: str, values: list[int], text: str) -> list[tuple]:
 def cmd_analyze(args) -> int:
     from .powerlaw_fit import (FitError, ccdf_table, fit_power_law,
                                goodness_of_fit)
+    # checked before any work, so that a bad count writes nothing
+    if args.gof_runs < 1:
+        raise ValueError("goodness of fit needs synthetic_runs >= 1")
+    if args.smallworld_runs < 0:
+        raise ValueError("the small-world coefficient needs smallworld_runs >= 0")
     seed, g, meta, comment = _setup(args)
     out = Path(args.out)
 
@@ -150,14 +155,12 @@ def cmd_attack(args) -> int:
                                  flow_rounds=args.flow_rounds,
                                  volumes=volumes, hub=args.hub)
 
-    if args.n_sweep:
+    if args.n_sweep is not None:
         points = _sweep_points("count", _parse_sweep(args.n_sweep), args.n_sweep)
-    elif args.budget_sweep:
+    else:
         points = _sweep_points("budget", [int(b) for b in
                                           args.budget_sweep.split(",")],
                                args.budget_sweep)
-    else:
-        raise SystemExit("one of --n-sweep or --budget-sweep is required")
 
     kinds = list(STRATEGY_KINDS) if "all" in args.strategy else args.strategy
     limit = args.plan_limit
@@ -237,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--strategy", action="append", required=True,
                    choices=[*STRATEGY_KINDS, "all"])
-    p.add_argument("--n-sweep", help="count sweep start:end[:step]")
-    p.add_argument("--budget-sweep", help="comma-separated satoshi budgets")
+    sweep = p.add_mutually_exclusive_group(required=True)
+    sweep.add_argument("--n-sweep", help="count sweep start:end[:step]")
+    sweep.add_argument("--budget-sweep", help="comma-separated satoshi budgets")
     p.add_argument("--volumes", help="payment volume file, one satoshi/line")
     p.add_argument("--cut-samples", type=int, default=1000)
     p.add_argument("--payment-samples", type=int, default=1000)

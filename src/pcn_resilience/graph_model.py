@@ -80,13 +80,16 @@ class ChannelEdge:
 
 
 class ChannelView:
-    """The directed arcs of a graph's channels, for routing and max flow.
+    """The directed arcs of a graph's channels, for routing, max flow and
+    minimum cuts.
 
     Arc `slot[x]` (a slot of `PcnGraph`) leaves `src[x]` for `dst[x]`. Arcs
     are ordered by (source, destination, channel id) with a CSR row pointer
     by source, so the first usable arc in a row reaches the smallest
     destination id through the smallest channel id. The reverse of slot y
-    is slot y ^ 1, the other side of the same channel.
+    is slot y ^ 1, the other side of the same channel. The view holds no
+    amounts: its searches read a per-slot `residual` they are given, such
+    as the graph's balances or a max-flow residual.
     """
 
     def __init__(self, g: PcnGraph):
@@ -98,18 +101,35 @@ class ChannelView:
         self.src, self.dst = src[self.slot], dst[self.slot]
         self.indptr = np.searchsorted(self.src, np.arange(len(self.ids) + 1))
         self.degree = np.diff(self.indptr)
-        self._balances = g.balance.reshape(-1)
 
-    @property
-    def balance(self) -> np.ndarray:
-        """Routable balance of every arc, read from the graph's column."""
-        return self._balances[self.slot]
-
-    def out_arcs(self, nodes: np.ndarray) -> np.ndarray:
-        """Positions of the arcs out of `nodes`, row after row."""
+    def open_arcs(self, nodes: np.ndarray, residual: np.ndarray, least: int,
+                  side: int = 0) -> np.ndarray:
+        """Positions of the arcs out of `nodes` whose slot holds at least
+        `least` in `residual`, row after row. With side 1 they stand for the
+        arcs into `nodes` instead: position x is then the arc
+        `dst[x] -> src[x]`, whose slot is `slot[x] ^ 1`. Either way `dst`
+        gives the far end."""
         lo, counts = self.indptr[nodes], self.degree[nodes]
-        return (np.repeat(lo - np.cumsum(counts) + counts, counts)
-                + np.arange(counts.sum()))
+        ends = counts.cumsum()
+        pos = np.arange(counts.sum()) + (lo - ends + counts).repeat(counts)
+        return pos[residual[self.slot[pos] ^ side] >= least]
+
+    def hops_to(self, t: int, residual: np.ndarray, least: int,
+                stop: int | None = None) -> np.ndarray:
+        """Hops from each node to node `t` over the arcs whose slot holds at
+        least `least` in `residual`, -1 where t is unreachable. A BFS back
+        from t, one level at a time, that ends once `stop` has a label (the
+        levels below its own are then complete)."""
+        dist = np.full(len(self.ids), -1)
+        dist[t] = 0
+        frontier = np.array([t])
+        level = 0
+        while len(frontier) and (stop is None or dist[stop] < 0):
+            new = self.dst[self.open_arcs(frontier, residual, least, 1)]
+            level += 1
+            dist[new[dist[new] < 0]] = level
+            frontier = (dist == level).nonzero()[0]
+        return dist
 
     def max_flow(self, residual: np.ndarray, s: int, t: int) -> int:
         """Push a maximum flow from node `s` to node `t` through `residual`,
@@ -158,9 +178,8 @@ class ChannelView:
         layers: tuple[list, list] = ([], [])
         while True:
             side = int(width[1] < width[0])
-            pos = self.out_arcs(frontier[side])
-            new = self.dst[pos]
-            pos = pos[(residual[self.slot[pos] ^ side] > 0) & (dist[side][new] < 0)]
+            pos = self.open_arcs(frontier[side], residual, 1, side)
+            pos = pos[dist[side][self.dst[pos]] < 0]
             if not len(pos):
                 return None
             new = self.dst[pos]
@@ -307,11 +326,12 @@ class PcnGraph:
     measures on a `SimpleView`; each is built on first use, cached on the
     graph, and holds no balances. Mutation contract: balances change only
     by writing the column through `shift` (routed payments with `apply`,
-    and the exhaustion attacks on a copy), which drops the `routable` cache
-    derived from them; the other columns are read-only and shared with
-    copies. `copy()`, `induced_subgraph`, `remove_nodes` and
-    `remove_channels` return graphs without views or caches, except the
-    channel-id order that `copy()` and `induced_subgraph` carry.
+    and the exhaustion attacks on a copy), and nothing cached is derived
+    from them, so every search reads the balances as last written; the
+    other columns are read-only and shared with copies. `copy()`,
+    `induced_subgraph`, `remove_nodes` and `remove_channels` return graphs
+    without views or caches, except the channel-id order that `copy()` and
+    `induced_subgraph` carry.
     """
 
     nodes: set[str] = field(default_factory=set)
@@ -325,7 +345,6 @@ class PcnGraph:
     ids: list[str] | None = None
     index: dict[str, int] | None = None
     _view: ChannelView | None = field(default=None, init=False, repr=False)
-    _routable: tuple | None = field(default=None, init=False, repr=False)
     _simple: SimpleView | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -375,7 +394,6 @@ class PcnGraph:
         flat = self.balance.reshape(-1)
         np.subtract.at(flat, slots, amounts)
         np.add.at(flat, slots ^ 1, amounts)
-        self._routable = None
 
     def outbound_balance(self, v: str) -> int:
         return sum(self.balance.reshape(-1)[self.out_slots(v)].tolist())
@@ -396,8 +414,8 @@ class PcnGraph:
 
     def copy(self) -> "PcnGraph":
         """A graph with its own node set and balances. A channel-id order
-        the graph has built is shared; its views are not, as the
-        `ChannelView` reads the graph's own balance column."""
+        the graph has built is shared; its views are built again on first
+        use."""
         out = replace(self, nodes=set(self.nodes), balance=self.balance.copy())
         if "channel_order" in vars(self):
             out.channel_order = self.channel_order
@@ -419,16 +437,6 @@ class PcnGraph:
         if self._simple is None:
             self._simple = SimpleView(self)
         return self._simple
-
-    def routable(self, amount: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mask of the channel view's arcs with balance >= `amount`, with
-        their sources and destinations. Cached until another amount is
-        asked for or a balance is written."""
-        if self._routable is None or self._routable[0] != amount:
-            view = self.channel_view()
-            usable = view.balance >= amount
-            self._routable = (amount, usable, view.src[usable], view.dst[usable])
-        return self._routable[1:]
 
     def balance_digraph(self) -> np.ndarray:
         """The max-flow input: the int64 routable balance of every arc, by

@@ -13,8 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graph_model import PcnGraph
 
 
@@ -70,29 +68,16 @@ def _route_arcs(g: PcnGraph, source: int, target: int,
     arcs with balance >= `amount`, choosing the lexicographically smallest
     node-id sequence (then the smallest channel id per hop)."""
     view = g.channel_view()
-    usable, src, dst = g.routable(amount)
-    n = len(view.ids)
-    # Distances toward the target, one BFS level of reversed arcs at a
-    # time; levels below the source's are complete once it is reached.
-    dist = np.full(n, -1)
-    dist[target] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[target] = True
-    level = 0
-    while dist[source] < 0:
-        reached = np.zeros(n, dtype=bool)
-        reached[src[frontier[dst]]] = True
-        reached &= dist < 0
-        if not reached.any():
-            return None
-        level += 1
-        dist[reached] = level
-        frontier = reached
+    balance = g.balance.reshape(-1)
+    dist = view.hops_to(target, balance, amount, stop=source)
+    if dist[source] < 0:
+        return None
     arcs = []
     cur = source
-    for hops_left in range(level - 1, -1, -1):
+    for hops_left in range(int(dist[source]) - 1, -1, -1):
         lo, hi = view.indptr[cur], view.indptr[cur + 1]
-        step = usable[lo:hi] & (dist[view.dst[lo:hi]] == hops_left)
+        step = ((balance[view.slot[lo:hi]] >= amount)
+                & (dist[view.dst[lo:hi]] == hops_left))
         x = int(lo + step.argmax())
         arcs.append(x)
         cur = int(view.dst[x])

@@ -111,6 +111,7 @@ class TestAnalyze:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: goodness of fit needs synthetic_runs >= 1"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestAttack:
@@ -231,6 +232,16 @@ class TestAttack:
             main(["attack", "--snapshot", er_snapshot,
                   "--out", str(tmp_path / "x"), "--strategy", "degree"])
 
+    def test_both_sweeps_are_an_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["attack", "--snapshot", FIXTURE, "--out", str(out),
+                  "--strategy", "degree", "--n-sweep", "1:2",
+                  "--budget-sweep", "5"])
+        assert exit_info.value.code != 0
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRobustness:
     def test_k10_fixture_never_splits(self, tmp_path):
@@ -288,6 +299,9 @@ class TestRobustness:
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--betweenness-sources", "0"],
+    ["analyze", "--smallworld-runs", "-2"],
+    # the fixture's fit fails, so the bootstrap would never run
+    ["analyze", "--gof-runs", "0"],
     ["robustness", "--failures", "1", "--reps", "0"],
     ["attack", "--strategy", "degree", "--n-sweep", "1:1", "--attempts", "0"],
     ["attack", "--strategy", "degree", "--n-sweep", "1:1",
@@ -298,6 +312,7 @@ def test_zero_counts_are_one_line(tmp_path, capsys, argv):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def run_fresh(code: str) -> None:

@@ -178,7 +178,8 @@ class TestChannelView:
         ps.route_payment(g, ps.PaymentSpec("a", "b", 20_000), apply=True)
         assert g.channel_view() is view
         arc_balance = {(view.ids[u], view.ids[v]): int(bal) for u, v, bal
-                       in zip(view.src, view.dst, view.balance)}
+                       in zip(view.src, view.dst,
+                              g.balance_digraph()[view.slot])}
         assert arc_balance == {("a", "h"): 30_000, ("h", "a"): 70_000,
                                ("h", "b"): 30_000, ("b", "h"): 70_000}
 
@@ -261,6 +262,11 @@ class TestSuccessRatio:
                 (*pair, VOLS.sample(rng))
 
 
+# nine unit channels funded one way; a maximum s-t flow of 2 needs the
+# second unit to cancel the first one's arc a -> b
+CANCELLING_PATHS = ["sa", "ab", "bt", "sc", "cd", "db", "ae", "ef", "ft"]
+
+
 class TestMaxFlow:
     def test_bottleneck_path(self):
         g = graph_from_dict({
@@ -284,6 +290,16 @@ class TestMaxFlow:
             ],
         })
         assert ps.max_flow(g, "s", "t") == 10
+
+    def test_second_unit_cancels_the_first_path(self):
+        # the shortest path s-a-b-t takes a-b's only unit; the second unit
+        # of flow, s-c-d-b-a-e-f-t, crosses a-b backwards, so it exists
+        # only if pushing along a-b credits b->a
+        g = explicit_channels([(f"c{i}", x, y, 1, 0)
+                               for i, (x, y) in enumerate(CANCELLING_PATHS)])
+        assert ps.max_flow(g, "s", "t") == 2
+        assert ps.max_flow(g, "s", "t") == \
+            augmenting_path_max_flow(balance_caps(g), "s", "t")
 
     def test_disconnected_is_zero(self):
         g = make_graph(["a", "b", "x", "y"], [("a", "b"), ("x", "y")])
@@ -372,12 +388,22 @@ FLOW_BALANCES = [0, 1, 2, 2**31 - 1, 2**31, 2**31 + 1,
 @st.composite
 def flow_cases(draw):
     """Explicit-balance graphs with parallel and antiparallel channels and
-    zero sides, and a terminal pair."""
-    ids = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
+    zero sides, and a terminal pair. Some hold the channels of
+    `CANCELLING_PATHS` on relabelled nodes, in a shuffled order, with s and
+    t as the terminals."""
+    planted = draw(st.booleans())
+    ids = [f"v{i}" for i in range(draw(
+        st.integers(8, 10) if planted else st.integers(2, 7)))]
     pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
         lambda p: p[0] != p[1])
     balance = st.one_of(st.sampled_from(FLOW_BALANCES), st.integers(0, 20))
     edges = []
+    if planted:
+        name = dict(zip("sabcdeft", draw(st.permutations(ids))))
+        for x, y in draw(st.permutations(CANCELLING_PATHS)):
+            edges.append({"channel_id": f"c{len(edges)}", "node1_pub": name[x],
+                          "node2_pub": name[y], "capacity": 1,
+                          "node1_balance": 1, "node2_balance": 0})
     for (a, b), ab, ba in draw(st.lists(st.tuples(pair, balance, balance),
                                         max_size=14)):
         capacity = max(1, ab + ba)
@@ -389,7 +415,7 @@ def flow_cases(draw):
                       "node1_balance": ab, "node2_balance": ba})
     g = graph_from_dict({"nodes": [{"pub_key": v} for v in ids],
                          "edges": edges}, balance_model="explicit")
-    return g, draw(pair)
+    return g, (name["s"], name["t"]) if planted else draw(pair)
 
 
 @settings(max_examples=300, deadline=None)
