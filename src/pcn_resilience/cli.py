@@ -196,9 +196,24 @@ def cmd_attack(args) -> int:
     return 0
 
 
+def _failure_counts(text: str) -> list[int]:
+    """The comma-separated node counts of --failures, each an int >= 0."""
+    counts = []
+    for part in text.split(","):
+        try:
+            count = int(part)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise ValueError(f"--failures has {part!r}, expected a count >= 0")
+        counts.append(count)
+    return counts
+
+
 def cmd_robustness(args) -> int:
+    # checked before the snapshot loads, so that a bad count writes nothing
+    failures = _failure_counts(args.failures)
     seed, g, meta, comment = _setup(args)
-    failures = [int(f) for f in args.failures.split(",")]
     result = random_failure_experiment(g, failures, runs=args.reps, seed=seed)
     if args.format == "csv":
         lines = [comment, "failures,mean_components"]

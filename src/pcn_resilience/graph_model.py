@@ -14,12 +14,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 # Fallback policy when a snapshot omits one side (common network defaults).
 DEFAULT_BASE_FEE_MSAT = 1000
@@ -252,10 +248,8 @@ class SimpleView:
     Node ids and their ints are the graph's `ids` and `index`. CSR row i
     (`rows`, `indices`, `indptr`) lists node i's neighbours once each, in
     the order of the first channel (in record order) joining the two, with
-    their summed `capacity`, and `adjacency`, a scipy matrix built on first
-    use, holds the same entries as ones; `insertion` is the node set's
-    iteration order. These are the orders of the networkx graph
-    betweenness reproduces.
+    their summed `capacity`; `insertion` is the node set's iteration order.
+    These are the orders of the networkx graph betweenness reproduces.
     """
 
     def __init__(self, g: PcnGraph):
@@ -274,13 +268,6 @@ class SimpleView:
         self.indices = np.concatenate((b[first], a[first]))[order]
         self.capacity = np.tile(summed, 2)[order]
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
-
-    @cached_property
-    def adjacency(self) -> csr_array:
-        from scipy.sparse import csr_array
-        n = len(self.ids)
-        return csr_array((np.ones(len(self.indices), dtype=np.int64),
-                          self.indices, self.indptr), shape=(n, n))
 
 
 def _column(*shape, dtype=np.int64):
@@ -331,7 +318,7 @@ class PcnGraph:
     other columns are read-only and shared with copies. `copy()`,
     `induced_subgraph`, `remove_nodes` and `remove_channels` return graphs
     without views or caches, except the channel-id order that `copy()` and
-    `induced_subgraph` carry.
+    `induced_subgraph` carry and the `ChannelView` that `copy()` shares.
     """
 
     nodes: set[str] = field(default_factory=set)
@@ -414,9 +401,10 @@ class PcnGraph:
 
     def copy(self) -> "PcnGraph":
         """A graph with its own node set and balances. A channel-id order
-        the graph has built is shared; its views are built again on first
-        use."""
+        and a `ChannelView` the graph has built are shared, as neither
+        holds balances; the `SimpleView` is built again on first use."""
         out = replace(self, nodes=set(self.nodes), balance=self.balance.copy())
+        out._view = self._view  # `replace` leaves init=False fields unset
         if "channel_order" in vars(self):
             out.channel_order = self.channel_order
         return out

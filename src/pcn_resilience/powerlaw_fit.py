@@ -92,14 +92,18 @@ def _mle_alpha(x_min, n, log_sum) -> np.ndarray:
 def _ks_distances(values, starts, n, cand, alpha) -> list[float]:
     """Max |empirical - model| CDF gap of each candidate's fit over its
     tail's distinct values, `values[cand[j]:]`. `starts[v]` counts the n
-    observations below `values[v]`."""
+    observations below `values[v]`. The tails are laid end to end, so one
+    `zeta` call serves every candidate, and a reduceat takes each gap."""
     upto = np.append(starts[1:], n)  # observations <= values[v]
-    ks = []
-    for first, a in zip(cand.tolist(), alpha.tolist()):
-        emp_cdf = (upto[first:] - starts[first]) / (n - starts[first])
-        model_cdf = 1.0 - zeta(a, values[first:] + 1) / zeta(a, values[first])
-        ks.append(float(np.max(np.abs(emp_cdf - model_cdf))))
-    return ks
+    length = len(values) - cand
+    offset = np.cumsum(length) - length
+    at = np.arange(length.sum()) + np.repeat(cand - offset, length)
+    below = np.repeat(starts[cand], length)
+    emp_cdf = (upto[at] - below) / (n - below)
+    z = zeta(np.concatenate((np.repeat(alpha, length), alpha)),
+             np.concatenate((values[at] + 1, values[cand])))
+    model_cdf = 1.0 - z[:len(at)] / np.repeat(z[len(at):], length)
+    return np.maximum.reduceat(np.abs(emp_cdf - model_cdf), offset).tolist()
 
 
 def fit_power_law(degrees) -> FitResult:

@@ -13,7 +13,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -215,48 +214,77 @@ def eigenvector_centrality(g: PcnGraph, weighted: bool = False,
 def transitivity(g: PcnGraph) -> float:
     """3 * triangles / length-2 paths on the simple projection: the integer
     ratio trace(A³) / Σ d(d − 1), or the integer 0 without a triangle, as
-    `networkx.transitivity` gives it; 0.0 for a graph without nodes."""
+    `networkx.transitivity` gives it; 0.0 for a graph without nodes.
+
+    trace(A³) is six times the triangle count. Each neighbour pair is
+    oriented from the endpoint of lower (degree, node) rank, so a node has
+    few out-neighbours; a triangle is the one out-pair of its lowest node
+    whose two ends are neighbours, looked up among the sorted arc keys."""
     view = g.simple_graph()
-    if not view.ids:
+    n = len(view.ids)
+    if not n:
         return 0.0
-    adj = view.adjacency
-    closed = int((adj @ adj).multiply(adj).sum())
+    rows, cols = view.rows, view.indices
+    degree = np.diff(view.indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), degree))] = np.arange(n)
+    out = rank[rows] < rank[cols]
+    head, tail = rows[out], cols[out]  # grouped by head, as `rows` is
+    # pair each out-arc with the out-arcs after it in its head's row
+    row_end = np.searchsorted(head, head, side="right")
+    later = row_end - np.arange(len(head)) - 1
+    first = np.repeat(np.arange(len(head)), later)
+    second = (np.arange(len(first))
+              - np.repeat(np.cumsum(later) - later, later) + first + 1)
+    keys = np.sort(rows * n + cols)
+    query = tail[first] * n + tail[second]
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    closed = 6 * int(np.count_nonzero(keys[at] == query))
     if closed == 0:
         return 0
-    degree = np.diff(view.indptr)
     return closed / int((degree * (degree - 1)).sum())
 
 
-# Sources per distance block: a block's BFS levels are sparse products with
-# an n × DISTANCE_BLOCK float32 frontier, about 11 · n · DISTANCE_BLOCK bytes
-# in all. 128 measured fastest from 1,200 to 15,000 nodes on 2 vCPUs.
-DISTANCE_BLOCK = 128
+# Sources per distance block: a block's BFS keeps one bit per (source,
+# node) in ceil(DISTANCE_BLOCK / 64) rows of n uint64 words, and each level
+# gathers a word per arc and row. 64, one row, measured fastest at 1,200
+# and at 15,000 nodes on 2 vCPUs.
+DISTANCE_BLOCK = 64
 
 
 def distance_stats(g: PcnGraph) -> tuple[int, float]:
     """(diameter, average distance) over the ordered pairs of distinct
     nodes joined by a path, or (0, 0.0) without one: an exact BFS from
-    every node, DISTANCE_BLOCK sources at a time. Column b of the frontier
-    marks the block's b-th source's current level and one product with
-    the adjacency finds the next; the Python-int sum of distances is exact."""
+    every node, DISTANCE_BLOCK sources at a time, bit-parallel (Then et
+    al., "The More the Merrier", VLDB 2014). Bit b % 64 of word row b // 64
+    marks the block's b-th source; a level ORs the frontier words of each
+    node's neighbours together and keeps the bits not seen before, and
+    their popcount is the number of pairs at that distance. Nodes without
+    a neighbour are left out: they reach no node and none reaches them.
+    The Python-int sum of distances is exact."""
     view = g.simple_graph()
-    n = len(view.ids)
-    adj = view.adjacency.astype(np.float32)
+    linked = view.indptr[1:] > view.indptr[:-1]
+    n = int(np.count_nonzero(linked))
+    row_starts = view.indptr[:-1][linked]
+    neighbours = (np.cumsum(linked) - 1)[view.indices]  # renumbered
     diameter, total, pairs = 0, 0, 0
     for lo in range(0, n, DISTANCE_BLOCK):
-        frontier = np.eye(n, min(DISTANCE_BLOCK, n - lo), -lo, dtype=np.float32)
-        seen = frontier > 0
+        b = np.arange(min(DISTANCE_BLOCK, n - lo))
+        seen = np.zeros((-(-len(b) // 64), n), dtype=np.uint64)
+        seen[b // 64, lo + b] = np.uint64(1) << (b % 64).astype(np.uint64)
+        frontier = seen
         level = 0
         while True:
-            fresh = (adj @ frontier > 0) > seen  # reached now, not before
-            count = int(np.count_nonzero(fresh))
+            frontier = np.bitwise_or.reduceat(
+                np.take(frontier, neighbours, axis=1), row_starts, axis=1)
+            frontier &= ~seen
+            count = int(np.bitwise_count(frontier).sum())
             if not count:
                 break
             level += 1
             total += level * count
             pairs += count
-            seen |= fresh
-            frontier[...] = fresh
+            seen |= frontier
         diameter = max(diameter, level)
     return diameter, total / pairs if pairs else 0.0
 
@@ -295,7 +323,7 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
 
     g = PcnGraph(nodes={f"n{i}" for i in range(n)})
     node = np.array([g.index[f"n{i}"] for i in range(n)], dtype=np.int64)
-    ends = node[np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)]
+    ends = node[edges]
     m = len(ends)
     return replace(g, channel_ids=np.array([f"ref{i}" for i in range(m)], dtype=object),
                    ends=ends, capacity=np.ones(m, dtype=np.int64),
@@ -304,22 +332,38 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
                    fee_rate=np.full((m, 2), DEFAULT_RATE_PPM))
 
 
-def _gnm_edges(n: int, m: int, seed: int) -> set[tuple[int, int]]:
-    """Edges (u, v), u < v, of `networkx.gnm_random_graph(n, m, seed)`."""
+def _gnm_edges(n: int, m: int, seed: int) -> np.ndarray:
+    """Edges (u, v), u < v, of `networkx.gnm_random_graph(n, m, seed)` as
+    sorted (m, 2) rows.
+
+    networkx draws u and v by `rng.choice(range(n))` and keeps the first m
+    distinct pairs with u != v. A choice is CPython's `_randbelow`: the next
+    32-bit Mersenne-Twister word shifted down to n.bit_length() bits, drawn
+    again while it is >= n. `getrandbits(32 * k)` returns the next k words,
+    the first in the lowest bits, so the words are read in bulk, batch after
+    batch until enough pairs survive; words drawn past them are unused."""
     if m >= n * (n - 1) / 2:
-        return set(combinations(range(n), 2))
-    rng, edges = random.Random(seed), set()
-    while len(edges) < m:
-        u, v = rng.choice(range(n)), rng.choice(range(n))
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return edges
+        return np.column_stack(np.triu_indices(n, 1))
+    rng, shift = random.Random(seed), 32 - n.bit_length()
+    drawn, batch = np.zeros(0, dtype=np.int64), 4 * m + 64
+    while True:
+        words = np.frombuffer(rng.getrandbits(32 * batch).to_bytes(
+            4 * batch, "little"), dtype="<u4") >> shift
+        drawn = np.concatenate((drawn, words[words < n]))
+        u, v = drawn[:len(drawn) - 1:2], drawn[1::2]
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        keys, first = np.unique(keys[u != v], return_index=True)
+        if len(keys) >= m:
+            keys = np.sort(keys[np.argsort(first)[:m]])
+            return np.column_stack((keys // n, keys % n))
+        batch *= 2
 
 
-def _barabasi_albert_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
-    """Edges (u, v), u < v, of `networkx.barabasi_albert_graph(n, m, seed)`:
-    a star on 0..m, then each new node joins m distinct targets drawn from
-    the list of edge endpoints, extended in the target set's order."""
+def _barabasi_albert_edges(n: int, m: int, seed: int) -> np.ndarray:
+    """Edges (u, v), u < v, of `networkx.barabasi_albert_graph(n, m, seed)`
+    as sorted rows: a star on 0..m, then each new node joins m distinct
+    targets drawn from the list of edge endpoints, extended in the target
+    set's order."""
     rng, edges = random.Random(seed), [(0, v) for v in range(1, m + 1)]
     repeated = [0] * m + list(range(1, m + 1))
     for source in range(m + 1, n):
@@ -328,7 +372,7 @@ def _barabasi_albert_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
             targets.add(rng.choice(repeated))
         edges += [(t, source) for t in targets]
         repeated += [*targets] + [source] * m
-    return edges
+    return np.array(sorted(edges), dtype=np.int64)
 
 
 def smallworld_coefficient(g: PcnGraph, reference_runs: int = 10, seed: int = 0):

@@ -315,6 +315,18 @@ def test_zero_counts_are_one_line(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("failures, bad", [("-1", "'-1'"), ("3,1.5", "'1.5'"),
+                                           ("2,x", "'x'"), ("2,,4", "''")])
+def test_bad_failures_are_named_before_loading(tmp_path, capsys, failures, bad):
+    # a snapshot that does not exist shows the counts are checked first
+    rc = main(["robustness", "--snapshot", str(tmp_path / "absent.json"),
+               "--out", str(tmp_path / "o.csv"), f"--failures={failures}"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --failures has {bad}, expected a count >= 0"]
+    assert not (tmp_path / "o.csv").exists()
+
+
 def run_fresh(code: str) -> None:
     """Run `code` in a new interpreter that imports this package."""
     src = str(Path(cli.__file__).parents[1])
@@ -347,7 +359,7 @@ def test_networkx_stays_unimported(tmp_path):
       "--payment-samples", "4", "--attempts", "4", "--flow-rounds", "2"],
      "scipy", None),
     (["analyze", "--reference", "erdos-renyi", "--gof-runs", "2"],
-     "scipy.sparse.csgraph", "scipy.special"),
+     "scipy.sparse", "scipy.special"),
 ])
 def test_scipy_loads_where_it_is_called(tmp_path, argv, absent, present):
     # importing the CLI loads no scipy module; each subcommand loads only

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcn_resilience import payment_sim as ps
-from pcn_resilience.graph_model import MAX_SAT, graph_from_dict, remove_nodes
+from pcn_resilience.graph_model import (MAX_SAT, graph_from_dict, remove_channels,
+                                        remove_nodes)
 from pcn_resilience.topology_metrics import generate_reference
 
 from oracles import (augmenting_path_max_flow, balance_caps,
@@ -183,14 +184,19 @@ class TestChannelView:
         assert arc_balance == {("a", "h"): 30_000, ("h", "a"): 70_000,
                                ("h", "b"): 30_000, ("b", "h"): 70_000}
 
-    def test_copies_and_subgraphs_build_their_own_view(self):
+    def test_copies_share_the_view_and_subgraphs_build_their_own(self):
+        # the view holds no balances, so a copy reuses it; a subgraph has
+        # other arcs and needs its own
         g = make_graph(["a", "h", "b", "x"], [("a", "h"), ("h", "b"), ("b", "x")],
                        capacity=50_000)
         view = g.channel_view()
         copied = g.copy()
         reduced = remove_nodes(g, ["x"])
-        for h in (copied, reduced):
-            assert h.channel_view() is not view
+        trimmed = remove_channels(g, ["c2"])
+        assert copied.channel_view() is view
+        assert reduced.channel_view() is not view
+        assert trimmed.channel_view() is not view
+        for h in (copied, reduced, trimmed):
             ps.route_payment(h, ps.PaymentSpec("a", "b", 50_000), apply=True)
         assert balances(g) == {"c0": (50_000, 50_000), "c1": (50_000, 50_000),
                                "c2": (50_000, 50_000)}

@@ -249,6 +249,12 @@ class TestTransitivity:
             assert tm.transitivity(g) == pytest.approx(
                 brute_transitivity(g.nodes, adjacency(g)), abs=1e-12)
 
+    @pytest.mark.parametrize("kind, edges", [("erdos-renyi", 900),
+                                             ("barabasi-albert", 450)])
+    def test_matches_networkx_exactly(self, kind, edges):
+        g = tm.generate_reference(kind, 150, edges, seed=3)
+        assert tm.transitivity(g) == nx.transitivity(reference_simple_graph(g))
+
     def test_relabel_invariance(self):
         rng = random.Random(9)
         g = random_small_graph(rng, n=8)
@@ -324,6 +330,21 @@ def test_distance_stats_matches_reference_bfs(g, block):
         assert tm.distance_stats(g) == want
 
 
+@pytest.mark.parametrize("block", [1, 63, 64, 65, None])
+@pytest.mark.parametrize("n, seed", [(100, 0), (190, 1), (300, 2)])
+def test_distance_stats_matches_reference_across_words(n, seed, block):
+    # about one channel per node leaves a giant component, small ones and
+    # isolated nodes; blocks of 63 to 65 sources fill a 64-bit word short,
+    # exactly and one past it, and "v7x" is an isolated node mid-order
+    rng = random.Random(seed)
+    nodes = [f"v{i}" for i in range(n)]
+    g = make_graph(nodes + ["v7x"], [tuple(rng.sample(nodes, 2))
+                                     for _ in range(n)])
+    want = reference_distances(g)
+    with mock.patch.object(tm, "DISTANCE_BLOCK", block or tm.DISTANCE_BLOCK):
+        assert tm.distance_stats(g) == want
+
+
 class TestCentralPointDominance:
     def test_star(self):
         leaves = [f"l{i}" for i in range(5)]
@@ -365,8 +386,9 @@ class TestGenerateReference:
 
 def reference_cases():
     """(kind, n, target_edges) on a grid, with n = 2, the complete graph
-    (no random draw) and barabasi-albert with m = n - 1."""
-    for n in (2, 3, 5, 12, 40, 150):
+    (no random draw), barabasi-albert with m = n - 1, and powers of two,
+    whose draws take one bit more than n - 1 needs."""
+    for n in (2, 3, 5, 12, 40, 64, 150, 256):
         complete = n * (n - 1) // 2
         for edges in sorted({0, 1, n, 3 * n, complete - 1, complete}):
             if 0 <= edges <= complete:
