@@ -137,27 +137,30 @@ def exhaust_channel(g: PcnGraph, channel_id: str, direction: str = "ab") -> PcnG
     return out
 
 
+def _node_slots(g: PcnGraph, v: str) -> np.ndarray:
+    """Slots of the arcs out of node `v`: its row of the `ChannelView`."""
+    if v not in g.nodes:
+        raise KeyError(f"unknown node {v}")
+    return g.channel_view().row(g.index[v])
+
+
 def exhaust_node_channels(g: PcnGraph, v: str) -> PcnGraph:
     """New graph with every outbound balance of `v` drained (counterparties
     credited); the node and its channels stay in the graph."""
-    if v not in g.nodes:
-        raise KeyError(f"unknown node {v}")
+    slots = _node_slots(g, v)
     out = g.copy()
-    slots = out.out_slots(v)
     out.shift(slots, out.balance.reshape(-1)[slots])
     return out
 
 
 def isolation_cost(g: PcnGraph, v: str) -> int:
     """Funds an attacker needs to drain every outbound channel of `v`."""
-    return g.outbound_balance(v)
+    return sum(g.balance.reshape(-1)[_node_slots(g, v)].tolist())
 
 
 def isolate_node(g: PcnGraph, v: str) -> tuple[PcnGraph, int]:
     """Remove `v` from the routable graph; the cost is the sum of its
     outbound balances."""
-    if v not in g.nodes:
-        raise KeyError(f"unknown node {v}")
     cost = isolation_cost(g, v)
     return remove_nodes(g, [v]), cost
 

@@ -7,6 +7,9 @@ Subcommands:
 
 Every emitted report embeds the tool version, the seed, and a hash of the
 run configuration; identical configurations produce byte-identical files.
+Across processes, `analyze`'s metrics.json (or .csv) is the exception:
+betweenness follows the node set's iteration order, so the file also
+depends on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -64,18 +67,23 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_sweep(text: str) -> list[int]:
-    parts = [int(p) for p in text.split(":")]
-    if len(parts) not in (2, 3):
-        raise ValueError(f"bad sweep spec {text!r}, expected start:end[:step]")
-    start, end, step = (parts + [1])[:3]
-    if step <= 0:
-        raise ValueError(f"sweep {text!r} has step {step}, expected >= 1")
-    return list(range(start, end + 1, step))
-
-
-def _sweep_points(kind: str, values: list[int], text: str) -> list[tuple]:
-    """The (kind, value) constraints of a sweep: at least one, none negative."""
+def _sweep(kind: str, text: str) -> list[tuple]:
+    """The (kind, value) constraints of a count sweep start:end[:step] or a
+    comma-separated budget sweep: at least one point, none negative."""
+    values = []
+    for part in text.split(":" if kind == "count" else ","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise ValueError(
+                f"sweep {text!r} has {part!r}, expected an integer") from None
+    if kind == "count":
+        if len(values) not in (2, 3):
+            raise ValueError(f"bad sweep spec {text!r}, expected start:end[:step]")
+        start, end, step = (values + [1])[:3]
+        if step <= 0:
+            raise ValueError(f"sweep {text!r} has step {step}, expected >= 1")
+        values = list(range(start, end + 1, step))
     if not values:
         raise ValueError(f"sweep {text!r} has no points")
     if min(values) < 0:
@@ -149,18 +157,14 @@ def _g6(x: float | None) -> str:
 
 
 def cmd_attack(args) -> int:
-    seed, g, meta, comment = _setup(args)
+    # checked before the snapshot loads, so that bad input writes nothing
+    points = (_sweep("count", args.n_sweep) if args.n_sweep is not None
+              else _sweep("budget", args.budget_sweep))
     volumes = load_volumes(args.volumes) if args.volumes else UNIT_VOLUMES
     metric_params = MetricParams(attempts=args.attempts,
                                  flow_rounds=args.flow_rounds,
                                  volumes=volumes, hub=args.hub)
-
-    if args.n_sweep is not None:
-        points = _sweep_points("count", _parse_sweep(args.n_sweep), args.n_sweep)
-    else:
-        points = _sweep_points("budget", [int(b) for b in
-                                          args.budget_sweep.split(",")],
-                               args.budget_sweep)
+    seed, g, meta, comment = _setup(args)
 
     kinds = list(STRATEGY_KINDS) if "all" in args.strategy else args.strategy
     limit = args.plan_limit

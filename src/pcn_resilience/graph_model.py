@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import gc
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
@@ -36,45 +35,6 @@ class ValidationError(Exception):
     """Snapshot parsed but violates a graph invariant."""
 
 
-@dataclass(frozen=True)
-class FeePolicy:
-    base_fee_msat: int = DEFAULT_BASE_FEE_MSAT
-    rate_ppm: int = DEFAULT_RATE_PPM
-
-    def __post_init__(self):
-        if self.base_fee_msat < 0 or self.rate_ppm < 0:
-            raise ValidationError("fee policy fields must be non-negative")
-
-    def fee_msat(self, amount_sat: int) -> int:
-        """Forwarding fee in msat for routing `amount_sat` satoshis."""
-        return self.base_fee_msat + (amount_sat * self.rate_ppm) // 1000
-
-
-@dataclass(frozen=True)
-class ChannelEdge:
-    """One channel of a `PcnGraph`, read from its columns."""
-
-    channel_id: str
-    a: str
-    b: str
-    capacity: int
-    balance_ab: int
-    balance_ba: int
-    policy_ab: FeePolicy = field(default_factory=FeePolicy)
-    policy_ba: FeePolicy = field(default_factory=FeePolicy)
-
-    def _side(self, v: str) -> int:
-        if v not in (self.a, self.b):
-            raise KeyError(f"{v} is not an endpoint of channel {self.channel_id}")
-        return int(v != self.a)
-
-    def balance(self, src: str) -> int:
-        return (self.balance_ab, self.balance_ba)[self._side(src)]
-
-    def policy(self, src: str) -> FeePolicy:
-        return (self.policy_ab, self.policy_ba)[self._side(src)]
-
-
 class ChannelView:
     """The directed arcs of a graph's channels, for routing, max flow and
     minimum cuts.
@@ -97,6 +57,10 @@ class ChannelView:
         self.src, self.dst = src[self.slot], dst[self.slot]
         self.indptr = np.searchsorted(self.src, np.arange(len(self.ids) + 1))
         self.degree = np.diff(self.indptr)
+
+    def row(self, i: int) -> np.ndarray:
+        """Slots of the arcs out of node `i`."""
+        return self.slot[self.indptr[i]:self.indptr[i + 1]]
 
     def open_arcs(self, nodes: np.ndarray, residual: np.ndarray, least: int,
                   side: int = 0) -> np.ndarray:
@@ -139,8 +103,8 @@ class ChannelView:
         channel's two sides together. The search ends once t is cut off or
         the flow reaches the residual out of s or into t, whichever is
         smaller (summed as Python ints)."""
-        bound = min(sum(residual[self.slot[self.indptr[v]:self.indptr[v + 1]]
-                                 ^ side].tolist()) for v, side in ((s, 0), (t, 1)))
+        bound = min(sum(residual[self.row(v) ^ side].tolist())
+                    for v, side in ((s, 0), (t, 1)))
         total = 0
         while total < bound:
             arcs = self._shortest_path_arcs(residual, s, t)
@@ -274,27 +238,6 @@ def _column(*shape, dtype=np.int64):
     return field(default_factory=lambda: np.zeros(shape, dtype=dtype))
 
 
-class _Channels(Mapping):
-    """`PcnGraph.edges`: channel id -> `ChannelEdge`, built on access."""
-
-    def __init__(self, g: PcnGraph):
-        self._g = g
-
-    def __getitem__(self, cid) -> ChannelEdge:
-        g = self._g
-        c = g.channel_index[cid]
-        a, b = g.ends[c].tolist()
-        return ChannelEdge(cid, g.ids[a], g.ids[b], int(g.capacity[c]),
-                           *g.balance[c].tolist(), g.policy(2 * c),
-                           g.policy(2 * c + 1))
-
-    def __iter__(self):
-        return iter(self._g.channel_ids.tolist())
-
-    def __len__(self) -> int:
-        return self._g.edge_count
-
-
 @dataclass(eq=False)
 class PcnGraph:
     """A payment channel network, stored as columns.
@@ -306,8 +249,9 @@ class PcnGraph:
     `ends[c] = (a, b)`, `capacity[c]`, and per side `balance[c]`,
     `base_fee[c]` and `fee_rate[c]`: side 0 is a's outbound balance and fee
     policy, side 1 b's. Slot 2c + side names the arc out of `ends[c, side]`
-    and indexes every two-column array flattened. `edges` reads the columns
-    as `ChannelEdge` records.
+    and indexes every two-column array flattened. A channel exists only as
+    these columns: routing reads a hop's fee from the fee columns by slot,
+    and the attacks read a node's slots from its `ChannelView` row.
 
     Routing, max flow and minimum cuts run on a `ChannelView`, the topology
     measures on a `SimpleView`; each is built on first use, cached on the
@@ -351,10 +295,6 @@ class PcnGraph:
     def edge_count(self) -> int:
         return len(self.channel_ids)
 
-    @property
-    def edges(self) -> Mapping[str, ChannelEdge]:
-        return _Channels(self)
-
     @cached_property
     def channel_index(self) -> dict[str, int]:
         """Channel id -> record position, built on first use."""
@@ -365,15 +305,6 @@ class PcnGraph:
         """Record positions in channel-id order, built on first use."""
         return np.argsort(self.channel_ids)
 
-    def policy(self, slot: int) -> FeePolicy:
-        """Fee policy of the source of arc `slot`."""
-        return FeePolicy(int(self.base_fee.flat[slot]),
-                         int(self.fee_rate.flat[slot]))
-
-    def out_slots(self, v: str) -> np.ndarray:
-        """Slots of the arcs out of `v` (none for an unknown node)."""
-        return np.flatnonzero(self.ends.reshape(-1) == self.index.get(v, -1))
-
     def shift(self, slots, amounts) -> None:
         """Move `amounts` along the arcs `slots`: each leaves its source's
         side of the channel for the other side."""
@@ -382,18 +313,15 @@ class PcnGraph:
         np.subtract.at(flat, slots, amounts)
         np.add.at(flat, slots ^ 1, amounts)
 
-    def outbound_balance(self, v: str) -> int:
-        return sum(self.balance.reshape(-1)[self.out_slots(v)].tolist())
-
     def degrees(self) -> dict[str, int]:
         """Channel count (parallel channels each count) of every node."""
         counts = np.bincount(self.ends.reshape(-1), minlength=len(self.ids))
         return dict(zip(self.ids, counts.tolist()))
 
     def outbound_balances(self) -> dict[str, int]:
-        """`outbound_balance` of every node. The sums run over the 32-bit
-        halves of the balances, which float64 counts hold exactly for
-        fewer than 2**21 channels per node."""
+        """The summed outbound balance of every node. The sums run over the
+        32-bit halves of the balances, which float64 counts hold exactly
+        for fewer than 2**21 channels per node."""
         ends, flat = self.ends.reshape(-1), self.balance.reshape(-1)
         high, low = (np.bincount(ends, half, len(self.ids)).astype(np.int64)
                      .tolist() for half in (flat >> 32, flat & 0xFFFFFFFF))
@@ -467,7 +395,9 @@ class PcnGraph:
 
 
 def _parse_policy(raw) -> tuple[int, int]:
-    """(base fee, fee rate) of one side's policy record."""
+    """(base fee, fee rate) of one side's policy record, checked to be
+    non-negative; with the u32 check in `graph_from_dict`, these are the
+    only fee checks."""
     if not raw:
         return DEFAULT_BASE_FEE_MSAT, DEFAULT_RATE_PPM
     if not isinstance(raw, dict):

@@ -57,49 +57,50 @@ UNIT_VOLUMES = VolumeModel(volumes=(1,))
 
 
 def load_volumes(path) -> VolumeModel:
-    """Volume file: one positive integer (satoshi) per line."""
+    """Volume file: one positive integer (satoshi) per line, blank lines
+    skipped. A bad line is named by the file and its line number."""
     with open(path, encoding="utf-8") as f:
-        return VolumeModel(volumes=tuple(int(line) for line in f if line.strip()))
-
-
-def _route_arcs(g: PcnGraph, source: int, target: int,
-                amount: int) -> list[int] | None:
-    """Arcs of the hop-count shortest path from `source` to `target` over
-    arcs with balance >= `amount`, choosing the lexicographically smallest
-    node-id sequence (then the smallest channel id per hop)."""
-    view = g.channel_view()
-    balance = g.balance.reshape(-1)
-    dist = view.hops_to(target, balance, amount, stop=source)
-    if dist[source] < 0:
-        return None
-    arcs = []
-    cur = source
-    for hops_left in range(int(dist[source]) - 1, -1, -1):
-        lo, hi = view.indptr[cur], view.indptr[cur + 1]
-        step = ((balance[view.slot[lo:hi]] >= amount)
-                & (dist[view.dst[lo:hi]] == hops_left))
-        x = int(lo + step.argmax())
-        arcs.append(x)
-        cur = int(view.dst[x])
-    return arcs
+        lines = [(n, line.strip()) for n, line in enumerate(f, 1) if line.strip()]
+    for number, text in lines:
+        if not text.isdecimal() or int(text) == 0:
+            raise ValueError(f"volume file {path} line {number} has {text!r}, "
+                             "expected a positive integer")
+    if not lines:
+        raise ValueError(f"volume file {path} has no volumes")
+    return VolumeModel(volumes=tuple(int(text) for _, text in lines))
 
 
 def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> PaymentOutcome:
-    """Route one payment. On success with `apply`, balances shift along the
-    path (reverse direction credited, so per-channel funds are conserved)."""
+    """Route one payment along the hop-count shortest path over the arcs
+    with balance >= amount, choosing the lexicographically smallest node-id
+    sequence (then the smallest channel id per hop). On success with
+    `apply`, balances shift along the path (reverse direction credited, so
+    per-channel funds are conserved)."""
     if spec.source not in g.nodes or spec.target not in g.nodes:
         raise KeyError("unknown payment endpoint")
-    view = g.channel_view()
-    arcs = _route_arcs(g, view.index[spec.source], view.index[spec.target],
-                       spec.amount)
-    if arcs is None:
+    view, balance, amount = g.channel_view(), g.balance.reshape(-1), spec.amount
+    cur = view.index[spec.source]
+    dist = view.hops_to(view.index[spec.target], balance, amount, stop=cur)
+    if dist[cur] < 0:
         return PaymentOutcome(success=False)
+    arcs = []
+    for hops_left in range(int(dist[cur]) - 1, -1, -1):
+        lo, hi = view.indptr[cur], view.indptr[cur + 1]
+        step = ((balance[view.slot[lo:hi]] >= amount)
+                & (dist[view.dst[lo:hi]] == hops_left))
+        arcs.append(int(lo + step.argmax()))
+        cur = int(view.dst[arcs[-1]])
 
-    path = [spec.source] + [view.ids[view.dst[x]] for x in arcs]
-    per_hop = {hop: g.policy(view.slot[x]).fee_msat(spec.amount)
-               for hop, x in zip(path[1:-1], arcs[1:])}
+    slots = view.slot[arcs]
+    path = [spec.source] + [view.ids[v] for v in view.dst[arcs].tolist()]
+    # each forwarding hop charges by the policy of the arc it sends on; on
+    # Python ints, as a u32 rate times a 21M BTC amount overflows int64
+    base = g.base_fee.reshape(-1)[slots[1:]].tolist()
+    rate = g.fee_rate.reshape(-1)[slots[1:]].tolist()
+    per_hop = {hop: b + amount * r // 1000
+               for hop, b, r in zip(path[1:-1], base, rate)}
     if apply:
-        g.shift(view.slot[arcs], spec.amount)
+        g.shift(slots, amount)
     return PaymentOutcome(success=True, path=path,
                           fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
 

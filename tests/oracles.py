@@ -11,7 +11,7 @@ generators. Only usable on small graphs.
 
 import copy
 import math
-from collections import deque
+from collections import deque, namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -121,10 +121,27 @@ def reference_components(nodes, edges):
     return sorted(comps, key=lambda c: (-len(c), min(c)))
 
 
+Channel = namedtuple("Channel", "channel_id a b capacity balance_ab balance_ba "
+                                "fee_ab fee_ba")
+
+
+def channels(g):
+    """Channel id -> `Channel` record, in record order, read from the
+    graph's columns. `a` and `b` are node ids, and `fee_ab` and `fee_ba`
+    are the (base fee msat, rate ppm) of the arcs out of a and out of b."""
+    return {cid: Channel(cid, g.ids[a], g.ids[b], capacity, balance_ab,
+                         balance_ba, (base_ab, rate_ab), (base_ba, rate_ba))
+            for cid, (a, b), capacity, (balance_ab, balance_ba),
+            (base_ab, base_ba), (rate_ab, rate_ba) in zip(
+                *(column.tolist() for column in (
+                    g.channel_ids, g.ends, g.capacity, g.balance,
+                    g.base_fee, g.fee_rate)))}
+
+
 def balance_caps(g):
     """Summed balance per direction, the max-flow oracle's input."""
     caps = {}
-    for e in g.edges.values():
+    for e in channels(g).values():
         caps[(e.a, e.b)] = caps.get((e.a, e.b), 0) + e.balance_ab
         caps[(e.b, e.a)] = caps.get((e.b, e.a), 0) + e.balance_ba
     return caps
@@ -164,7 +181,7 @@ def augmenting_path_max_flow(capacities, s, t):
 def reference_balances(g):
     """Each channel's (balance_ab, balance_ba): the state `reference_route`
     reads and shifts."""
-    return {cid: (e.balance_ab, e.balance_ba) for cid, e in g.edges.items()}
+    return {cid: (e.balance_ab, e.balance_ba) for cid, e in channels(g).items()}
 
 
 def reference_route(g, spec, balances, apply=False):
@@ -181,7 +198,7 @@ def reference_route(g, spec, balances, apply=False):
     if spec.source not in g.nodes or spec.target not in g.nodes:
         raise KeyError("unknown payment endpoint")
     adj = {v: {} for v in g.nodes}
-    for e in sorted(g.edges.values(), key=lambda e: e.channel_id):
+    for e in sorted(channels(g).values(), key=lambda e: e.channel_id):
         balance_ab, balance_ba = balances[e.channel_id]
         if balance_ab >= spec.amount and e.b not in adj[e.a]:
             adj[e.a][e.b] = e
@@ -205,8 +222,11 @@ def reference_route(g, spec, balances, apply=False):
     while path[-1] != spec.target:
         cur = path[-1]
         path.append(min(v for v in adj[cur] if dist.get(v, -1) == dist[cur] - 1))
-    per_hop = {hop: adj[hop][nxt].policy(hop).fee_msat(spec.amount)
-               for hop, nxt in zip(path[1:-1], path[2:])}
+    per_hop = {}
+    for hop, nxt in zip(path[1:-1], path[2:]):
+        e = adj[hop][nxt]
+        base, rate = e.fee_ab if hop == e.a else e.fee_ba
+        per_hop[hop] = base + (spec.amount * rate) // 1000
     if apply:
         for u, v in zip(path, path[1:]):
             e = adj[u][v]
@@ -222,7 +242,7 @@ def reference_distances(g):
     nodes joined by a path, by a queue-based BFS from every node; (0, 0.0)
     when there are none."""
     adj = {v: set() for v in g.nodes}
-    for e in g.edges.values():
+    for e in channels(g).values():
         adj[e.a].add(e.b)
         adj[e.b].add(e.a)
     dists = []
@@ -246,7 +266,7 @@ def reference_simple_graph(g):
 
     sg = nx.Graph()
     sg.add_nodes_from(g.nodes)
-    for e in g.edges.values():
+    for e in channels(g).values():
         if sg.has_edge(e.a, e.b):
             sg[e.a][e.b]["capacity"] += e.capacity
         else:
@@ -264,7 +284,7 @@ def reference_min_cut(g, s, t):
     if not nx.has_path(sg, s, t):
         return None
     _, (side_s, _) = nx.minimum_cut(sg, s, t, capacity="capacity")
-    return tuple(sorted(e.channel_id for e in g.edges.values()
+    return tuple(sorted(e.channel_id for e in channels(g).values()
                         if (e.a in side_s) != (e.b in side_s)))
 
 

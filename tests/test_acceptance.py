@@ -20,8 +20,8 @@ from pcn_resilience.cli import main as cli_main
 from pcn_resilience.graph_model import connected_components, graph_from_dict
 from pcn_resilience.payment_sim import VolumeModel
 
-from oracles import (augmenting_path_max_flow, brute_betweenness,
-                     brute_transitivity, reference_simple_graph,
+from oracles import (augmenting_path_max_flow, balance_caps, brute_betweenness,
+                     brute_transitivity, channels, reference_simple_graph,
                      union_find_components)
 
 
@@ -147,11 +147,7 @@ def test_criterion_5_oracle_equivalence():
                                    abs_tol=1e-12) for v in nodes)
         # max flow and min cut between a random reachable-or-not pair (exact)
         s, t = rng.sample(nodes, 2)
-        flow_caps = {}
-        for e in g.edges.values():
-            flow_caps[(e.a, e.b)] = flow_caps.get((e.a, e.b), 0) + e.balance_ab
-            flow_caps[(e.b, e.a)] = flow_caps.get((e.b, e.a), 0) + e.balance_ba
-        oracle_flow = augmenting_path_max_flow(flow_caps, s, t)
+        oracle_flow = augmenting_path_max_flow(balance_caps(g), s, t)
         ok &= ps.max_flow(g, s, t) == oracle_flow
         cut_value, _ = nx.minimum_cut(reference_simple_graph(g), s, t)
         ok &= cut_value == oracle_flow
@@ -237,10 +233,10 @@ def test_criterion_8_node_isolation_accounting():
     }, balance_model="explicit")
     cost = ae.isolation_cost(g, "A")
     drained = ae.exhaust_node_channels(g, "A")
-    outbound = [drained.edges[c].balance("A") for c in ("ab", "ac", "ad")]
-    counterparts = [drained.edges["ab"].balance("B"),
-                    drained.edges["ac"].balance("C"),
-                    drained.edges["ad"].balance("D")]
+    # A is the first endpoint of each channel, B, C and D the second
+    records = channels(drained)
+    outbound = [records[c].balance_ab for c in ("ab", "ac", "ad")]
+    counterparts = [records[c].balance_ba for c in ("ab", "ac", "ad")]
     removed, cost2 = ae.isolate_node(g, "A")
     ok = (cost == cost2 == 21 and outbound == [0, 0, 0]
           and counterparts == [10, 12, 16] and "A" not in removed.nodes)

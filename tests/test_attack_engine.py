@@ -13,7 +13,7 @@ from pcn_resilience.graph_model import (MAX_SAT, graph_from_dict,
                                         remove_nodes)
 from pcn_resilience.topology_metrics import generate_reference
 
-from oracles import (augmenting_path_max_flow, balance_caps,
+from oracles import (augmenting_path_max_flow, balance_caps, channels,
                      reference_balances, reference_drain,
                      reference_largest_component, reference_min_cut,
                      reference_remove_nodes, reference_route)
@@ -89,15 +89,15 @@ class TestExhaustChannel:
     def test_drain_and_credit(self):
         g = make_graph(["a", "b"], [("a", "b")], capacity=10)
         g2 = ae.exhaust_channel(g, "c0", "ab")
-        e = g2.edges["c0"]
+        e = channels(g2)["c0"]
         assert (e.balance_ab, e.balance_ba) == (0, 20)
         # input untouched
-        assert g.edges["c0"].balance_ab == 10
+        assert channels(g)["c0"].balance_ab == 10
 
     def test_idempotent_on_empty_direction(self):
         g = make_graph(["a", "b"], [("a", "b")], capacity=10)
         g2 = ae.exhaust_channel(ae.exhaust_channel(g, "c0", "ab"), "c0", "ab")
-        e = g2.edges["c0"]
+        e = channels(g2)["c0"]
         assert (e.balance_ab, e.balance_ba) == (0, 20)
 
     def test_unknown_channel(self):
@@ -109,8 +109,9 @@ class TestExhaustChannel:
         g = fig3_fixture()
         for cid in ("ab", "ac", "ad"):
             g = ae.exhaust_channel(g, cid, "ab")
-        assert [g.edges[c].balance_ab for c in ("ab", "ac", "ad")] == [0, 0, 0]
-        assert [g.edges[c].balance_ba for c in ("ab", "ac", "ad")] == [10, 12, 16]
+        records = channels(g)
+        assert [records[c].balance_ab for c in ("ab", "ac", "ad")] == [0, 0, 0]
+        assert [records[c].balance_ba for c in ("ab", "ac", "ad")] == [10, 12, 16]
 
 
 class TestIsolateNode:
@@ -119,13 +120,20 @@ class TestIsolateNode:
         g2, cost = ae.isolate_node(g, "A")
         assert cost == 21
         assert "A" not in g2.nodes
-        assert "ab" not in g2.edges
+        assert "ab" not in channels(g2)
 
     def test_exhaust_node_channels_keeps_node(self):
         g = ae.exhaust_node_channels(fig3_fixture(), "A")
         assert "A" in g.nodes
-        assert g.outbound_balance("A") == 0
-        assert [g.edges[c].balance_ba for c in ("ab", "ac", "ad")] == [10, 12, 16]
+        assert ae.isolation_cost(g, "A") == 0
+        assert [channels(g)[c].balance_ba for c in ("ab", "ac", "ad")] == [10, 12, 16]
+
+    def test_unknown_node_is_named(self):
+        g = fig3_fixture()
+        for attack in (ae.isolation_cost, ae.isolate_node,
+                       ae.exhaust_node_channels):
+            with pytest.raises(KeyError, match="unknown node ghost"):
+                attack(g, "ghost")
 
     def test_isolated_node_without_channels(self):
         g = make_graph(["a", "b", "x"], [("a", "b")])

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcn_resilience import attack_engine as ae
 from pcn_resilience.graph_model import (BALANCE_MODELS, MAX_SAT, PcnGraph,
                                         SnapshotError, ValidationError,
                                         connected_components, graph_from_dict,
                                         largest_connected_component,
                                         load_snapshot, remove_nodes)
 
-from oracles import union_find_components
+from oracles import channels, union_find_components
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_snapshot.json"
@@ -36,9 +37,9 @@ class TestLoadSnapshot:
         g = load_snapshot(FIXTURE)
         assert g.node_count == 3
         assert g.edge_count == 3
-        caps = sorted(e.capacity for e in g.edges.values())
+        caps = sorted(e.capacity for e in channels(g).values())
         assert caps == [75000, 100000, 125000]
-        for e in g.edges.values():
+        for e in channels(g).values():
             assert e.balance_ab == e.balance_ba == e.capacity
 
     @pytest.mark.parametrize("collecting", [True, False])
@@ -66,7 +67,7 @@ class TestLoadSnapshot:
 
     def test_half_split(self):
         g = load_snapshot(FIXTURE, balance_model="half-split")
-        for e in g.edges.values():
+        for e in channels(g).values():
             assert e.balance_ab == e.capacity // 2
 
     def test_empty_graph(self):
@@ -105,9 +106,8 @@ class TestLoadSnapshot:
 
     def test_default_fee_policy(self):
         g = load_snapshot(FIXTURE)
-        e = g.edges["ch3"]  # no policies in the fixture
-        assert e.policy_ab.base_fee_msat == 1000
-        assert e.policy_ab.rate_ppm == 1
+        e = channels(g)["ch3"]  # no policies in the fixture
+        assert e.fee_ab == e.fee_ba == (1000, 1)
 
     def test_round_trip(self, tmp_path):
         g = load_snapshot(FIXTURE)
@@ -115,12 +115,12 @@ class TestLoadSnapshot:
         out.write_text(json.dumps(g.to_snapshot_dict()))
         g2 = load_snapshot(out, balance_model="explicit")
         assert g2.nodes == g.nodes
-        assert set(g2.edges) == set(g.edges)
-        for cid, e in g.edges.items():
-            e2 = g2.edges[cid]
+        assert set(channels(g2)) == set(channels(g))
+        for cid, e in channels(g).items():
+            e2 = channels(g2)[cid]
             assert (e2.a, e2.b, e2.capacity) == (e.a, e.b, e.capacity)
             assert (e2.balance_ab, e2.balance_ba) == (e.balance_ab, e.balance_ba)
-            assert e2.policy_ab == e.policy_ab and e2.policy_ba == e.policy_ba
+            assert e2.fee_ab == e.fee_ab and e2.fee_ba == e.fee_ba
 
 
 def _edge(**fields):
@@ -191,9 +191,9 @@ class TestAmountBounds:
         # a split below the capacity (in-flight funds, reserves) is legal,
         # and so is the capacity-both-ways state `to_snapshot_dict` writes
         for ab, ba in ((2, 2), (5, 0), (5, 5)):
-            e = graph_from_dict(_edge(capacity=5, node1_balance=ab,
-                                      node2_balance=ba),
-                                balance_model="explicit").edges["c0"]
+            e = channels(graph_from_dict(_edge(capacity=5, node1_balance=ab,
+                                               node2_balance=ba),
+                                         balance_model="explicit"))["c0"]
             assert (e.balance_ab, e.balance_ba) == (ab, ba)
 
 
@@ -248,7 +248,7 @@ class TestComponents:
         g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
         lcc = largest_connected_component(g)
         assert lcc.nodes == g.nodes
-        assert set(lcc.edges) == set(g.edges)
+        assert set(channels(lcc)) == set(channels(g))
 
     def test_tie_break_smallest_member(self):
         g = make_graph(["a", "b", "x", "y"], [("a", "b"), ("x", "y")])
@@ -268,7 +268,7 @@ class TestComponents:
                        [("a", "b"), ("b", "c"), ("d", "e"), ("f", "g")])
         ours = sorted(sorted(c) for c in connected_components(g))
         oracle = sorted(sorted(c) for c in union_find_components(
-            g.nodes, [(e.a, e.b) for e in g.edges.values()]))
+            g.nodes, [(e.a, e.b) for e in channels(g).values()]))
         assert ours == oracle
 
 
@@ -318,7 +318,7 @@ def test_outbound_balances_match_per_node_query():
     g = explicit_channels([("c0", "b", "a", 7, 3), ("c1", "a", "b", 5, 2),
                            ("c2", "b", "c", 4, 0)])
     assert g.outbound_balances() == {"a": 8, "b": 13, "c": 0}
-    assert g.outbound_balances() == {v: g.outbound_balance(v) for v in g.nodes}
+    assert g.outbound_balances() == {v: ae.isolation_cost(g, v) for v in g.nodes}
 
 
 class TestRemoveNodes:
@@ -331,7 +331,7 @@ class TestRemoveNodes:
     def test_remove_nothing(self):
         g = make_graph(["a", "b"], [("a", "b")])
         g2 = remove_nodes(g, [])
-        assert g2.nodes == g.nodes and set(g2.edges) == set(g.edges)
+        assert g2.nodes == g.nodes and set(channels(g2)) == set(channels(g))
 
     def test_input_not_modified(self):
         g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -368,7 +368,7 @@ def test_remove_nodes_composes_over_disjoint_sets(data):
     combined = remove_nodes(g, a + b)
     stepwise = remove_nodes(remove_nodes(g, a), b)
     assert combined.nodes == stepwise.nodes
-    assert set(combined.edges) == set(stepwise.edges)
+    assert set(channels(combined)) == set(channels(stepwise))
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ from pcn_resilience.graph_model import (MAX_SAT, graph_from_dict, remove_channel
                                         remove_nodes)
 from pcn_resilience.topology_metrics import generate_reference
 
-from oracles import (augmenting_path_max_flow, balance_caps,
+from oracles import (augmenting_path_max_flow, balance_caps, channels,
                      reference_balances, reference_route)
 from test_graph_model import explicit_channels, make_graph
 
@@ -30,7 +30,7 @@ class TestRoutePayment:
         g = two_node_channel()
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 40_000), apply=True)
         assert out.success and out.path == ["a", "b"]
-        e = g.edges["c0"]
+        e = channels(g)["c0"]
         assert e.balance_ab == 60_000
         assert e.balance_ba == 140_000
         assert e.balance_ab + e.balance_ba == 2 * e.capacity
@@ -79,10 +79,6 @@ class TestRoutePayment:
         assert back.success
 
 
-def balances(g):
-    return {cid: (e.balance_ab, e.balance_ba) for cid, e in g.edges.items()}
-
-
 # Ids whose lexicographic order differs from their numeric order, so a
 # tie-break by position instead of by id shows up.
 ROUTE_IDS = ["n0", "n1", "n10", "n2", "n9", "a", "Z"]
@@ -91,27 +87,30 @@ ROUTE_IDS = ["n0", "n1", "n10", "n2", "n9", "a", "Z"]
 @st.composite
 def routing_cases(draw):
     """A small graph with parallel channels, tied shortest paths and
-    explicit balances, plus a sequence of read and write payments."""
+    explicit balances, plus a sequence of read and write payments. Small
+    balances make the amount filter matter; each side draws its own base
+    fee and rate, small or up to the u32 bound, so the rate term of a fee
+    is often non-zero and a fee read from the wrong side shows."""
     ids = draw(st.lists(st.sampled_from(ROUTE_IDS), min_size=2, max_size=7,
                         unique=True))
     pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
         lambda p: p[0] != p[1])
-    channels = draw(st.lists(
-        st.tuples(pair, st.integers(0, 12), st.integers(0, 12),
-                  st.integers(0, 3), st.integers(0, 3)),
+    fee = st.integers(0, 3) | st.integers(0, 2**32 - 1)
+    policy = st.fixed_dictionaries({"fee_base_msat": fee,
+                                    "fee_rate_milli_msat": fee})
+    drawn = draw(st.lists(
+        st.tuples(pair, st.integers(0, 12), st.integers(0, 12), policy, policy),
         max_size=14))
     # channel ids out of insertion order exercise the smallest-id rule
-    cids = draw(st.permutations([f"ch{i}" for i in range(len(channels))]))
+    cids = draw(st.permutations([f"ch{i}" for i in range(len(drawn))]))
     g = graph_from_dict({
         "nodes": [{"pub_key": v} for v in ids],
         "edges": [{"channel_id": cid, "node1_pub": a, "node2_pub": b,
                    "capacity": ab + ba + 1, "node1_balance": ab,
-                   "node2_balance": ba,
-                   "node1_policy": {"fee_base_msat": fee,
-                                    "fee_rate_milli_msat": rate},
-                   "node2_policy": {"fee_base_msat": rate,
-                                    "fee_rate_milli_msat": fee}}
-                  for cid, ((a, b), ab, ba, fee, rate) in zip(cids, channels)],
+                   "node2_balance": ba, "node1_policy": policy_ab,
+                   "node2_policy": policy_ba}
+                  for cid, ((a, b), ab, ba, policy_ab, policy_ba)
+                  in zip(cids, drawn)],
     }, balance_model="explicit")
     payments = draw(st.lists(
         st.tuples(pair, st.integers(1, 10), st.booleans(), st.booleans()),
@@ -133,7 +132,7 @@ def test_route_payment_matches_reference_route(case):
     for spec, apply in payments:
         assert ps.route_payment(g, spec, apply=apply) == \
             reference_route(g, spec, state, apply=apply)
-        assert balances(g) == state
+        assert reference_balances(g) == state
 
 
 class TestChannelView:
@@ -151,8 +150,8 @@ class TestChannelView:
             ]})
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 60), apply=True)
         assert out.per_hop_fees == {"h": 10}
-        assert balances(g)["c10"] == (40, 160)
-        assert balances(g)["c9"] == (100, 100)
+        assert reference_balances(g)["c10"] == (40, 160)
+        assert reference_balances(g)["c9"] == (100, 100)
         # c10 no longer carries 60 from h, so the next payment takes c9
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 60), apply=True)
         assert out.per_hop_fees == {"h": 9}
@@ -198,8 +197,9 @@ class TestChannelView:
         assert trimmed.channel_view() is not view
         for h in (copied, reduced, trimmed):
             ps.route_payment(h, ps.PaymentSpec("a", "b", 50_000), apply=True)
-        assert balances(g) == {"c0": (50_000, 50_000), "c1": (50_000, 50_000),
-                               "c2": (50_000, 50_000)}
+        assert reference_balances(g) == {"c0": (50_000, 50_000),
+                                         "c1": (50_000, 50_000),
+                                         "c2": (50_000, 50_000)}
         assert ps.route_payment(g, ps.PaymentSpec("a", "b", 50_000)).success
         assert ps.max_flow(g, "a", "b") == 50_000
 
@@ -220,7 +220,8 @@ def test_fee_past_int64_is_exact():
     fee = rate + MAX_SAT * rate // 1000
     assert fee > 2**63
     assert out.per_hop_fees == {"h": fee} and out.fees_paid == fee
-    assert balances(g) == {"c0": (0, 2 * MAX_SAT), "c1": (0, 2 * MAX_SAT)}
+    assert reference_balances(g) == {"c0": (0, 2 * MAX_SAT),
+                                     "c1": (0, 2 * MAX_SAT)}
 
 
 def success_ratio(g, attempts, seed, apply=False):
@@ -251,10 +252,9 @@ class TestSuccessRatio:
 
     def test_stateless_mode_leaves_graph_untouched(self):
         g = make_graph(list("abc"), [("a", "b"), ("b", "c")], capacity=50_000)
-        before = {cid: (e.balance_ab, e.balance_ba) for cid, e in g.edges.items()}
+        before = reference_balances(g)
         success_ratio(g, 100, seed=1, apply=False)
-        after = {cid: (e.balance_ab, e.balance_ba) for cid, e in g.edges.items()}
-        assert before == after
+        assert reference_balances(g) == before
 
     def test_pairs_then_volumes_share_one_draw(self):
         # a spec's endpoints are the pair sample_pairs draws, and its
@@ -511,7 +511,7 @@ def test_channel_conservation_under_payment_sequences(seed):
     if not pairs:
         return
     g = make_graph(nodes, pairs, capacity=10_000)
-    totals = {cid: e.balance_ab + e.balance_ba for cid, e in g.edges.items()}
+    totals = {cid: e.balance_ab + e.balance_ba for cid, e in channels(g).items()}
     for _ in range(15):
         s, t = rng.sample(nodes, 2)
         out = ps.route_payment(g, ps.PaymentSpec(s, t, rng.randint(1, 12_000)),
@@ -519,4 +519,5 @@ def test_channel_conservation_under_payment_sequences(seed):
         if out.success:
             # single-path success implies the max flow covered the amount
             pass
-    assert {cid: e.balance_ab + e.balance_ba for cid, e in g.edges.items()} == totals
+    assert {cid: e.balance_ab + e.balance_ba
+            for cid, e in channels(g).items()} == totals
