@@ -83,20 +83,14 @@ class SimReport:
     removed: int
 
     def to_dict(self) -> dict:
-        d = {
-            "a_priori": self.a_priori.to_dict(),
-            "a_posteriori": self.a_posteriori.to_dict(),
-            "advantage": {
-                "delta_s": self.delta_s,
-                "delta_r": self.delta_r,
-                "delta_F": self.delta_F,
-            },
-            "spent": self.spent,
-            "removed": self.removed,
-        }
+        advantage = {"delta_s": self.delta_s, "delta_r": self.delta_r,
+                     "delta_F": self.delta_F}
         if self.delta_g is not None:
-            d["advantage"]["delta_g"] = self.delta_g
-        return d
+            advantage["delta_g"] = self.delta_g
+        return {"a_priori": self.a_priori.to_dict(),
+                "a_posteriori": self.a_posteriori.to_dict(),
+                "advantage": advantage, "spent": self.spent,
+                "removed": self.removed}
 
 
 @dataclass(frozen=True)
@@ -178,12 +172,11 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int) -> AttackPlan:
         ranked = _rank_nodes(g.degrees())
     elif strategy.kind == "betweenness":
         ranked = _rank_nodes(betweenness_centrality(
-            g, normalized=True,
-            sample_sources=strategy.params.get("sample_sources"),
+            g, sample_sources=strategy.params.get("sample_sources"),
             seed=strategy.params.get("seed", 0)))
     elif strategy.kind == "eigenvector":
         scores = {v: 0.0 for v in g.nodes}
-        scores.update(eigenvector_centrality(g, weighted=True))
+        scores.update(eigenvector_centrality(g))
         ranked = _rank_nodes(scores)
     elif strategy.kind == "random":
         ranked = sorted(g.nodes)
@@ -207,11 +200,11 @@ def _rank_parallel_paths(g: PcnGraph, strategy: Strategy) -> list[str]:
     paths that touch the adversary's own hub."""
     params = strategy.params
     hub = params.get("hub")
-    volumes = params.get("volumes", UNIT_VOLUMES)
     rng = random.Random(params.get("seed", 0))
-    specs = payment_sim.sample_specs(g.nodes, params["payment_samples"], volumes, rng)
+    specs = payment_sim.sample_specs(g.nodes, params["payment_samples"],
+                                     UNIT_VOLUMES, rng)
     counts = {v: 0 for v in g.nodes}
-    for outcome in payment_sim.evaluate_payments(g, specs, apply=False):
+    for outcome in payment_sim.evaluate_payments(g, specs):
         if not outcome.success or (hub is not None and hub in outcome.path):
             continue
         for v in outcome.path[1:-1]:
@@ -255,12 +248,12 @@ def _sink_side(view: ChannelView, capacity: np.ndarray, s: int, t: int
     residual = capacity.copy()
     if view.max_flow(residual, s, t) == 0:
         return None
-    return view.hops_to(t, residual, 1) >= 0
+    return view.hops_to(t, residual) >= 0
 
 
 def _measure(g: PcnGraph, specs, flow_pairs, params: MetricParams,
              seed: int) -> MetricBundle:
-    outcomes = payment_sim.evaluate_payments(g, specs, apply=False)
+    outcomes = payment_sim.evaluate_payments(g, specs)
     s = sum(o.success for o in outcomes) / len(specs)
     flows = payment_sim.evaluate_flows(g, flow_pairs)
     f_bar = sum(flows) / len(flow_pairs)

@@ -49,7 +49,11 @@ def _setup(args) -> tuple[int, PcnGraph, dict, str]:
     seed = args.seed
     if seed is None:
         env = os.environ.get("PCN_RESILIENCE_SEED")
-        seed = int(env) if env else 0
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            raise ValueError(f"$PCN_RESILIENCE_SEED has {env!r}, "
+                             "expected an integer") from None
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg["seed"] = seed
     g = load_snapshot(args.snapshot, balance_model=args.balance_model)
@@ -288,7 +292,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, KeyError, SnapshotError, ValidationError,
             ConvergenceError, StalePlanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -39,13 +39,14 @@ class ChannelView:
     """The directed arcs of a graph's channels, for routing, max flow and
     minimum cuts.
 
-    Arc `slot[x]` (a slot of `PcnGraph`) leaves `src[x]` for `dst[x]`. Arcs
-    are ordered by (source, destination, channel id) with a CSR row pointer
-    by source, so the first usable arc in a row reaches the smallest
-    destination id through the smallest channel id. The reverse of slot y
-    is slot y ^ 1, the other side of the same channel. The view holds no
-    amounts: its searches read a per-slot `residual` they are given, such
-    as the graph's balances or a max-flow residual.
+    Arc `slot[x]` (a slot of `PcnGraph`) leaves `src[x]` for `dst[x]`, and
+    slot y sits at `position[y]`. Arcs are ordered by (source, destination,
+    channel id) with a CSR row pointer by source, so a node's smallest
+    position reaches the smallest destination id through the smallest
+    channel id. The reverse of slot y is slot y ^ 1, the other side of the
+    same channel. The view holds no amounts: its searches read a per-slot
+    `residual` they are given, such as the graph's balances or a max-flow
+    residual.
     """
 
     def __init__(self, g: PcnGraph):
@@ -54,6 +55,8 @@ class ChannelView:
         rank[g.channel_order] = np.arange(g.edge_count)
         src, dst = g.ends.reshape(-1), g.ends[:, ::-1].reshape(-1)
         self.slot = np.lexsort((np.repeat(rank, 2), dst, src))
+        self.position = np.empty_like(self.slot)
+        self.position[self.slot] = np.arange(len(self.slot))
         self.src, self.dst = src[self.slot], dst[self.slot]
         self.indptr = np.searchsorted(self.src, np.arange(len(self.ids) + 1))
         self.degree = np.diff(self.indptr)
@@ -63,7 +66,7 @@ class ChannelView:
         return self.slot[self.indptr[i]:self.indptr[i + 1]]
 
     def open_arcs(self, nodes: np.ndarray, residual: np.ndarray, least: int,
-                  side: int = 0) -> np.ndarray:
+                  side: int) -> np.ndarray:
         """Positions of the arcs out of `nodes` whose slot holds at least
         `least` in `residual`, row after row. With side 1 they stand for the
         arcs into `nodes` instead: position x is then the arc
@@ -74,18 +77,16 @@ class ChannelView:
         pos = np.arange(counts.sum()) + (lo - ends + counts).repeat(counts)
         return pos[residual[self.slot[pos] ^ side] >= least]
 
-    def hops_to(self, t: int, residual: np.ndarray, least: int,
-                stop: int | None = None) -> np.ndarray:
-        """Hops from each node to node `t` over the arcs whose slot holds at
-        least `least` in `residual`, -1 where t is unreachable. A BFS back
-        from t, one level at a time, that ends once `stop` has a label (the
-        levels below its own are then complete)."""
+    def hops_to(self, t: int, residual: np.ndarray) -> np.ndarray:
+        """Hops from each node to node `t` over the arcs whose slot holds a
+        positive amount in `residual`, -1 where t is unreachable: a BFS back
+        from t, one level at a time, for a minimum cut's sink side."""
         dist = np.full(len(self.ids), -1)
         dist[t] = 0
         frontier = np.array([t])
         level = 0
-        while len(frontier) and (stop is None or dist[stop] < 0):
-            new = self.dst[self.open_arcs(frontier, residual, least, 1)]
+        while len(frontier):
+            new = self.dst[self.open_arcs(frontier, residual, 1, 1)]
             level += 1
             dist[new[dist[new] < 0]] = level
             frontier = (dist == level).nonzero()[0]
@@ -96,49 +97,52 @@ class ChannelView:
         an int64 amount per slot that is written in place, and return its
         value as a Python int.
 
-        Dinic (1970): each phase finds the arcs with residual > 0 on
-        shortest s-t paths and saturates them with a blocking flow. Pushing
-        f along slot y moves f from residual[y] to residual[y ^ 1], as
-        `PcnGraph.shift` moves a balance, so no residual exceeds its
-        channel's two sides together. The search ends once t is cut off or
-        the flow reaches the residual out of s or into t, whichever is
-        smaller (summed as Python ints)."""
+        Dinic (1970): each phase saturates the arcs with residual > 0 on
+        shortest s-t paths, as `shortest_path_arcs` returns them, by a
+        blocking flow. Pushing f along slot y moves f from residual[y] to
+        residual[y ^ 1], as `PcnGraph.shift` moves a balance, so no
+        residual exceeds its channel's two sides together. The search ends
+        once t is cut off or the flow reaches the residual out of s or into
+        t, whichever is smaller (summed as Python ints)."""
         bound = min(sum(residual[self.row(v) ^ side].tolist())
                     for v, side in ((s, 0), (t, 1)))
         total = 0
         while total < bound:
-            arcs = self._shortest_path_arcs(residual, s, t)
-            if arcs is None:
+            pos = self.shortest_path_arcs(residual, s, t, 1)
+            if pos is None:
                 break
-            slots, tails, heads = arcs
+            slots = self.slot[pos]
             before = residual[slots]
             cap = before.tolist()
-            total += _blocking_flow(tails.tolist(), heads.tolist(), cap, s, t,
-                                    bound - total)
+            total += _blocking_flow(self.src[pos].tolist(), self.dst[pos].tolist(),
+                                    cap, s, t, bound - total)
             pushed = before - np.array(cap, dtype=np.int64)
             residual[slots] -= pushed
             residual[slots ^ 1] += pushed
         return total
 
-    def _shortest_path_arcs(self, residual: np.ndarray, s: int, t: int):
-        """(slots, tails, heads) of the arcs with residual > 0 on shortest
-        s-t paths, or None when t is cut off.
+    def shortest_path_arcs(self, residual: np.ndarray, s: int, t: int,
+                           least: int) -> np.ndarray | None:
+        """View positions of the arcs on shortest s-t paths over the arcs
+        whose slot holds at least `least` in `residual`, or None when t is
+        cut off. Payments and Dinic's phases both run it.
 
         A bidirectional BFS labels levels from s over arcs out of the
         frontier and levels to t over arcs into it (the reverses of the
         arcs out of it), each step growing the side whose frontier has
         fewer arcs, until a new level meets the other side. Each side's
         layers of arcs are then walked back from the meeting nodes,
-        keeping the arcs whose newly labelled end leads to them."""
+        keeping the arcs whose newly labelled end leads to them, first
+        those of s's side."""
         n = len(self.ids)
-        dist = (np.full(n, -1), np.full(n, -1))  # from s, and to t
-        dist[0][s] = dist[1][t] = 0
+        dist = np.full((2, n), -1)  # from s, and to t
+        dist[0, s] = dist[1, t] = 0
         frontier = [np.array([s]), np.array([t])]
         width = [int(self.degree[s]), int(self.degree[t])]  # arcs to scan
         layers: tuple[list, list] = ([], [])
         while True:
             side = int(width[1] < width[0])
-            pos = self.open_arcs(frontier[side], residual, 1, side)
+            pos = self.open_arcs(frontier[side], residual, least, side)
             pos = pos[dist[side][self.dst[pos]] < 0]
             if not len(pos):
                 return None
@@ -146,24 +150,22 @@ class ChannelView:
             level = len(layers[side]) + 1
             dist[side][new] = level
             layers[side].append(pos)
-            if (dist[1 - side][new] >= 0).any():
+            met = dist[1 - side][new] >= 0
+            if met.any():
                 break
             frontier[side] = np.flatnonzero(dist[side] == level)
             width[side] = int(self.degree[frontier[side]].sum())
-        meet = new[dist[1 - side][new] >= 0]
-        kept = ([np.zeros(0, np.int64)], [np.zeros(0, np.int64)])
+        meet = new[met]
+        kept = []
         for grown in (0, 1):
             useful = np.zeros(n, dtype=bool)
             useful[meet] = True
             for pos in reversed(layers[grown]):
                 pos = pos[useful[self.dst[pos]]]
                 useful[self.src[pos]] = True
-                kept[grown].append(pos)
-        out, back = map(np.concatenate, kept)
-        # an arc found from t's side runs against the arc out of its row
-        return (np.concatenate((self.slot[out], self.slot[back] ^ 1)),
-                np.concatenate((self.src[out], self.dst[back])),
-                np.concatenate((self.dst[out], self.src[back])))
+                # an arc found from t's side is kept by its own position
+                kept.append(self.position[self.slot[pos] ^ 1] if grown else pos)
+        return np.concatenate(kept)
 
 
 def _blocking_flow(tails: list, heads: list, cap: list, s: int, t: int,
@@ -253,13 +255,14 @@ class PcnGraph:
     these columns: routing reads a hop's fee from the fee columns by slot,
     and the attacks read a node's slots from its `ChannelView` row.
 
-    Routing, max flow and minimum cuts run on a `ChannelView`, the topology
-    measures on a `SimpleView`; each is built on first use, cached on the
-    graph, and holds no balances. Mutation contract: balances change only
-    by writing the column through `shift` (routed payments with `apply`,
-    and the exhaustion attacks on a copy), and nothing cached is derived
-    from them, so every search reads the balances as last written; the
-    other columns are read-only and shared with copies. `copy()`,
+    Payments and max flow (through one shortest-path search) and minimum
+    cuts run on a `ChannelView`, the topology measures on a `SimpleView`;
+    each is built on first use, cached on the graph, and holds no
+    balances. Mutation contract: balances change only by writing the
+    column through `shift` (routed payments with `apply`, and the
+    exhaustion attacks on a copy), and nothing cached is derived from
+    them, so every search reads the balances as last written; the other
+    columns are read-only and shared with copies. `copy()`,
     `induced_subgraph`, `remove_nodes` and `remove_channels` return graphs
     without views or caches, except the channel-id order that `copy()` and
     `induced_subgraph` carry and the `ChannelView` that `copy()` shares.
@@ -272,7 +275,6 @@ class PcnGraph:
     balance: np.ndarray = _column(0, 2)
     base_fee: np.ndarray = _column(0, 2)
     fee_rate: np.ndarray = _column(0, 2)
-    snapshot_time: str | None = None
     ids: list[str] | None = None
     index: dict[str, int] | None = None
     _view: ChannelView | None = field(default=None, init=False, repr=False)
@@ -394,6 +396,16 @@ class PcnGraph:
         }
 
 
+def _integer(value) -> int:
+    """A JSON integer (not a bool) or an integer string as an int; anything
+    else, such as 1.5 or true, raises rather than being truncated."""
+    if type(value) is str:
+        return int(value)
+    if type(value) is int:
+        return value
+    raise TypeError(f"{value!r} is not an integer")
+
+
 def _parse_policy(raw) -> tuple[int, int]:
     """(base fee, fee rate) of one side's policy record, checked to be
     non-negative; with the u32 check in `graph_from_dict`, these are the
@@ -403,9 +415,9 @@ def _parse_policy(raw) -> tuple[int, int]:
     if not isinstance(raw, dict):
         raise SnapshotError(f"fee policy is not an object: {raw!r}")
     try:
-        base = int(raw.get("fee_base_msat", DEFAULT_BASE_FEE_MSAT))
-        rate = int(raw.get("fee_rate_milli_msat", DEFAULT_RATE_PPM))
-    except (TypeError, ValueError, OverflowError):
+        base = _integer(raw.get("fee_base_msat", DEFAULT_BASE_FEE_MSAT))
+        rate = _integer(raw.get("fee_rate_milli_msat", DEFAULT_RATE_PPM))
+    except (TypeError, ValueError):
         raise ValidationError(f"bad fee policy {raw!r}")
     if base < 0 or rate < 0:
         raise ValidationError("fee policy fields must be non-negative")
@@ -435,7 +447,7 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
         if key in nodes:
             raise ValidationError(f"duplicate node key {key}")
         nodes.add(key)
-    g = PcnGraph(nodes=nodes, snapshot_time=data.get("snapshot_time"))
+    g = PcnGraph(nodes=nodes)
 
     # nine integers per channel: capacity, then (a, b) pairs of endpoints,
     # balances, base fees and fee rates
@@ -455,8 +467,8 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
         if a == b:
             raise ValidationError(f"channel {cid} is a self-loop")
         try:
-            capacity = int(rec["capacity"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            capacity = _integer(rec["capacity"])
+        except (KeyError, TypeError, ValueError):
             raise ValidationError(f"channel {cid} has missing or bad capacity")
         if not 0 < capacity <= MAX_SAT:
             raise ValidationError(
@@ -468,9 +480,9 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
             bal_ab = bal_ba = capacity // 2
         else:
             try:
-                bal_ab = int(rec["node1_balance"])
-                bal_ba = int(rec["node2_balance"])
-            except (KeyError, TypeError, ValueError, OverflowError):
+                bal_ab = _integer(rec["node1_balance"])
+                bal_ba = _integer(rec["node2_balance"])
+            except (KeyError, TypeError, ValueError):
                 raise ValidationError(f"channel {cid} lacks explicit balances")
             if not (0 <= bal_ab <= MAX_SAT and 0 <= bal_ba <= MAX_SAT):
                 raise ValidationError(
@@ -573,8 +585,7 @@ def induced_subgraph(g: PcnGraph, keep: set[str]) -> PcnGraph:
     kept = alive[g.ends].all(axis=1)
     rows = g._channel_rows(kept)
     rows["ends"] = (np.cumsum(alive) - 1)[rows["ends"]]
-    sub = PcnGraph(nodes=set(keep), ids=list(compress(g.ids, alive)),
-                   snapshot_time=g.snapshot_time, **rows)
+    sub = PcnGraph(nodes=set(keep), ids=list(compress(g.ids, alive)), **rows)
     if "channel_order" in vars(g):
         order = g.channel_order
         sub.channel_order = (np.cumsum(kept) - 1)[order[kept[order]]]

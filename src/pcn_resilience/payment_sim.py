@@ -73,24 +73,23 @@ def load_volumes(path) -> VolumeModel:
 def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> PaymentOutcome:
     """Route one payment along the hop-count shortest path over the arcs
     with balance >= amount, choosing the lexicographically smallest node-id
-    sequence (then the smallest channel id per hop). On success with
-    `apply`, balances shift along the path (reverse direction credited, so
-    per-channel funds are conserved)."""
+    sequence (then the smallest channel id per hop): each hop takes the
+    smallest view position out of its node among `shortest_path_arcs`. On
+    success with `apply`, balances shift along the path (reverse direction
+    credited, so per-channel funds are conserved)."""
     if spec.source not in g.nodes or spec.target not in g.nodes:
         raise KeyError("unknown payment endpoint")
-    view, balance, amount = g.channel_view(), g.balance.reshape(-1), spec.amount
-    cur = view.index[spec.source]
-    dist = view.hops_to(view.index[spec.target], balance, amount, stop=cur)
-    if dist[cur] < 0:
+    view, amount = g.channel_view(), spec.amount
+    cur, t = view.index[spec.source], view.index[spec.target]
+    pos = view.shortest_path_arcs(g.balance.reshape(-1), cur, t, amount)
+    if pos is None:
         return PaymentOutcome(success=False)
+    pos[::-1].sort()  # largest first, so `step` keeps each node's smallest
+    step = dict(zip(view.src[pos].tolist(), pos.tolist()))
     arcs = []
-    for hops_left in range(int(dist[cur]) - 1, -1, -1):
-        lo, hi = view.indptr[cur], view.indptr[cur + 1]
-        step = ((balance[view.slot[lo:hi]] >= amount)
-                & (dist[view.dst[lo:hi]] == hops_left))
-        arcs.append(int(lo + step.argmax()))
+    while cur != t:
+        arcs.append(step[cur])
         cur = int(view.dst[arcs[-1]])
-
     slots = view.slot[arcs]
     path = [spec.source] + [view.ids[v] for v in view.dst[arcs].tolist()]
     # each forwarding hop charges by the policy of the arc it sends on; on
@@ -134,10 +133,10 @@ def sample_pairs(nodes, rounds: int, rng: random.Random) -> list[tuple[str, str]
     return [draw() for _ in range(rounds)]
 
 
-def evaluate_payments(g: PcnGraph, specs, apply: bool = False) -> list[PaymentOutcome]:
-    """Evaluate a fixed payment sequence; specs whose endpoints are missing
-    from the graph count as failures (the graph may have been attacked)."""
-    return [route_payment(g, spec, apply=apply)
+def evaluate_payments(g: PcnGraph, specs) -> list[PaymentOutcome]:
+    """Route a fixed payment sequence read-only; specs whose endpoints are
+    missing from the graph (it may have been attacked) count as failures."""
+    return [route_payment(g, spec)
             if spec.source in g.nodes and spec.target in g.nodes
             else PaymentOutcome(success=False) for spec in specs]
 

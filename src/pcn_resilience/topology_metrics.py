@@ -69,10 +69,9 @@ def degree_distribution(g: PcnGraph) -> dict[int, int]:
 BETWEENNESS_BLOCK = 16
 
 
-def betweenness_centrality(g: PcnGraph, normalized: bool = True,
-                           sample_sources: int | None = None,
+def betweenness_centrality(g: PcnGraph, sample_sources: int | None = None,
                            seed: int = 0) -> dict[str, float]:
-    """Shortest-path betweenness on the simple projection.
+    """Normalized shortest-path betweenness on the simple projection.
 
     `sample_sources` switches to pivot sampling for large graphs; exact
     (all sources) when None. Brandes' algorithm, run over blocks of
@@ -94,8 +93,7 @@ def betweenness_centrality(g: PcnGraph, normalized: bool = True,
         for row in _dependencies(view.indptr, view.indices, block):
             total += row
     if n > 2:
-        total *= _betweenness_scale(n, sources if sampled else None,
-                                    normalized)
+        total *= _betweenness_scale(n, sources if sampled else None)
     values = total.tolist()
     return {view.ids[i]: values[i] for i in view.insertion.tolist()}
 
@@ -159,37 +157,30 @@ def _dependencies(indptr: np.ndarray, indices: np.ndarray,
     return delta.reshape(len(sources), n)
 
 
-def _betweenness_scale(n: int, pivots: np.ndarray | None, normalized: bool):
-    """networkx 3.6's `_rescale` for undirected node betweenness without
-    endpoints, on n > 2 nodes from all sources or from `pivots`."""
+def _betweenness_scale(n: int, pivots: np.ndarray | None):
+    """networkx 3.6's normalized `_rescale` for undirected node
+    betweenness without endpoints, on n > 2 nodes from all sources or from
+    `pivots`."""
     targets = n - 1
     if pivots is None:
-        if normalized:
-            return 1 / (targets * (targets - 1))
-        return targets / (targets * 2)
+        return 1 / (targets * (targets - 1))
     # a pivot is never its own target; NaN when k = 1 leaves no pairs
     k = len(pivots)
-    if normalized:
-        scale_source = 1 / ((k - 1) * (targets - 1)) if k > 1 else math.nan
-        scale_nonsource = 1 / (k * (targets - 1))
-    else:
-        scale_source = targets / ((k - 1) * 2) if k > 1 else math.nan
-        scale_nonsource = targets / (k * 2)
-    scale = np.full(n, scale_nonsource)
-    scale[pivots] = scale_source
+    scale = np.full(n, 1 / (k * (targets - 1)))
+    scale[pivots] = 1 / ((k - 1) * (targets - 1)) if k > 1 else math.nan
     return scale
 
 
-def eigenvector_centrality(g: PcnGraph, weighted: bool = False,
-                           tol: float = 1e-8, max_iter: int = 1000) -> dict[str, float]:
-    """Power iteration on the (optionally capacity-weighted) adjacency
-    matrix of the largest component; unit Euclidean norm."""
+def eigenvector_centrality(g: PcnGraph, tol: float = 1e-8,
+                           max_iter: int = 1000) -> dict[str, float]:
+    """Power iteration on the capacity-weighted adjacency matrix of the
+    largest component; unit Euclidean norm."""
     if not g.nodes:
         raise ValueError("eigenvector centrality of an empty graph")
     view = largest_connected_component(g).simple_graph()
     n = len(view.ids)
     adj = np.zeros((n, n))
-    adj[view.rows, view.indices] = view.capacity if weighted else 1.0
+    adj[view.rows, view.indices] = view.capacity
 
     # diagonal shift breaks the +/- eigenvalue tie on bipartite graphs
     # without changing the eigenvectors
@@ -292,8 +283,7 @@ def distance_stats(g: PcnGraph) -> tuple[int, float]:
 def central_point_dominance(g: PcnGraph, sample_sources: int | None = None,
                             seed: int = 0) -> float:
     """Maximum normalized betweenness over all nodes."""
-    bc = betweenness_centrality(g, normalized=True,
-                                sample_sources=sample_sources, seed=seed)
+    bc = betweenness_centrality(g, sample_sources=sample_sources, seed=seed)
     return max(bc.values()) if bc else 0.0
 
 

@@ -185,7 +185,7 @@ class TestAttack:
                    "--payment-samples", "5"])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: 'unknown hub nosuchnode'"]
+            "error: unknown hub nosuchnode"]
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -461,3 +461,14 @@ class TestSeedFallback:
         main(["robustness", "--snapshot", er_snapshot, "--out", str(out),
               "--failures", "2", "--reps", "2", "--format", "csv"])
         assert "seed=77" in out.read_text().splitlines()[0]
+
+    def test_bad_env_seed_is_named(self, tmp_path, monkeypatch, capsys):
+        # a missing snapshot shows the seed is read before loading
+        monkeypatch.setenv("PCN_RESILIENCE_SEED", "abc")
+        out = tmp_path / "rob.json"
+        rc = main(["robustness", "--snapshot", str(tmp_path / "none.json"),
+                   "--out", str(out), "--failures", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: $PCN_RESILIENCE_SEED has 'abc', expected an integer"]
+        assert not out.exists()

@@ -164,6 +164,38 @@ class TestRecordTypes:
             graph_from_dict(_edge(node1_balance=float("inf"), node2_balance=1),
                             balance_model="explicit")
 
+    @pytest.mark.parametrize("data, message", [
+        (_edge(capacity=1.5), "c0 has missing or bad capacity"),
+        (_edge(capacity=True), "c0 has missing or bad capacity"),
+        (_edge(capacity=10.0), "c0 has missing or bad capacity"),
+        (_edge(capacity="1.5"), "c0 has missing or bad capacity"),
+        (_edge(node1_balance=2.7, node2_balance=1), "c0 lacks explicit balances"),
+        (_edge(node1_balance=1, node2_balance=False),
+         "c0 lacks explicit balances"),
+        (_edge(node1_balance=1, node2_balance=1,
+               node1_policy={"fee_base_msat": 1.9}), "bad fee policy"),
+        (_edge(node1_balance=1, node2_balance=1,
+               node2_policy={"fee_rate_milli_msat": True}), "bad fee policy"),
+    ], ids=["capacity-float", "capacity-bool", "capacity-whole-float",
+            "capacity-decimal-text", "balance-float", "balance-bool",
+            "base-fee-float", "fee-rate-bool"])
+    def test_non_integer_number_is_validation_error(self, data, message):
+        # each used to load truncated: 1.5 and true as 1, 2.7 as 2
+        with pytest.raises(ValidationError, match=message):
+            graph_from_dict(data, balance_model="explicit")
+
+    def test_integer_fields_read_json_integers_and_integer_strings(self):
+        g = graph_from_dict(_edge(capacity="10", node1_balance="4",
+                                  node2_balance=6,
+                                  node1_policy={"fee_base_msat": "7",
+                                                "fee_rate_milli_msat": 3}),
+                            balance_model="explicit")
+        e = channels(g)["c0"]
+        assert (e.capacity, e.balance_ab, e.balance_ba) == (10, 4, 6)
+        assert e.fee_ab == (7, 3)
+        assert all(type(x) is int for x in (e.capacity, e.balance_ab,
+                                             *e.fee_ab))
+
 
 class TestAmountBounds:
     """Amounts above the bitcoin supply would overflow the int64 view."""

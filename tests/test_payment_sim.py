@@ -135,6 +135,54 @@ def test_route_payment_matches_reference_route(case):
         assert reference_balances(g) == state
 
 
+@st.composite
+def grid_routing_cases(draw):
+    """A grid of 9 to 150 nodes, some of its links missing or doubled by a
+    parallel channel and a few diagonals added, with shuffled node and
+    channel ids and balances of 0 to 4 per side; then payments of mixed
+    amounts, about a third of them stateful. Paths run to dozens of hops,
+    so the bidirectional search grows each side by turns and meets midway."""
+    rows = draw(st.integers(3, 10))
+    cols = draw(st.integers(3, 150 // rows))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rows * cols
+    ids = [f"n{i}" for i in rng.sample(range(n), n)]
+    links = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+    links += [(v, v + cols) for v in range(n - cols)]
+    links += [(v, v + cols + 1) for v in range(n - cols)
+              if (v + 1) % cols and rng.random() < 0.1]
+    links = [link for link in links if rng.random() < 0.9]
+    links += rng.sample(links, len(links) // 5)
+    cids = rng.sample(range(len(links)), len(links))
+    g = graph_from_dict({
+        "nodes": [{"pub_key": v} for v in ids],
+        "edges": [{"channel_id": f"ch{cid}", "node1_pub": ids[a],
+                   "node2_pub": ids[b], "capacity": 8,
+                   "node1_balance": rng.randint(0, 4),
+                   "node2_balance": rng.randint(0, 4),
+                   "node1_policy": {"fee_base_msat": rng.randint(0, 9),
+                                    "fee_rate_milli_msat": rng.randint(0, 999)}}
+                  for cid, (a, b) in zip(cids, links)],
+    }, balance_model="explicit")
+    payments = []
+    for _ in range(draw(st.integers(1, 40))):
+        s, t = rng.sample(ids, 2)
+        payments.append((ps.PaymentSpec(s, t, rng.choice((1, 1, 2, 3, 4))),
+                         rng.random() < 0.3))
+    return g, payments
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_routing_cases())
+def test_route_payment_matches_reference_route_on_grids(case):
+    g, payments = case
+    state = reference_balances(g)
+    for spec, apply in payments:
+        assert ps.route_payment(g, spec, apply=apply) == \
+            reference_route(g, spec, state, apply=apply)
+    assert reference_balances(g) == state
+
+
 class TestChannelView:
     def test_parallel_channels_use_smallest_channel_id(self):
         # "c10" sorts before "c9"; the relay's fee comes from that channel
@@ -224,10 +272,10 @@ def test_fee_past_int64_is_exact():
                                      "c1": (0, 2 * MAX_SAT)}
 
 
-def success_ratio(g, attempts, seed, apply=False):
+def success_ratio(g, attempts, seed):
     """Fraction of `attempts` seeded random payments that find a route."""
     specs = ps.sample_specs(g.nodes, attempts, VOLS, random.Random(seed))
-    outcomes = ps.evaluate_payments(g, specs, apply=apply)
+    outcomes = ps.evaluate_payments(g, specs)
     return sum(o.success for o in outcomes) / attempts
 
 
@@ -253,7 +301,7 @@ class TestSuccessRatio:
     def test_stateless_mode_leaves_graph_untouched(self):
         g = make_graph(list("abc"), [("a", "b"), ("b", "c")], capacity=50_000)
         before = reference_balances(g)
-        success_ratio(g, 100, seed=1, apply=False)
+        success_ratio(g, 100, seed=1)
         assert reference_balances(g) == before
 
     def test_pairs_then_volumes_share_one_draw(self):

@@ -103,17 +103,15 @@ def betweenness_cases(draw):
         pairs = draw(st.lists(pair, max_size=30))
     n = len(nodes)
     k = draw(st.sampled_from([None] + [k for k in (1, 2, n - 1) if 1 <= k < n]))
-    return make_graph(nodes, pairs), k, draw(st.booleans()), draw(st.integers(0, 99))
+    return make_graph(nodes, pairs), k, draw(st.integers(0, 99))
 
 
 @settings(max_examples=300, deadline=None)
 @given(betweenness_cases())
 def test_betweenness_matches_networkx_bit_for_bit(case):
-    g, k, normalized, seed = case
-    got = tm.betweenness_centrality(g, normalized=normalized,
-                                    sample_sources=k, seed=seed)
-    want = nx.betweenness_centrality(reference_simple_graph(g), k=k,
-                                     normalized=normalized, seed=seed)
+    g, k, seed = case
+    got = tm.betweenness_centrality(g, sample_sources=k, seed=seed)
+    want = nx.betweenness_centrality(reference_simple_graph(g), k=k, seed=seed)
     assert same_floats(got, want)
 
 
@@ -212,7 +210,7 @@ class TestEigenvector:
                 {"channel_id": "c3", "node1_pub": "d", "node2_pub": "a", "capacity": 3},
             ],
         })
-        got = tm.eigenvector_centrality(g, weighted=True, tol=1e-12)
+        got = tm.eigenvector_centrality(g, tol=1e-12)
         order = sorted(g.nodes)
         idx = {v: i for i, v in enumerate(order)}
         adj = np.zeros((4, 4))
