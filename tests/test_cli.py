@@ -430,28 +430,43 @@ def test_networkx_stays_unimported(tmp_path):
         "assert 'networkx' not in sys.modules, 'analyze'\n")
 
 
-@pytest.mark.parametrize("argv, absent, present", [
-    (["robustness", "--failures", "1", "--reps", "3"], "scipy", None),
-    (["attack", "--strategy", "all", "--n-sweep", "1:2", "--cut-samples", "4",
-      "--payment-samples", "4", "--attempts", "4", "--flow-rounds", "2"],
-     "scipy", None),
-    (["analyze", "--reference", "erdos-renyi", "--gof-runs", "2"],
-     "scipy.sparse", "scipy.special"),
-])
-def test_scipy_loads_where_it_is_called(tmp_path, argv, absent, present):
-    # importing the CLI loads no scipy module; each subcommand loads only
-    # the ones its own computations call
+@pytest.fixture
+def ba_snapshot(tmp_path):
+    """A 300-node preferential-attachment snapshot: enough distinct degrees
+    for a power-law fit."""
+    from pcn_resilience.topology_metrics import generate_reference
+    g = generate_reference("barabasi-albert", 300, 891, seed=1)
+    path = tmp_path / "ba.json"
+    path.write_text(json.dumps(g.to_snapshot_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["robustness", "--failures", "1", "--reps", "3"],
+    ["attack", "--strategy", "all", "--n-sweep", "1:2", "--cut-samples", "4",
+     "--payment-samples", "4", "--attempts", "4", "--flow-rounds", "2"],
+    ["analyze", "--reference", "erdos-renyi", "--gof-runs", "2"],
+], ids=["robustness", "attack", "analyze"])
+def test_no_subcommand_loads_scipy(tmp_path, ba_snapshot, argv):
     run_fresh(
         "import sys\n"
         "from pcn_resilience.cli import main\n"
-        "def loaded(name):\n"
-        "    return sorted(m for m in sys.modules\n"
-        "                  if m == name or m.startswith(name + '.'))\n"
-        "assert not loaded('scipy'), loaded('scipy')\n"
-        f"assert main({argv!r} + ['--snapshot', {FIXTURE!r}, '--out', "
+        f"assert main({argv!r} + ['--snapshot', {ba_snapshot!r}, '--out', "
         f"{str(tmp_path / 'out')!r}]) == 0\n"
-        f"assert not loaded({absent!r}), loaded({absent!r})\n"
-        + (f"assert {present!r} in sys.modules\n" if present else ""))
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n")
+
+
+def test_analyze_runs_where_scipy_cannot_be_imported(tmp_path, ba_snapshot):
+    # a None entry in sys.modules makes `import scipy` raise ImportError
+    run_fresh(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from pcn_resilience.cli import main\n"
+        f"assert main(['analyze', '--snapshot', {ba_snapshot!r}, '--out', "
+        f"{str(tmp_path / 'report')!r}, '--gof-runs', '3']) == 0\n")
+    report = json.loads((tmp_path / "report" / "powerlaw.json").read_text())
+    assert report["goodness_of_fit"]["synthetic_runs"] == 3
 
 
 class TestSeedFallback:

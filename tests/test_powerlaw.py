@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from scipy.special import zeta
 
 from pcn_resilience import powerlaw_fit as pl
 
-from oracles import reference_fit_power_law, reference_goodness_of_fit
+from oracles import (_reference_sample, reference_fit_power_law,
+                     reference_goodness_of_fit)
 
 
 def power_law_sample(alpha, x_min, n, seed):
@@ -66,6 +69,22 @@ class TestSampler:
         data = power_law_sample(2.5, 5, 50_000, seed=2)
         expected = 5 ** -2.5 / zeta(2.5, 5)
         assert np.mean(data == 5) == pytest.approx(expected, rel=0.05)
+
+
+    def test_far_tail_near_alpha_one_stays_in_int64(self):
+        # at alpha 1.05 about one draw in ten passes 2^63 in the continuous
+        # inverse; each becomes the largest double below 2^63, and every
+        # other draw is the one the uncapped formula gives
+        cap = int(np.nextafter(2.0 ** 63, 0))
+        draws = power_law_sample(1.05, 1, 10**5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            uncapped = _reference_sample(1.05, 1, 10**5,
+                                         np.random.default_rng(0))
+        capped = draws == cap
+        assert draws.min() >= 1 and 0.05 < capped.mean() < 0.2
+        assert (draws[~capped] == uncapped[~capped]).all()
+        assert pl.fit_power_law(draws[:300]).x_min >= 1  # no int64 wrap
 
 
 class TestGoodnessOfFit:
@@ -200,3 +219,90 @@ def test_candidates_with_short_or_single_valued_tails_are_skipped():
     data = list(range(1, 21)) * 30 + [21] * 10 + [22] * 40
     fit = pl.fit_power_law(data)
     assert fit == reference_fit_power_law(data) and fit.x_min <= 20
+
+
+@st.composite
+def zeta_arguments(draw):
+    """Arrays of (x, q) on both sides of `_zeta`'s chunk length: runs of a
+    shared x over sorted q, as the fit lays them out, mixed with single
+    elements, and q from 1 to 2^62 across the asymptotic branch at 1e8."""
+    size = draw(st.sampled_from([1, 2, 11, pl._ZETA_CHUNK - 1, pl._ZETA_CHUNK,
+                                 pl._ZETA_CHUNK + 1, 2 * pl._ZETA_CHUNK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([30, 3000, 10**8 + 30, 2**62]))
+    low = draw(st.sampled_from([1, 10**8 - 30] if top > 10**8 else [1]))
+    q = np.exp(rng.uniform(np.log(low), np.log(top), size))
+    q = np.clip(q, low, top).astype(np.int64)
+    x = rng.uniform(pl.ALPHA_MIN, pl.ALPHA_MAX, size)
+    runs = np.sort(rng.integers(0, size, draw(st.integers(0, 40))))
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        x[lo:hi] = x[lo]
+        q[lo:hi] = np.sort(q[lo:hi])
+    return x, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeta_arguments())
+def test_zeta_port_equals_scipy(args):
+    x, q = args
+    assert np.array_equal(pl._zeta(x, q), zeta(x, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(pl.ALPHA_MIN, pl.ALPHA_MAX),
+       st.one_of(st.integers(1, 200), st.integers(10**8 - 12, 10**8 + 12),
+                 st.integers(1, 2**62)))
+def test_zeta_port_equals_scipy_on_scalars(x, q):
+    assert pl._zeta(x, q) == zeta(x, q)
+    assert pl._zeta(x, q).shape == ()
+
+
+def test_zeta_port_broadcasts_like_scipy():
+    x = np.linspace(pl.ALPHA_MIN, pl.ALPHA_MAX, 7)[:, None]
+    q = np.array([[1, 2, 3, 9, 10, 11, 500, 10**8, 10**8 + 1, 2**62]])
+    got = pl._zeta(x, q)
+    assert got.shape == (7, 10) and np.array_equal(got, zeta(x, q))
+    assert np.array_equal(pl._zeta(2.5, q[0]), zeta(2.5, q[0]))
+
+
+def fit_or_none(data):
+    try:
+        return pl.fit_power_law(data)
+    except pl.FitError:
+        return None
+
+
+def sample_or_none(data):
+    try:
+        return pl._candidates(data)
+    except pl.FitError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(fit_inputs(), min_size=1, max_size=12))
+def test_batch_fit_equals_one_fit_per_set(sets):
+    # sets FitError refuses (zeros, fewer than 10 distinct values) are None
+    assert pl._fit_many([sample_or_none(s) for s in sets]) == \
+        [fit_or_none(s) for s in sets]
+
+
+@pytest.mark.parametrize("ks_pass", [1, 37, pl._KS_PASS])
+def test_batch_fit_across_zeta_chunks_and_ks_passes(monkeypatch, ks_pass):
+    # 40 sets lay more than 10 chunks of KS arguments end to end
+    monkeypatch.setattr(pl, "_KS_PASS", ks_pass)
+    sets = [power_law_sample(1.8 + seed / 20, 1 + seed % 4, 900, seed)
+            for seed in range(40)]
+    sets[7] = [0] + list(sets[7])
+    sets[20] = [1, 2, 3] * 300
+    fits = pl._fit_many([sample_or_none(s) for s in sets])
+    assert fits == [fit_or_none(s) for s in sets]
+    assert fits[7] is None and fits[20] is None
+
+
+def test_bootstrap_across_replicate_blocks_matches_scalar_oracle():
+    data = power_law_sample(2.2, 2, 300, seed=11)
+    fit = pl.fit_power_law(data)
+    runs = 2 * pl._GOF_BLOCK + 1
+    assert pl.goodness_of_fit(data, fit, runs, seed=3) == \
+        reference_goodness_of_fit(data, fit, runs, seed=3)
