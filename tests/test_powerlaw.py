@@ -70,7 +70,6 @@ class TestSampler:
         expected = 5 ** -2.5 / zeta(2.5, 5)
         assert np.mean(data == 5) == pytest.approx(expected, rel=0.05)
 
-
     def test_far_tail_near_alpha_one_stays_in_int64(self):
         # at alpha 1.05 about one draw in ten passes 2^63 in the continuous
         # inverse; each becomes the largest double below 2^63, and every
@@ -289,7 +288,7 @@ def test_batch_fit_equals_one_fit_per_set(sets):
 
 @pytest.mark.parametrize("ks_pass", [1, 37, pl._KS_PASS])
 def test_batch_fit_across_zeta_chunks_and_ks_passes(monkeypatch, ks_pass):
-    # 40 sets lay more than 10 chunks of KS arguments end to end
+    # the 40 sets lay about four chunks of KS arguments end to end
     monkeypatch.setattr(pl, "_KS_PASS", ks_pass)
     sets = [power_law_sample(1.8 + seed / 20, 1 + seed % 4, 900, seed)
             for seed in range(40)]
