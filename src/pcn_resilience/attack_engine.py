@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import payment_sim
-from .graph_model import (ChannelView, PcnGraph, connected_components,
+from .graph_model import (ChannelView, PcnGraph, largest_component,
                           remove_channels, remove_nodes)
 from .payment_sim import VolumeModel, UNIT_VOLUMES
 from .topology_metrics import betweenness_centrality, eigenvector_centrality
@@ -114,8 +114,7 @@ def advantage(m: float, m_prime: float) -> float:
 
 def reachability(g: PcnGraph) -> int:
     """Size of the largest connected component."""
-    comps = connected_components(g)
-    return len(comps[0]) if comps else 0
+    return int(largest_component(g).sum())
 
 
 def exhaust_channel(g: PcnGraph, channel_id: str, direction: str = "ab") -> PcnGraph:
@@ -133,7 +132,7 @@ def exhaust_channel(g: PcnGraph, channel_id: str, direction: str = "ab") -> PcnG
 
 def _node_slots(g: PcnGraph, v: str) -> np.ndarray:
     """Slots of the arcs out of node `v`: its row of the `ChannelView`."""
-    if v not in g.nodes:
+    if v not in g.index:
         raise KeyError(f"unknown node {v}")
     return g.channel_view().row(g.index[v])
 
@@ -175,11 +174,10 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int) -> AttackPlan:
             g, sample_sources=strategy.params.get("sample_sources"),
             seed=strategy.params.get("seed", 0)))
     elif strategy.kind == "eigenvector":
-        scores = {v: 0.0 for v in g.nodes}
-        scores.update(eigenvector_centrality(g))
-        ranked = _rank_nodes(scores)
+        ranked = _rank_nodes({**dict.fromkeys(g.ids, 0.0),
+                              **eigenvector_centrality(g)})
     elif strategy.kind == "random":
-        ranked = sorted(g.nodes)
+        ranked = list(g.ids)
         random.Random(strategy.params.get("seed", 0)).shuffle(ranked)
     elif strategy.kind == "parallel-paths":
         ranked = _rank_parallel_paths(g, strategy)
@@ -201,9 +199,9 @@ def _rank_parallel_paths(g: PcnGraph, strategy: Strategy) -> list[str]:
     params = strategy.params
     hub = params.get("hub")
     rng = random.Random(params.get("seed", 0))
-    specs = payment_sim.sample_specs(g.nodes, params["payment_samples"],
+    specs = payment_sim.sample_specs(g.ids, params["payment_samples"],
                                      UNIT_VOLUMES, rng)
-    counts = {v: 0 for v in g.nodes}
+    counts = dict.fromkeys(g.ids, 0)
     for outcome in payment_sim.evaluate_payments(g, specs):
         if not outcome.success or (hub is not None and hub in outcome.path):
             continue
@@ -221,7 +219,7 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     are skipped."""
     params = strategy.params
     rng = random.Random(params.get("seed", 0))
-    pairs = payment_sim.sample_pairs(g.nodes, params["cut_samples"], rng)
+    pairs = payment_sim.sample_pairs(g.ids, params["cut_samples"], rng)
     view = g.channel_view()
     # a channel carries up to its capacity either way
     capacity = np.repeat(g.capacity, 2)
@@ -262,20 +260,19 @@ def _measure(g: PcnGraph, specs, flow_pairs, params: MetricParams,
         # a removed hub, or one left alone, forwards nothing
         g_bar = (payment_sim.fee_gain(g, params.hub, params.attempts,
                                       params.volumes, seed=seed)
-                 if params.hub in g.nodes and g.node_count > 1 else 0.0)
+                 if params.hub in g.index and g.node_count > 1 else 0.0)
     return MetricBundle(s=s, r=reachability(g), F_bar=f_bar, g_bar=g_bar)
 
 
 def _walk(plan: AttackPlan, constraint: tuple, griefing: bool
-          ) -> tuple[tuple[frozenset, frozenset], int, int]:
-    """The nodes and the channels `plan` removes under `constraint`, with
-    the satoshi spent and the number of targets removed. Costs were fixed
-    at planning time, so the walk only picks targets."""
+          ) -> tuple[tuple[tuple, frozenset], int, int]:
+    """The nodes (sorted) and the channels `plan` removes under
+    `constraint`, with the satoshi spent and the number of targets removed.
+    Costs were fixed at planning time, so the walk only picks targets."""
     kind, value = constraint
-    doomed_nodes: set[str] = set()
+    doomed_nodes: list[str] = []
     doomed_channels: set[str] = set()
-    spent = 0
-    removed = 0
+    spent = removed = 0
     budget = value if kind == "budget" else None
     for target in plan.targets:
         if kind == "count" and removed >= value:
@@ -285,12 +282,12 @@ def _walk(plan: AttackPlan, constraint: tuple, griefing: bool
         if budget is not None and cost > budget - spent:
             continue
         if isinstance(target, NodeTarget):
-            doomed_nodes.add(target.node)
+            doomed_nodes.append(target.node)
         else:
             doomed_channels.update(target.channel_ids)
         spent += cost
         removed += 1
-    return (frozenset(doomed_nodes), frozenset(doomed_channels)), spent, removed
+    return (tuple(sorted(doomed_nodes)), frozenset(doomed_channels)), spent, removed
 
 
 def _delta(m: float | None, m_prime: float | None) -> float | None:
@@ -317,7 +314,7 @@ def execute_attack(g: PcnGraph, plans: list[AttackPlan], constraints: list[tuple
     costs = g.outbound_balances()
     for target in [t for plan in plans for t in plan.targets]:
         if isinstance(target, NodeTarget):
-            if target.node not in g.nodes:
+            if target.node not in g.index:
                 raise StalePlanError(f"planned node {target.node} not in graph")
             if costs[target.node] != target.isolation_cost:
                 raise StalePlanError(
@@ -326,17 +323,17 @@ def execute_attack(g: PcnGraph, plans: list[AttackPlan], constraints: list[tuple
             missing = [c for c in target.channel_ids if c not in g.channel_index]
             if missing:
                 raise StalePlanError(f"planned channels missing: {missing}")
-    if metric_params.hub is not None and metric_params.hub not in g.nodes:
+    if metric_params.hub is not None and metric_params.hub not in g.index:
         raise KeyError(f"unknown hub {metric_params.hub}")
 
     rng = random.Random(seed)
-    specs = payment_sim.sample_specs(g.nodes, metric_params.attempts,
+    specs = payment_sim.sample_specs(g.ids, metric_params.attempts,
                                      metric_params.volumes, rng)
-    flow_pairs = payment_sim.sample_pairs(g.nodes, metric_params.flow_rounds, rng)
+    flow_pairs = payment_sim.sample_pairs(g.ids, metric_params.flow_rounds, rng)
     before = _measure(g, specs, flow_pairs, metric_params, seed)
 
     # the metrics of each distinct surviving graph, keyed by what it lacks
-    measured = {(frozenset(), frozenset()): before}
+    measured = {((), frozenset()): before}
     reports = []
     for plan in plans:
         for constraint in constraints:

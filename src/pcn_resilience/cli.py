@@ -7,9 +7,9 @@ Subcommands:
 
 Every emitted report embeds the tool version, the seed, and a hash of the
 run configuration; identical configurations produce byte-identical files.
-Across processes, `analyze`'s metrics.json (or .csv) is the exception:
-betweenness follows the node set's iteration order, so the file also
-depends on PYTHONHASHSEED.
+Across processes, `analyze`'s metrics.json (or .csv) and the betweenness
+strategy are the exception: betweenness follows the iteration order of
+the snapshot's set of node ids, so they also depend on PYTHONHASHSEED.
 """
 
 from __future__ import annotations

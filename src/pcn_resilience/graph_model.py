@@ -50,7 +50,6 @@ class ChannelView:
     """
 
     def __init__(self, g: PcnGraph):
-        self.ids, self.index = g.ids, g.index
         rank = np.empty(g.edge_count, dtype=np.int64)  # in channel-id order
         rank[g.channel_order] = np.arange(g.edge_count)
         src, dst = g.ends.reshape(-1), g.ends[:, ::-1].reshape(-1)
@@ -58,7 +57,7 @@ class ChannelView:
         self.position = np.empty_like(self.slot)
         self.position[self.slot] = np.arange(len(self.slot))
         self.src, self.dst = src[self.slot], dst[self.slot]
-        self.indptr = np.searchsorted(self.src, np.arange(len(self.ids) + 1))
+        self.indptr = np.searchsorted(self.src, np.arange(g.node_count + 1))
         self.degree = np.diff(self.indptr)
 
     def row(self, i: int) -> np.ndarray:
@@ -81,7 +80,7 @@ class ChannelView:
         """Hops from each node to node `t` over the arcs whose slot holds a
         positive amount in `residual`, -1 where t is unreachable: a BFS back
         from t, one level at a time, for a minimum cut's sink side."""
-        dist = np.full(len(self.ids), -1)
+        dist = np.full(len(self.degree), -1)
         dist[t] = 0
         frontier = np.array([t])
         level = 0
@@ -134,7 +133,7 @@ class ChannelView:
         layers of arcs are then walked back from the meeting nodes,
         keeping the arcs whose newly labelled end leads to them, first
         those of s's side."""
-        n = len(self.ids)
+        n = len(self.degree)
         dist = np.full((2, n), -1)  # from s, and to t
         dist[0, s] = dist[1, t] = 0
         frontier = [np.array([s]), np.array([t])]
@@ -211,17 +210,14 @@ class SimpleView:
     """Integer-indexed undirected simple projection, for the topology
     measures.
 
-    Node ids and their ints are the graph's `ids` and `index`. CSR row i
-    (`rows`, `indices`, `indptr`) lists node i's neighbours once each, in
-    the order of the first channel (in record order) joining the two, with
-    their summed `capacity`; `insertion` is the node set's iteration order.
-    These are the orders of the networkx graph betweenness reproduces.
+    CSR row i (`rows`, `indices`, `indptr`) lists node i's neighbours
+    once each, in the order of the first channel (in record order) joining
+    the two, with their summed `capacity`. With the graph's `node_order`
+    these are the orders of the networkx graph betweenness reproduces.
     """
 
     def __init__(self, g: PcnGraph):
-        self.ids, self.index = g.ids, g.index
-        n = len(self.ids)
-        self.insertion = np.array([self.index[v] for v in g.nodes], np.int64)
+        n = g.node_count
         a, b = g.ends.T
         _, first, which = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                                     return_index=True, return_inverse=True)
@@ -244,16 +240,19 @@ def _column(*shape, dtype=np.int64):
 class PcnGraph:
     """A payment channel network, stored as columns.
 
-    `ids` are the sorted node ids and `index` maps each to its int; both
-    are built once per graph and shared by its views and copies. `nodes` is
-    the node set, whose iteration order `SimpleView.insertion` records.
-    Channel c, in snapshot record order, has `channel_ids[c]`, endpoint ints
-    `ends[c] = (a, b)`, `capacity[c]`, and per side `balance[c]`,
-    `base_fee[c]` and `fee_rate[c]`: side 0 is a's outbound balance and fee
-    policy, side 1 b's. Slot 2c + side names the arc out of `ends[c, side]`
-    and indexes every two-column array flattened. A channel exists only as
-    these columns: routing reads a hop's fee from the fee columns by slot,
-    and the attacks read a node's slots from its `ChannelView` row.
+    A node is its int: `ids` are the sorted node ids and `index` maps each
+    to its int, both built once per graph and shared with its copies; the
+    views, removal and components work on the ints alone. `node_order`, the
+    order betweenness takes its sources and sums in, holds the ints in the
+    iteration order of the id set the graph was born from (`graph_of_set`;
+    id order otherwise). Channel c, in snapshot record order, has
+    `channel_ids[c]`, endpoint ints `ends[c] = (a, b)`, `capacity[c]`, and
+    per side `balance[c]`, `base_fee[c]` and `fee_rate[c]`: side 0 is a's
+    outbound balance and fee policy, side 1 b's. Slot 2c + side names the
+    arc out of `ends[c, side]` and indexes every two-column array flattened.
+    A channel exists only as these columns: routing reads a hop's fee from
+    the fee columns by slot, and the attacks read a node's slots from its
+    `ChannelView` row.
 
     Payments and max flow (through one shortest-path search) and minimum
     cuts run on a `ChannelView`, the topology measures on a `SimpleView`;
@@ -268,30 +267,30 @@ class PcnGraph:
     `induced_subgraph` carry and the `ChannelView` that `copy()` shares.
     """
 
-    nodes: set[str] = field(default_factory=set)
+    ids: list[str] = field(default_factory=list)
     channel_ids: np.ndarray = _column(0, dtype=object)
     ends: np.ndarray = _column(0, 2)
     capacity: np.ndarray = _column(0)
     balance: np.ndarray = _column(0, 2)
     base_fee: np.ndarray = _column(0, 2)
     fee_rate: np.ndarray = _column(0, 2)
-    ids: list[str] | None = None
     index: dict[str, int] | None = None
+    node_order: np.ndarray | None = None
     _view: ChannelView | None = field(default=None, init=False, repr=False)
     _simple: SimpleView | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.ids is None:
-            self.ids = sorted(self.nodes)
         if self.index is None:
             self.index = {v: i for i, v in enumerate(self.ids)}
-        for column in (self.channel_ids, self.ends, self.capacity,
-                       self.base_fee, self.fee_rate):
+        if self.node_order is None:
+            self.node_order = np.arange(len(self.ids))
+        for column in (self.node_order, self.channel_ids, self.ends,
+                       self.capacity, self.base_fee, self.fee_rate):
             column.flags.writeable = False
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
     @property
     def edge_count(self) -> int:
@@ -330,10 +329,10 @@ class PcnGraph:
         return {v: (h << 32) + lo for v, h, lo in zip(self.ids, high, low)}
 
     def copy(self) -> "PcnGraph":
-        """A graph with its own node set and balances. A channel-id order
-        and a `ChannelView` the graph has built are shared, as neither
-        holds balances; the `SimpleView` is built again on first use."""
-        out = replace(self, nodes=set(self.nodes), balance=self.balance.copy())
+        """A graph with its own balances. A channel-id order and a
+        `ChannelView` the graph has built are shared, as neither holds
+        balances; the `SimpleView` is built again on first use."""
+        out = replace(self, balance=self.balance.copy())
         out._view = self._view  # `replace` leaves init=False fields unset
         if "channel_order" in vars(self):
             out.channel_order = self.channel_order
@@ -381,19 +380,28 @@ class PcnGraph:
                     "capacity": capacity,
                     "node1_balance": balance_ab,
                     "node2_balance": balance_ba,
-                    "node1_policy": {
-                        "fee_base_msat": base_ab,
-                        "fee_rate_milli_msat": rate_ab,
-                    },
-                    "node2_policy": {
-                        "fee_base_msat": base_ba,
-                        "fee_rate_milli_msat": rate_ba,
-                    },
+                    "node1_policy": {"fee_base_msat": base_ab,
+                                     "fee_rate_milli_msat": rate_ab},
+                    "node2_policy": {"fee_base_msat": base_ba,
+                                     "fee_rate_milli_msat": rate_ba},
                 }
                 for cid, capacity, a, b, balance_ab, balance_ba, base_ab,
                 base_ba, rate_ab, rate_ba in zip(*(c.tolist() for c in columns))
             ],
         }
+
+
+def graph_of_set(nodes: set[str]) -> PcnGraph:
+    """A graph without channels on the ids `nodes`, whose `node_order` is
+    the set's iteration order."""
+    index = {v: i for i, v in enumerate(sorted(nodes))}
+    return PcnGraph(ids=list(index), index=index, node_order=np.array(
+        [index[v] for v in nodes], dtype=np.int64))
+
+
+def _copied(text: str) -> str:
+    """`text` copied, so that a graph pins no memory page of a freed JSON tree."""
+    return text.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
 
 
 def _integer(value) -> int:
@@ -437,7 +445,7 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
     if not isinstance(data, dict):
         raise SnapshotError("snapshot is not a JSON object")
 
-    nodes = set()
+    nodes = set()  # in record order: its iteration order is `node_order`
     for rec in _records(data, "nodes"):
         if not isinstance(rec, dict):
             raise SnapshotError(f"node record is not an object: {rec!r}")
@@ -446,8 +454,8 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
             raise ValidationError(f"node record without a pub_key string: {rec!r}")
         if key in nodes:
             raise ValidationError(f"duplicate node key {key}")
-        nodes.add(key)
-    g = PcnGraph(nodes=nodes)
+        nodes.add(_copied(key))
+    g = graph_of_set(nodes)
 
     # nine integers per channel: capacity, then (a, b) pairs of endpoints,
     # balances, base fees and fee rates
@@ -502,7 +510,7 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
                 f"channel {cid} has a fee field above {2**32 - 1}")
 
         seen.add(cid)
-        channel_ids.append(cid)
+        channel_ids.append(_copied(cid))
         table += (capacity, a, b, bal_ab, bal_ba,
                   base_ab, base_ba, rate_ab, rate_ba)
     table = np.array(table, dtype=np.int64).reshape(-1, 9)
@@ -559,33 +567,28 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = up
 
 
-def connected_components(g: PcnGraph) -> list[set[str]]:
-    """Components sorted by (size desc, smallest member id) for determinism."""
+def largest_component(g: PcnGraph) -> np.ndarray:
+    """Mask of the nodes of the largest connected component; of equal
+    ones, the one with the smallest label, which holds the smallest id."""
     view = g.simple_graph()
-    comps: dict[int, set[str]] = {}
-    labels = component_labels(len(view.ids), view.rows, view.indices)
-    for v, label in zip(view.ids, labels.tolist()):
-        comps.setdefault(label, set()).add(v)
-    # a label is its component's smallest member, and the ids are sorted
-    return [comps[label] for label in sorted(
-        comps, key=lambda label: (-len(comps[label]), label))]
+    labels = component_labels(g.node_count, view.rows, view.indices)
+    return labels == np.bincount(labels, minlength=1).argmax()
 
 
 def largest_connected_component(g: PcnGraph) -> PcnGraph:
-    """Induced subgraph on the largest component; ties broken by the
-    smallest lexicographic member id."""
-    comps = connected_components(g)
-    return induced_subgraph(g, comps[0] if comps else set())
+    """Induced subgraph on the largest component (`largest_component`)."""
+    return induced_subgraph(g, largest_component(g))
 
 
-def induced_subgraph(g: PcnGraph, keep: set[str]) -> PcnGraph:
-    """The nodes `keep` and the channels between them. A channel-id order
-    `g` has built is carried over, masked and renumbered, not sorted again."""
-    alive = np.fromiter((v in keep for v in g.ids), dtype=bool, count=len(g.ids))
+def induced_subgraph(g: PcnGraph, alive: np.ndarray) -> PcnGraph:
+    """The nodes the boolean mask `alive` selects and the channels between
+    them. The node order, and a channel-id order `g` has built, are carried
+    over, masked and renumbered, not recorded or sorted again."""
     kept = alive[g.ends].all(axis=1)
-    rows = g._channel_rows(kept)
-    rows["ends"] = (np.cumsum(alive) - 1)[rows["ends"]]
-    sub = PcnGraph(nodes=set(keep), ids=list(compress(g.ids, alive)), **rows)
+    rows, number, order = g._channel_rows(kept), np.cumsum(alive) - 1, g.node_order
+    rows["ends"] = number[rows["ends"]]
+    sub = PcnGraph(ids=list(compress(g.ids, alive)),
+                   node_order=number[order[alive[order]]], **rows)
     if "channel_order" in vars(g):
         order = g.channel_order
         sub.channel_order = (np.cumsum(kept) - 1)[order[kept[order]]]
@@ -594,11 +597,11 @@ def induced_subgraph(g: PcnGraph, keep: set[str]) -> PcnGraph:
 
 def remove_nodes(g: PcnGraph, targets) -> PcnGraph:
     """New graph without `targets` and their incident channels."""
-    targets = set(targets)
-    unknown = targets - g.nodes
-    if unknown:
-        raise KeyError(f"unknown nodes: {sorted(unknown)}")
-    return induced_subgraph(g, g.nodes - targets)
+    targets = list(targets)
+    if unknown := [v for v in targets if v not in g.index]:
+        raise KeyError(f"unknown nodes: {sorted(dict.fromkeys(unknown))}")
+    dead = [g.index[v] for v in targets]
+    return induced_subgraph(g, np.isin(np.arange(g.node_count), dead, invert=True))
 
 
 def remove_channels(g: PcnGraph, channel_ids) -> PcnGraph:

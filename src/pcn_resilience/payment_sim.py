@@ -77,10 +77,10 @@ def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> Paymen
     smallest view position out of its node among `shortest_path_arcs`. On
     success with `apply`, balances shift along the path (reverse direction
     credited, so per-channel funds are conserved)."""
-    if spec.source not in g.nodes or spec.target not in g.nodes:
+    if spec.source not in g.index or spec.target not in g.index:
         raise KeyError("unknown payment endpoint")
     view, amount = g.channel_view(), spec.amount
-    cur, t = view.index[spec.source], view.index[spec.target]
+    cur, t = g.index[spec.source], g.index[spec.target]
     pos = view.shortest_path_arcs(g.balance.reshape(-1), cur, t, amount)
     if pos is None:
         return PaymentOutcome(success=False)
@@ -91,7 +91,7 @@ def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> Paymen
         arcs.append(step[cur])
         cur = int(view.dst[arcs[-1]])
     slots = view.slot[arcs]
-    path = [spec.source] + [view.ids[v] for v in view.dst[arcs].tolist()]
+    path = [spec.source] + [g.ids[v] for v in view.dst[arcs].tolist()]
     # each forwarding hop charges by the policy of the arc it sends on; on
     # Python ints, as a u32 rate times a 21M BTC amount overflows int64
     base = g.base_fee.reshape(-1)[slots[1:]].tolist()
@@ -104,32 +104,31 @@ def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> Paymen
                           fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
 
 
-def _pair_sampler(nodes, rng: random.Random):
+def _pair_sampler(ids, rng: random.Random):
     """A function drawing one uniform ordered endpoint pair (s != t) from
-    `rng`. `nodes` is sorted so sampling depends only on the set."""
-    pool = sorted(nodes)
-    if len(pool) < 2:
+    `rng` out of a graph's sorted `ids`."""
+    if len(ids) < 2:
         raise ValueError("need at least two nodes to sample endpoint pairs")
 
     def draw() -> tuple[str, str]:
-        s = pool[rng.randrange(len(pool))]
-        t = pool[rng.randrange(len(pool))]
+        s = ids[rng.randrange(len(ids))]
+        t = ids[rng.randrange(len(ids))]
         while t == s:
-            t = pool[rng.randrange(len(pool))]
+            t = ids[rng.randrange(len(ids))]
         return s, t
     return draw
 
 
-def sample_specs(nodes, attempts: int, volumes: VolumeModel,
+def sample_specs(ids, attempts: int, volumes: VolumeModel,
                  rng: random.Random) -> list[PaymentSpec]:
     """Uniform endpoint pairs, each followed by a volume drawn from the pool."""
-    draw = _pair_sampler(nodes, rng)
+    draw = _pair_sampler(ids, rng)
     return [PaymentSpec(*draw(), amount=volumes.sample(rng))
             for _ in range(attempts)]
 
 
-def sample_pairs(nodes, rounds: int, rng: random.Random) -> list[tuple[str, str]]:
-    draw = _pair_sampler(nodes, rng)
+def sample_pairs(ids, rounds: int, rng: random.Random) -> list[tuple[str, str]]:
+    draw = _pair_sampler(ids, rng)
     return [draw() for _ in range(rounds)]
 
 
@@ -137,14 +136,14 @@ def evaluate_payments(g: PcnGraph, specs) -> list[PaymentOutcome]:
     """Route a fixed payment sequence read-only; specs whose endpoints are
     missing from the graph (it may have been attacked) count as failures."""
     return [route_payment(g, spec)
-            if spec.source in g.nodes and spec.target in g.nodes
+            if spec.source in g.index and spec.target in g.index
             else PaymentOutcome(success=False) for spec in specs]
 
 
 def max_flow(g: PcnGraph, s: str, t: str) -> int:
     """Exact maximum flow over the channels' arcs, each with its routable
     balance (Dinic's algorithm on an int64 copy; `ChannelView.max_flow`)."""
-    if s not in g.nodes or t not in g.nodes:
+    if s not in g.index or t not in g.index:
         raise KeyError("unknown max-flow endpoint")
     if s == t:
         raise ValueError("max-flow endpoints must differ")
@@ -154,7 +153,7 @@ def max_flow(g: PcnGraph, s: str, t: str) -> int:
 
 def evaluate_flows(g: PcnGraph, pairs) -> list[int]:
     """Max flow per (s, t) pair; pairs touching removed nodes contribute 0."""
-    return [max_flow(g, s, t) if s in g.nodes and t in g.nodes else 0
+    return [max_flow(g, s, t) if s in g.index and t in g.index else 0
             for s, t in pairs]
 
 
@@ -162,9 +161,9 @@ def fee_gain(g: PcnGraph, hub: str, payments: int, volumes: VolumeModel,
              seed: int = 0) -> float:
     """Average fee income (msat) earned by `hub` as a forwarding node over
     `payments` stateful payments (balances evolve between payments)."""
-    if hub not in g.nodes:
+    if hub not in g.index:
         raise KeyError(f"unknown hub {hub}")
     state = g.copy()
-    specs = sample_specs(g.nodes, payments, volumes, random.Random(seed))
+    specs = sample_specs(g.ids, payments, volumes, random.Random(seed))
     return sum(route_payment(state, spec, apply=True).per_hop_fees.get(hub, 0)
                for spec in specs) / payments

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .graph_model import (DEFAULT_BASE_FEE_MSAT, DEFAULT_RATE_PPM, PcnGraph,
-                          component_labels, largest_connected_component)
+                          component_labels, graph_of_set, largest_connected_component)
 
 
 class ConvergenceError(Exception):
@@ -77,16 +77,16 @@ def betweenness_centrality(g: PcnGraph, sample_sources: int | None = None,
     (all sources) when None. Brandes' algorithm, run over blocks of
     sources, that reproduces `networkx.betweenness_centrality` on the
     networkx form of the projection bit for bit: sources, pivots and the
-    result in its node order (`SimpleView.insertion`), neighbours in its
+    result in its node order (`PcnGraph.node_order`), neighbours in its
     adjacency order, and every floating-point sum taken in the same order.
     """
     if sample_sources is not None and sample_sources < 1:
         raise ValueError("betweenness needs at least one source")
     view = g.simple_graph()
-    n = len(view.ids)
+    n = g.node_count
     sampled = sample_sources is not None and sample_sources < n
-    sources = view.insertion[random.Random(seed).sample(
-        range(n), sample_sources)] if sampled else view.insertion
+    sources = g.node_order[random.Random(seed).sample(
+        range(n), sample_sources)] if sampled else g.node_order
     total = np.zeros(n)
     for lo in range(0, len(sources), BETWEENNESS_BLOCK):
         block = sources[lo:lo + BETWEENNESS_BLOCK]
@@ -95,7 +95,7 @@ def betweenness_centrality(g: PcnGraph, sample_sources: int | None = None,
     if n > 2:
         total *= _betweenness_scale(n, sources if sampled else None)
     values = total.tolist()
-    return {view.ids[i]: values[i] for i in view.insertion.tolist()}
+    return {g.ids[i]: values[i] for i in g.node_order.tolist()}
 
 
 def _dependencies(indptr: np.ndarray, indices: np.ndarray,
@@ -175,10 +175,10 @@ def eigenvector_centrality(g: PcnGraph, tol: float = 1e-8,
                            max_iter: int = 1000) -> dict[str, float]:
     """Power iteration on the capacity-weighted adjacency matrix of the
     largest component; unit Euclidean norm."""
-    if not g.nodes:
+    if not g.ids:
         raise ValueError("eigenvector centrality of an empty graph")
-    view = largest_connected_component(g).simple_graph()
-    n = len(view.ids)
+    lcc = largest_connected_component(g)
+    view, n = lcc.simple_graph(), lcc.node_count
     adj = np.zeros((n, n))
     adj[view.rows, view.indices] = view.capacity
 
@@ -193,10 +193,10 @@ def eigenvector_centrality(g: PcnGraph, tol: float = 1e-8,
         y = adj @ x
         norm = np.linalg.norm(y)
         if norm == 0:
-            return dict(zip(view.ids, x.tolist()))
+            return dict(zip(lcc.ids, x.tolist()))
         y /= norm
         if np.max(np.abs(y - x)) < tol:
-            return dict(zip(view.ids, y.tolist()))
+            return dict(zip(lcc.ids, y.tolist()))
         x = y
     raise ConvergenceError(
         f"power iteration did not converge within {max_iter} iterations", max_iter)
@@ -212,7 +212,7 @@ def transitivity(g: PcnGraph) -> float:
     few out-neighbours; a triangle is the one out-pair of its lowest node
     whose two ends are neighbours, looked up among the sorted arc keys."""
     view = g.simple_graph()
-    n = len(view.ids)
+    n = g.node_count
     if not n:
         return 0.0
     rows, cols = view.rows, view.indices
@@ -311,7 +311,7 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
     else:
         raise ValueError(f"unknown reference kind {kind!r}")
 
-    g = PcnGraph(nodes={f"n{i}" for i in range(n)})
+    g = graph_of_set({f"n{i}" for i in range(n)})
     node = np.array([g.index[f"n{i}"] for i in range(n)], dtype=np.int64)
     ends = node[edges]
     m = len(ends)
@@ -408,7 +408,7 @@ def random_failure_experiment(g: PcnGraph, failures: list[int], runs: int = 100,
     if failures and max(failures) >= g.node_count:
         raise ValueError("failure count must be smaller than the node count")
     view = g.simple_graph()
-    n = len(view.ids)
+    n = g.node_count
     once = view.rows < view.indices  # each neighbour pair once
     u, v = view.rows[once], view.indices[once]
     nodes = np.arange(n)

@@ -195,9 +195,9 @@ def reference_route(g, spec, balances, apply=False):
 
     from pcn_resilience.payment_sim import PaymentOutcome
 
-    if spec.source not in g.nodes or spec.target not in g.nodes:
+    if spec.source not in g.ids or spec.target not in g.ids:
         raise KeyError("unknown payment endpoint")
-    adj = {v: {} for v in g.nodes}
+    adj = {v: {} for v in g.ids}
     for e in sorted(channels(g).values(), key=lambda e: e.channel_id):
         balance_ab, balance_ba = balances[e.channel_id]
         if balance_ab >= spec.amount and e.b not in adj[e.a]:
@@ -241,7 +241,7 @@ def reference_distances(g):
     """(diameter, average distance) over the ordered pairs of distinct
     nodes joined by a path, by a queue-based BFS from every node; (0, 0.0)
     when there are none."""
-    adj = {v: set() for v in g.nodes}
+    adj = {v: set() for v in g.ids}
     for e in channels(g).values():
         adj[e.a].add(e.b)
         adj[e.b].add(e.a)
@@ -261,11 +261,12 @@ def reference_distances(g):
 def reference_simple_graph(g):
     """The undirected simple projection as a networkx graph: parallel
     channels collapsed with capacities summed (edge attribute `capacity`),
-    nodes in the node set's order and neighbours in channel order."""
+    nodes in the graph's recorded `node_order` and neighbours in channel
+    order."""
     import networkx as nx
 
     sg = nx.Graph()
-    sg.add_nodes_from(g.nodes)
+    sg.add_nodes_from(g.ids[i] for i in g.node_order.tolist())
     for e in channels(g).values():
         if sg.has_edge(e.a, e.b):
             sg[e.a][e.b]["capacity"] += e.capacity

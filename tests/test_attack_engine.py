@@ -119,12 +119,12 @@ class TestIsolateNode:
         g = fig3_fixture()
         g2, cost = ae.isolate_node(g, "A")
         assert cost == 21
-        assert "A" not in g2.nodes
+        assert "A" not in g2.index
         assert "ab" not in channels(g2)
 
     def test_exhaust_node_channels_keeps_node(self):
         g = ae.exhaust_node_channels(fig3_fixture(), "A")
-        assert "A" in g.nodes
+        assert "A" in g.index
         assert ae.isolation_cost(g, "A") == 0
         assert [channels(g)[c].balance_ba for c in ("ab", "ac", "ad")] == [10, 12, 16]
 
@@ -138,7 +138,7 @@ class TestIsolateNode:
     def test_isolated_node_without_channels(self):
         g = make_graph(["a", "b", "x"], [("a", "b")])
         g2, cost = ae.isolate_node(g, "x")
-        assert cost == 0 and "x" not in g2.nodes
+        assert cost == 0 and "x" not in g2.index
 
     def test_no_payment_routes_through_isolated_node(self):
         g = make_graph(["a", "h", "b", "c"],
@@ -146,7 +146,7 @@ class TestIsolateNode:
                        capacity=10_000)
         g2, _ = ae.isolate_node(g, "h")
         rng = random.Random(0)
-        specs = ps.sample_specs(g2.nodes, 50, ps.UNIT_VOLUMES, rng)
+        specs = ps.sample_specs(g2.ids, 50, ps.UNIT_VOLUMES, rng)
         for out in ps.evaluate_payments(g2, specs):
             assert "h" not in out.path
 
@@ -212,7 +212,7 @@ class TestPlanTargets:
 
 def reference_ranked_cuts(g, cut_samples, seed):
     """`_rank_min_cuts` with every cut taken from the networkx oracle."""
-    pairs = ps.sample_pairs(g.nodes, cut_samples, random.Random(seed))
+    pairs = ps.sample_pairs(g.ids, cut_samples, random.Random(seed))
     occurrences = {}
     for s, t in pairs:
         cut = reference_min_cut(g, s, t)
@@ -479,8 +479,8 @@ class TestSingleRemoval:
 
     def stepwise_report(self, g, chosen, params, seed, spent):
         rng = random.Random(seed)
-        specs = ps.sample_specs(g.nodes, params.attempts, params.volumes, rng)
-        pairs = ps.sample_pairs(g.nodes, params.flow_rounds, rng)
+        specs = ps.sample_specs(g.ids, params.attempts, params.volumes, rng)
+        pairs = ps.sample_pairs(g.ids, params.flow_rounds, rng)
         current = g
         for v in chosen:
             current = remove_nodes(current, [v])
@@ -553,9 +553,9 @@ def observed(g):
     mistake."""
     view = g.simple_graph()
     return (g.to_snapshot_dict(), g.balance_digraph().tolist(), dict(g.index),
+            g.node_order.tolist(),
             [column.tolist() for column in (view.rows, view.indices,
-                                            view.capacity, view.indptr,
-                                            view.insertion)])
+                                            view.capacity, view.indptr)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -563,7 +563,7 @@ def observed(g):
 def test_derived_graphs_never_alias_their_source(g, data):
     before = observed(g)
     source = before[0]
-    nodes = sorted(g.nodes)
+    nodes = g.ids
     targets = data.draw(st.sets(st.sampled_from(nodes)))
     v = data.draw(st.sampled_from(nodes))
     cases = [
@@ -591,7 +591,7 @@ def test_derived_graphs_never_alias_their_source(g, data):
         assert observed(g) == before
 
     volumes = ps.VolumeModel((1, 3, 5))
-    specs = ps.sample_specs(g.nodes, 12, volumes, random.Random(7))
+    specs = ps.sample_specs(g.ids, 12, volumes, random.Random(7))
     state = reference_balances(g)
     earned = sum(reference_route(g, spec, state, apply=True)
                  .per_hop_fees.get(v, 0) for spec in specs)

@@ -1,7 +1,10 @@
 import gc
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 from pcn_resilience import attack_engine as ae
 from pcn_resilience.graph_model import (BALANCE_MODELS, MAX_SAT, PcnGraph,
                                         SnapshotError, ValidationError,
-                                        connected_components, graph_from_dict,
+                                        component_labels, graph_from_dict,
+                                        induced_subgraph,
                                         largest_connected_component,
                                         load_snapshot, remove_nodes)
 
@@ -114,7 +118,7 @@ class TestLoadSnapshot:
         out = tmp_path / "snap.json"
         out.write_text(json.dumps(g.to_snapshot_dict()))
         g2 = load_snapshot(out, balance_model="explicit")
-        assert g2.nodes == g.nodes
+        assert g2.ids == g.ids
         assert set(channels(g2)) == set(channels(g))
         for cid, e in channels(g).items():
             e2 = channels(g2)[cid]
@@ -274,17 +278,17 @@ class TestComponents:
              ("d", "e"), ("e", "f"), ("f", "d"),
              ("g", "h"), ("h", "i"), ("i", "j"), ("j", "g")])
         lcc = largest_connected_component(g)
-        assert lcc.nodes == {"g", "h", "i", "j"}
+        assert lcc.ids == ["g", "h", "i", "j"]
 
     def test_connected_graph_is_identity(self):
         g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
         lcc = largest_connected_component(g)
-        assert lcc.nodes == g.nodes
+        assert lcc.ids == g.ids
         assert set(channels(lcc)) == set(channels(g))
 
     def test_tie_break_smallest_member(self):
         g = make_graph(["a", "b", "x", "y"], [("a", "b"), ("x", "y")])
-        assert largest_connected_component(g).nodes == {"a", "b"}
+        assert largest_connected_component(g).ids == ["a", "b"]
 
     def test_empty(self):
         assert largest_connected_component(PcnGraph()).node_count == 0
@@ -292,16 +296,26 @@ class TestComponents:
     def test_sizes_sum_to_node_count(self):
         g = make_graph(list("abcdefg"),
                        [("a", "b"), ("c", "d"), ("d", "e")])
-        comps = connected_components(g)
-        assert sum(len(c) for c in comps) == g.node_count
+        labels = component_labels(g.node_count, *g.ends.T)
+        assert labels.tolist() == [0, 0, 2, 2, 2, 5, 6]
+        assert np.bincount(labels).sum() == g.node_count
 
     def test_against_union_find(self):
         g = make_graph(list("abcdefgh"),
                        [("a", "b"), ("b", "c"), ("d", "e"), ("f", "g")])
-        ours = sorted(sorted(c) for c in connected_components(g))
+        ours = sorted(sorted(c) for c in components(g))
         oracle = sorted(sorted(c) for c in union_find_components(
-            g.nodes, [(e.a, e.b) for e in channels(g).values()]))
+            g.ids, [(e.a, e.b) for e in channels(g).values()]))
         assert ours == oracle
+
+
+def components(g):
+    """The classes of `component_labels` as sets of ids, sorted by (size
+    desc, smallest id)."""
+    classes = {}
+    for v, label in zip(g.ids, component_labels(g.node_count, *g.ends.T).tolist()):
+        classes.setdefault(label, set()).add(v)
+    return sorted(classes.values(), key=lambda c: (-len(c), min(c)))
 
 
 def test_simple_view_is_cached_per_graph():
@@ -330,7 +344,7 @@ class TestBalanceDigraph:
         g = explicit_channels([("c0", "b", "a", 7, 3), ("c1", "a", "b", 5, 2),
                                ("c2", "b", "c", 4, 0)])
         arcs, view = g.balance_digraph(), g.channel_view()
-        assert [(view.ids[u], view.ids[v], arcs[y]) for u, v, y in zip(
+        assert [(g.ids[u], g.ids[v], arcs[y]) for u, v, y in zip(
             view.src.tolist(), view.dst.tolist(), view.slot.tolist())] == [
             ("a", "b", 3), ("a", "b", 5), ("b", "a", 7), ("b", "a", 2),
             ("b", "c", 4), ("c", "b", 0)]
@@ -350,7 +364,7 @@ def test_outbound_balances_match_per_node_query():
     g = explicit_channels([("c0", "b", "a", 7, 3), ("c1", "a", "b", 5, 2),
                            ("c2", "b", "c", 4, 0)])
     assert g.outbound_balances() == {"a": 8, "b": 13, "c": 0}
-    assert g.outbound_balances() == {v: ae.isolation_cost(g, v) for v in g.nodes}
+    assert g.outbound_balances() == {v: ae.isolation_cost(g, v) for v in g.ids}
 
 
 class TestRemoveNodes:
@@ -363,7 +377,7 @@ class TestRemoveNodes:
     def test_remove_nothing(self):
         g = make_graph(["a", "b"], [("a", "b")])
         g2 = remove_nodes(g, [])
-        assert g2.nodes == g.nodes and set(channels(g2)) == set(channels(g))
+        assert g2.ids == g.ids and set(channels(g2)) == set(channels(g))
 
     def test_input_not_modified(self):
         g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -375,13 +389,19 @@ class TestRemoveNodes:
         with pytest.raises(KeyError, match="zz"):
             remove_nodes(g, ["zz"])
 
+    def test_unknown_targets_are_named_once_in_order(self):
+        g = make_graph(["a", "b"], [("a", "b")])
+        with pytest.raises(KeyError) as caught:
+            remove_nodes(g, ["zz", "a", "c", "zz"])
+        assert caught.value.args == ("unknown nodes: ['c', 'zz']",)
+
     def test_articulation_point_splits(self):
         # path of two triangles joined through 'c'
         g = make_graph(list("abcde"),
                        [("a", "b"), ("b", "c"), ("a", "c"),
                         ("c", "d"), ("d", "e"), ("c", "e")])
         g2 = remove_nodes(g, ["c"])
-        assert len(connected_components(g2)) == 2
+        assert components(g2) == [{"a", "b"}, {"d", "e"}]
 
 
 @settings(max_examples=50, deadline=None)
@@ -399,7 +419,7 @@ def test_remove_nodes_composes_over_disjoint_sets(data):
     a, b = removable[:split], removable[split:]
     combined = remove_nodes(g, a + b)
     stepwise = remove_nodes(remove_nodes(g, a), b)
-    assert combined.nodes == stepwise.nodes
+    assert combined.ids == stepwise.ids
     assert set(channels(combined)) == set(channels(stepwise))
 
 
@@ -421,3 +441,94 @@ def test_subgraphs_carry_the_channel_id_order(data):
     for h in (sub, largest_connected_component(sub), g.copy()):
         assert "channel_order" in vars(h)
         assert (h.channel_order == np.argsort(h.channel_ids)).all()
+
+
+@st.composite
+def grouped_graphs(draw):
+    """Graphs of up to 16 nodes, possibly none, in groups whose channels
+    (parallel ones among them) stay inside the group, so groups of equal
+    size often give components of equal size. Node records run in a
+    shuffled order. Also a set of nodes to remove."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=4))
+    if sizes and draw(st.booleans()):
+        sizes = [sizes[0]] * len(sizes)
+    ids = draw(st.permutations([f"v{i}" for i in range(sum(sizes))]))
+    pairs, start = [], 0
+    for size in sizes:
+        group = ids[start:start + size]
+        start += size
+        if size < 2:
+            continue
+        if draw(st.booleans()):
+            pairs += list(zip(group, group[1:]))
+        pair = st.tuples(st.sampled_from(group), st.sampled_from(group)).filter(
+            lambda p: p[0] != p[1])
+        pairs += draw(st.lists(pair, max_size=size))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    pairs = draw(st.permutations(pairs))
+    targets = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    return make_graph(ids, pairs), pairs, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_graphs())
+def test_components_and_removal_match_networkx_and_union_find(case):
+    g, pairs, targets = case
+    ref = nx.Graph()
+    ref.add_nodes_from(g.ids)
+    ref.add_edges_from(pairs)
+    comps = sorted(nx.connected_components(ref), key=lambda c: (-len(c), min(c)))
+    largest = comps[0] if comps else set()
+    assert ae.reachability(g) == len(largest)
+    lcc = largest_connected_component(g)
+    assert lcc.ids == sorted(largest)
+    assert channels(lcc) == {cid: e for cid, e in channels(g).items()
+                             if e.a in largest}
+
+    rest = set(g.ids) - targets
+    sub = remove_nodes(g, targets)
+    assert sub.ids == sorted(rest)
+    assert channels(sub) == {cid: e for cid, e in channels(g).items()
+                             if e.a in rest and e.b in rest}
+    alive = np.array([v in rest for v in g.ids], dtype=bool)
+    assert induced_subgraph(g, alive).to_snapshot_dict() == sub.to_snapshot_dict()
+    # the recorded node order is masked, not recorded again
+    assert [sub.ids[i] for i in sub.node_order] == [
+        g.ids[i] for i in g.node_order if g.ids[i] in rest]
+    sizes = [len(c) for c in union_find_components(
+        rest, [p for p in pairs if set(p) <= rest])]
+    assert ae.reachability(sub) == max(sizes, default=0)
+
+
+def test_node_order_is_the_iteration_order_of_the_validation_set():
+    ids = [f"{i:x}{'z' * i}" for i in range(40)]
+    g = make_graph(ids[::-1], [(ids[0], ids[1])])
+    assert g.ids == sorted(ids)
+    assert [g.ids[i] for i in g.node_order] == list(set(ids[::-1]))
+    assert not g.node_order.flags.writeable
+    assert g.copy().node_order is g.node_order
+    assert (PcnGraph(ids=["a", "b"]).node_order == [0, 1]).all()
+
+
+def test_loaded_id_strings_are_not_objects_of_the_parse_tree(tmp_path):
+    # each would keep a page of the freed tree's memory
+    path = tmp_path / "snap.json"
+    ids = [f"02{i:064x}" for i in range(30)]
+    path.write_text(json.dumps({
+        "nodes": [{"pub_key": v} for v in ids],
+        "edges": [{"channel_id": f"{700000 + i}x{i}", "node1_pub": a,
+                   "node2_pub": b, "capacity": "1000"}
+                  for i, (a, b) in enumerate(zip(ids, ids[1:]))]}))
+    tracemalloc.start(20)
+    try:
+        g = load_snapshot(path)
+        strings = [*g.ids, *g.channel_ids.tolist()]
+        tracebacks = [tracemalloc.get_object_traceback(s) for s in strings]
+    finally:
+        tracemalloc.stop()
+    assert g.ids == ids and len(strings) == 59
+    decoder = os.path.join("json", "decoder.py")
+    assert all(tb is not None for tb in tracebacks)
+    assert not [s for s, tb in zip(strings, tracebacks)
+                if any(frame.filename.endswith(decoder) for frame in tb)]

@@ -225,7 +225,7 @@ class TestChannelView:
         assert g.channel_view() is view
         ps.route_payment(g, ps.PaymentSpec("a", "b", 20_000), apply=True)
         assert g.channel_view() is view
-        arc_balance = {(view.ids[u], view.ids[v]): int(bal) for u, v, bal
+        arc_balance = {(g.ids[u], g.ids[v]): int(bal) for u, v, bal
                        in zip(view.src, view.dst,
                               g.balance_digraph()[view.slot])}
         assert arc_balance == {("a", "h"): 30_000, ("h", "a"): 70_000,
@@ -274,7 +274,7 @@ def test_fee_past_int64_is_exact():
 
 def success_ratio(g, attempts, seed):
     """Fraction of `attempts` seeded random payments that find a route."""
-    specs = ps.sample_specs(g.nodes, attempts, VOLS, random.Random(seed))
+    specs = ps.sample_specs(g.ids, attempts, VOLS, random.Random(seed))
     outcomes = ps.evaluate_payments(g, specs)
     return sum(o.success for o in outcomes) / attempts
 
@@ -486,14 +486,14 @@ class TestAverageMaxFlow:
                        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
                        capacity=50)
         rng = random.Random(4)
-        pairs = ps.sample_pairs(g.nodes, 30, rng)
+        pairs = ps.sample_pairs(g.ids, 30, rng)
         fwd = ps.evaluate_flows(g, pairs)
         rev = ps.evaluate_flows(g, [(t, s) for s, t in pairs])
         assert fwd == rev
 
     def test_determinism(self):
         g = generate_reference("erdos-renyi", 20, 40, seed=2)
-        flows = [ps.evaluate_flows(g, ps.sample_pairs(g.nodes, 50, random.Random(7)))
+        flows = [ps.evaluate_flows(g, ps.sample_pairs(g.ids, 50, random.Random(7)))
                  for _ in range(2)]
         assert flows[0] == flows[1]
 

@@ -10,18 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcn_resilience import topology_metrics as tm
-from pcn_resilience.graph_model import (connected_components, graph_from_dict,
+from pcn_resilience.graph_model import (graph_from_dict,
                                         largest_connected_component)
 
 from oracles import (brute_betweenness, brute_transitivity, channels,
                      reference_components, reference_generator_edges,
                      reference_distances, reference_simple_graph,
                      union_find_components)
-from test_graph_model import make_graph
+from test_graph_model import components, make_graph
 
 
 def adjacency(g):
-    adj = {v: set() for v in g.nodes}
+    adj = {v: set() for v in g.ids}
     for e in channels(g).values():
         adj[e.a].add(e.b)
         adj[e.b].add(e.a)
@@ -55,7 +55,7 @@ class TestDegreeDistribution:
         dist = tm.degree_distribution(g)
         assert sum(dist.values()) == 200
         recount = {}
-        for v in g.nodes:
+        for v in g.ids:
             d = sum(1 for e in channels(g).values() if v in (e.a, e.b))
             recount[d] = recount.get(d, 0) + 1
         assert dist == recount
@@ -78,8 +78,8 @@ class TestBetweenness:
         for _ in range(30):
             g = random_small_graph(rng)
             got = tm.betweenness_centrality(g)
-            want = brute_betweenness(g.nodes, adjacency(g))
-            for v in g.nodes:
+            want = brute_betweenness(g.ids, adjacency(g))
+            for v in g.ids:
                 assert got[v] == pytest.approx(want[v], abs=1e-9)
 
 
@@ -174,15 +174,14 @@ def test_simple_view_matches_reference_simple_graph(g):
     tm.random_failure_experiment(g, [0], runs=1)
     view = g.simple_graph()
     ref = reference_simple_graph(g)
-    assert view.ids == sorted(g.nodes)
-    assert [view.ids[i] for i in view.insertion] == list(ref)
+    assert [g.ids[i] for i in g.node_order] == list(ref)
     for v in ref:
-        row = slice(view.indptr[view.index[v]], view.indptr[view.index[v] + 1])
-        assert [view.ids[w] for w in view.indices[row]] == list(ref.adj[v])
+        row = slice(view.indptr[g.index[v]], view.indptr[g.index[v] + 1])
+        assert [g.ids[w] for w in view.indices[row]] == list(ref.adj[v])
         assert view.capacity[row].tolist() == [
             ref[v][w]["capacity"] for w in ref.adj[v]]
     assert type(got) is type(want) and got == want
-    assert connected_components(g) == sorted(
+    assert components(g) == sorted(
         nx.connected_components(ref), key=lambda c: (-len(c), min(c)))
 
 
@@ -211,7 +210,7 @@ class TestEigenvector:
             ],
         })
         got = tm.eigenvector_centrality(g, tol=1e-12)
-        order = sorted(g.nodes)
+        order = g.ids
         idx = {v: i for i, v in enumerate(order)}
         adj = np.zeros((4, 4))
         for e in channels(g).values():
@@ -245,7 +244,7 @@ class TestTransitivity:
         for _ in range(10):
             g = random_small_graph(rng, n=12)
             assert tm.transitivity(g) == pytest.approx(
-                brute_transitivity(g.nodes, adjacency(g)), abs=1e-12)
+                brute_transitivity(g.ids, adjacency(g)), abs=1e-12)
 
     @pytest.mark.parametrize("kind, edges", [("erdos-renyi", 900),
                                              ("barabasi-albert", 450)])
@@ -256,9 +255,9 @@ class TestTransitivity:
     def test_relabel_invariance(self):
         rng = random.Random(9)
         g = random_small_graph(rng, n=8)
-        mapping = {v: f"x{ord(v[1])}" for v in g.nodes}
+        mapping = {v: f"x{ord(v[1])}" for v in g.ids}
         relabeled = make_graph(
-            [mapping[v] for v in g.nodes],
+            [mapping[v] for v in g.ids],
             [(mapping[e.a], mapping[e.b]) for e in channels(g).values()])
         assert tm.transitivity(g) == pytest.approx(tm.transitivity(relabeled))
 
@@ -320,7 +319,7 @@ def split_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(split_graphs(), st.integers(1, 8))
 def test_distance_stats_matches_reference_bfs(g, block):
-    assert len(connected_components(g)) >= 3
+    assert len(components(g)) >= 3
     want = reference_distances(g)
     assert tm.distance_stats(g) == want
     # blocks that split the sources, down to one source per block
@@ -353,7 +352,7 @@ class TestCentralPointDominance:
         nodes = [f"n{i}" for i in range(6)]
         g = make_graph(nodes, [(nodes[i], nodes[(i + 1) % 6]) for i in range(6)])
         bc = tm.betweenness_centrality(g)
-        want = brute_betweenness(g.nodes, adjacency(g))
+        want = brute_betweenness(g.ids, adjacency(g))
         assert max(bc.values()) - min(bc.values()) < 1e-12
         assert tm.central_point_dominance(g) == pytest.approx(max(want.values()))
 
@@ -406,7 +405,7 @@ def test_generate_reference_matches_networkx(kind, n, target_edges, seed):
     assert [(label[a], label[b]) for a, b in g.ends.tolist()] == \
         reference_generator_edges(kind, n, m, seed)
     assert g.channel_ids.tolist() == [f"ref{i}" for i in range(g.edge_count)]
-    assert g.nodes == {f"n{i}" for i in range(n)}
+    assert g.ids == sorted(f"n{i}" for i in range(n))
 
 
 class TestSmallWorld:
@@ -446,11 +445,10 @@ class TestRandomFailures:
         g = tm.generate_reference("erdos-renyi", 60, 100, seed=13)
         ours = tm.random_failure_experiment(g, [5], runs=30, seed=3)[5]
         rng = random.Random(3)
-        nodes = sorted(g.nodes)
         total = 0
         for _ in range(30):
-            removed = set(rng.sample(nodes, 5))
-            rest = g.nodes - removed
+            removed = set(rng.sample(g.ids, 5))
+            rest = set(g.ids) - removed
             edges = [(e.a, e.b) for e in channels(g).values()
                      if e.a in rest and e.b in rest]
             total += len(union_find_components(rest, edges))
@@ -476,13 +474,13 @@ def failure_cases(draw):
 
 def reference_failures(g, failures, runs, seed):
     """`random_failure_experiment` from the same draws, by BFS components."""
-    rng, ids = random.Random(seed), sorted(g.nodes)
+    rng, ids = random.Random(seed), g.ids
     edges = [(e.a, e.b) for e in channels(g).values()]
     result = {}
     for k in failures:
         total = 0
         for _ in range(runs):
-            rest = g.nodes - set(rng.sample(ids, k))
+            rest = set(ids) - set(rng.sample(ids, k))
             total += len(reference_components(
                 rest, [(a, b) for a, b in edges if a in rest and b in rest]))
         result[k] = total / runs
@@ -494,7 +492,7 @@ def reference_failures(g, failures, runs, seed):
 def test_components_match_reference_components(case):
     g, failures, seed = case
     edges = [(e.a, e.b) for e in channels(g).values()]
-    assert connected_components(g) == reference_components(g.nodes, edges)
+    assert components(g) == reference_components(g.ids, edges)
     assert (tm.random_failure_experiment(g, failures, runs=3, seed=seed)
             == reference_failures(g, failures, 3, seed))
 
@@ -507,7 +505,7 @@ def test_components_of_long_permuted_paths():
     g = make_graph(ids, list(zip(ids[:3999], ids[1:4000]))
                    + list(zip(ids[4000:-1], ids[4001:])))
     edges = [(e.a, e.b) for e in channels(g).values()]
-    assert connected_components(g) == reference_components(g.nodes, edges)
+    assert components(g) == reference_components(g.ids, edges)
     assert (tm.random_failure_experiment(g, [0, 10, 5999], runs=2, seed=1)
             == reference_failures(g, [0, 10, 5999], 2, 1))
 
@@ -518,6 +516,6 @@ def test_betweenness_property_small_graphs(seed):
     rng = random.Random(seed)
     g = random_small_graph(rng)
     got = tm.betweenness_centrality(g)
-    want = brute_betweenness(g.nodes, adjacency(g))
-    for v in g.nodes:
+    want = brute_betweenness(g.ids, adjacency(g))
+    for v in g.ids:
         assert got[v] == pytest.approx(want[v], abs=1e-9)
