@@ -207,8 +207,7 @@ def _rank_parallel_paths(g: PcnGraph, strategy: Strategy) -> list[str]:
             continue
         for v in outcome.path[1:-1]:
             counts[v] += 1
-    if hub is not None:
-        counts.pop(hub, None)
+    counts.pop(hub, None)
     return _rank_nodes(counts)
 
 

@@ -585,10 +585,11 @@ def induced_subgraph(g: PcnGraph, alive: np.ndarray) -> PcnGraph:
     them. The node order, and a channel-id order `g` has built, are carried
     over, masked and renumbered, not recorded or sorted again."""
     kept = alive[g.ends].all(axis=1)
-    rows, number, order = g._channel_rows(kept), np.cumsum(alive) - 1, g.node_order
+    rows, number = g._channel_rows(kept), np.cumsum(alive) - 1
     rows["ends"] = number[rows["ends"]]
+    nodes = g.node_order
     sub = PcnGraph(ids=list(compress(g.ids, alive)),
-                   node_order=number[order[alive[order]]], **rows)
+                   node_order=number[nodes[alive[nodes]]], **rows)
     if "channel_order" in vars(g):
         order = g.channel_order
         sub.channel_order = (np.cumsum(kept) - 1)[order[kept[order]]]

@@ -174,7 +174,7 @@ def test_simple_view_matches_reference_simple_graph(g):
     tm.random_failure_experiment(g, [0], runs=1)
     view = g.simple_graph()
     ref = reference_simple_graph(g)
-    assert [g.ids[i] for i in g.node_order] == list(ref)
+    assert g.ids == sorted(ref) and [g.ids[i] for i in g.node_order] == list(ref)
     for v in ref:
         row = slice(view.indptr[g.index[v]], view.indptr[g.index[v] + 1])
         assert [g.ids[w] for w in view.indices[row]] == list(ref.adj[v])
