@@ -36,30 +36,27 @@ ATTACK_CSV_HEADER = ("strategy,constraint,n_or_budget,spent,s,s_prime,"
                      "r,r_prime,F_bar,F_bar_prime,delta_s,delta_r,delta_F")
 
 
-def _config_hash(args: dict) -> str:
-    # the output location is not part of the run configuration
-    blob = json.dumps({k: v for k, v in args.items() if k != "out"},
-                      sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _seed(seed: int | None) -> int:
+    """--seed, falling back to $PCN_RESILIENCE_SEED, then 0."""
+    env = os.environ.get("PCN_RESILIENCE_SEED") or "0"
+    try:
+        return int(env) if seed is None else seed
+    except ValueError:
+        raise ValueError(f"$PCN_RESILIENCE_SEED has {env!r}, "
+                         "expected an integer") from None
 
 
-def _setup(args) -> tuple[int, PcnGraph, dict, str]:
-    """A subcommand's seed (falling back to $PCN_RESILIENCE_SEED, then 0),
-    its snapshot, the report meta and the CSV comment line carrying it."""
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("PCN_RESILIENCE_SEED")
-        try:
-            seed = int(env) if env else 0
-        except ValueError:
-            raise ValueError(f"$PCN_RESILIENCE_SEED has {env!r}, "
-                             "expected an integer") from None
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["seed"] = seed
+def _setup(args) -> tuple[PcnGraph, dict, str]:
+    """A subcommand's snapshot, the report meta and the CSV comment line
+    carrying it. The output location is not part of the hashed run
+    configuration."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    blob = json.dumps(cfg, sort_keys=True, default=str).encode()
     g = load_snapshot(args.snapshot, balance_model=args.balance_model)
-    meta = {"version": __version__, "seed": seed, "config_hash": _config_hash(cfg)}
+    meta = {"version": __version__, "seed": args.seed,
+            "config_hash": hashlib.sha256(blob).hexdigest()[:16]}
     comment = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
-    return seed, g, meta, comment
+    return g, meta, comment
 
 
 def _write(path: Path, text: str) -> None:
@@ -103,8 +100,10 @@ def cmd_analyze(args) -> int:
         raise ValueError("goodness of fit needs synthetic_runs >= 1")
     if args.smallworld_runs < 0:
         raise ValueError("the small-world coefficient needs smallworld_runs >= 0")
-    seed, g, meta, comment = _setup(args)
-    out = Path(args.out)
+    if args.betweenness_sources is not None and args.betweenness_sources < 1:
+        raise ValueError("betweenness needs at least one source")
+    g, meta, comment = _setup(args)
+    out, seed = Path(args.out), args.seed
 
     rows = [("pcn", metric_report(
         g, smallworld_runs=args.smallworld_runs, seed=seed,
@@ -145,14 +144,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _strategy_for(kind: str, args, seed: int) -> Strategy:
-    params: dict = {"seed": seed}
-    if kind == "ranked-min-cut":
-        params["cut_samples"] = args.cut_samples
-    elif kind == "parallel-paths":
-        params["payment_samples"] = args.payment_samples
-        params["hub"] = args.hub
-    return Strategy(kind=kind, params=params)
+def _strategy_for(kind: str, args) -> Strategy:
+    params = {"ranked-min-cut": {"cut_samples": args.cut_samples},
+              "parallel-paths": {"payment_samples": args.payment_samples,
+                                 "hub": args.hub}}.get(kind, {})
+    return Strategy(kind=kind, params={"seed": args.seed, **params})
 
 
 def _g6(x: float | None) -> str:
@@ -168,17 +164,18 @@ def cmd_attack(args) -> int:
     metric_params = MetricParams(attempts=args.attempts,
                                  flow_rounds=args.flow_rounds,
                                  volumes=volumes, hub=args.hub)
-    seed, g, meta, comment = _setup(args)
-
     kinds = list(STRATEGY_KINDS) if "all" in args.strategy else args.strategy
+    strategies = [_strategy_for(kind, args) for kind in kinds]
     limit = args.plan_limit
     if points[0][0] == "count":
         limit = max(limit, max(v for _, v in points))
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    g, meta, comment = _setup(args)
 
-    plans = [plan_targets(g, _strategy_for(kind, args, seed), limit=limit)
-             for kind in kinds]
+    plans = [plan_targets(g, strategy, limit=limit) for strategy in strategies]
     reports = execute_attack(g, plans, points, metric_params=metric_params,
-                             seed=seed, griefing=args.griefing)
+                             seed=args.seed, griefing=args.griefing)
     rows = list(zip(product(kinds, points), reports))
 
     out = Path(args.out)
@@ -221,8 +218,10 @@ def _failure_counts(text: str) -> list[int]:
 def cmd_robustness(args) -> int:
     # checked before the snapshot loads, so that a bad count writes nothing
     failures = _failure_counts(args.failures)
-    seed, g, meta, comment = _setup(args)
-    result = random_failure_experiment(g, failures, runs=args.reps, seed=seed)
+    if args.reps < 1:
+        raise ValueError("random failures need at least one run")
+    g, meta, comment = _setup(args)
+    result = random_failure_experiment(g, failures, runs=args.reps, seed=args.seed)
     if args.format == "csv":
         lines = [comment, "failures,mean_components"]
         lines += [f"{k},{result[k]:.6g}" for k in failures]
@@ -289,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.seed = _seed(args.seed)
         return args.func(args)
     except (OSError, ValueError, KeyError, SnapshotError, ValidationError,
             ConvergenceError, StalePlanError) as exc:

@@ -161,7 +161,7 @@ class TestAttack:
 
     @pytest.mark.parametrize("name, exc", [
         ("plan_targets", ConvergenceError(
-            "power iteration did not converge within 1000 iterations", 1000)),
+            "eigenvector centrality did not converge within 300 Lanczos steps")),
         ("execute_attack", StalePlanError(
             "isolation cost of n1 changed since planning")),
     ])
@@ -318,6 +318,28 @@ def test_zero_counts_are_one_line(tmp_path, capsys, argv):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["attack", "--strategy", "all", "--n-sweep", "1:1", "--cut-samples", "0"],
+     "ranked-min-cut requires cut_samples >= 1"),
+    (["attack", "--strategy", "all", "--n-sweep", "1:1",
+      "--payment-samples", "0"], "parallel-paths requires payment_samples >= 1"),
+    (["attack", "--strategy", "degree", "--budget-sweep", "5",
+      "--plan-limit", "0"], "limit must be >= 1"),
+    (["analyze", "--betweenness-sources", "0"],
+     "betweenness needs at least one source"),
+    (["robustness", "--failures", "1", "--reps", "0"],
+     "random failures need at least one run"),
+], ids=["cut-samples", "payment-samples", "plan-limit", "betweenness-sources",
+        "reps"])
+def test_bad_counts_are_named_before_loading(tmp_path, capsys, argv, message):
+    # a snapshot that does not exist shows the counts are checked first
+    rc = main([*argv, "--snapshot", str(tmp_path / "absent.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "o").exists()
 
 

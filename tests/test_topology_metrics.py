@@ -1,15 +1,18 @@
+import importlib.util
 import math
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcn_resilience import topology_metrics as tm
+from pcn_resilience.attack_engine import Strategy, plan_targets
 from pcn_resilience.graph_model import (graph_from_dict,
                                         largest_connected_component)
 
@@ -185,6 +188,61 @@ def test_simple_view_matches_reference_simple_graph(g):
         nx.connected_components(ref), key=lambda c: (-len(c), min(c)))
 
 
+def perfbench_snapshot(*args):
+    """`make_snapshot` of the benchmark's graph generator, imported read-only
+    from its file."""
+    path = Path(__file__).parents[1] / "perfbench" / "snapshot.py"
+    spec = importlib.util.spec_from_file_location("perfbench_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return graph_from_dict(module.make_snapshot(*args), balance_model="explicit")
+
+
+def dense_leading_vector(ref, nodes):
+    """Eigenvalues and the positive leading eigenvector, by node, of the
+    capacity-weighted adjacency of `nodes` in the networkx projection."""
+    order = sorted(nodes)
+    w, vecs = np.linalg.eigh(nx.to_numpy_array(
+        ref.subgraph(order), nodelist=order, weight="capacity"))
+    return w, dict(zip(order, np.abs(vecs[:, -1])))
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """A star or an even ring, with random capacities: the spectrum of each
+    is symmetric, so its leading eigenvalue has a negative twin."""
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        nodes = ["hub"] + [f"l{i}" for i in range(k)]
+        pairs = [("hub", leaf) for leaf in nodes[1:]]
+    else:
+        nodes = [f"r{i}" for i in range(2 * k + 2)]
+        pairs = list(zip(nodes, nodes[1:] + nodes[:1]))
+    caps = draw(st.lists(st.integers(1, 10**9), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return graph_from_dict({
+        "nodes": [{"pub_key": v} for v in nodes],
+        "edges": [{"channel_id": f"c{i}", "node1_pub": a, "node2_pub": b,
+                   "capacity": c} for i, ((a, b), c) in enumerate(zip(pairs, caps))],
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(channel_graphs(), bipartite_graphs()))
+def test_eigenvector_matches_dense_eigensolver(g):
+    # one-node, two-node, disconnected, parallel-channel and bipartite graphs
+    ref = reference_simple_graph(g)
+    largest = min(nx.connected_components(ref), key=lambda c: (-len(c), min(c)))
+    w, want = dense_leading_vector(ref, largest)
+    if len(w) > 1:
+        assume(w[-1] - w[-2] >= 1e-3 * w[-1])
+    got = tm.eigenvector_centrality(g)
+    assert sorted(got) == sorted(largest)
+    assert math.isclose(sum(x * x for x in got.values()), 1, rel_tol=1e-9)
+    for v, x in got.items():
+        assert x == pytest.approx(want[v], abs=1e-6)
+
+
 class TestEigenvector:
     def test_ring_symmetry(self):
         nodes = [f"n{i}" for i in range(6)]
@@ -209,7 +267,7 @@ class TestEigenvector:
                 {"channel_id": "c3", "node1_pub": "d", "node2_pub": "a", "capacity": 3},
             ],
         })
-        got = tm.eigenvector_centrality(g, tol=1e-12)
+        got = tm.eigenvector_centrality(g)
         order = g.ids
         idx = {v: i for i, v in enumerate(order)}
         adj = np.zeros((4, 4))
@@ -221,12 +279,41 @@ class TestEigenvector:
         for v in order:
             assert got[v] == pytest.approx(lead[idx[v]], abs=1e-6)
 
-    def test_nonconvergence_reports_iterations(self):
-        g = make_graph(["a", "b"], [("a", "b")])
-        # bipartite 2-node graph: power iteration oscillates, cannot converge
+    def test_nonconvergence_reports_iterations(self, monkeypatch):
+        # on a path of three nodes ones/√n is no eigenvector: one step is
+        # not enough
+        g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        monkeypatch.setattr(tm, "LANCZOS_STEPS", 1)
         with pytest.raises(tm.ConvergenceError) as err:
-            tm.eigenvector_centrality(g, tol=0, max_iter=7)
-        assert err.value.iterations == 7
+            tm.eigenvector_centrality(g)
+        assert str(err.value) == (
+            "eigenvector centrality did not converge within 1 Lanczos steps")
+
+    def test_snapshot_with_a_one_percent_gap(self):
+        # the leading eigenvalues of make_snapshot(500, 3, 159) lie 1% apart:
+        # a power iteration of (A / max + I) did not converge in 1,000 steps
+        g = perfbench_snapshot(500, 3, 159)
+        ref = reference_simple_graph(g)
+        w, want = dense_leading_vector(ref, max(nx.connected_components(ref), key=len))
+        assert (w[-1] - w[-2]) / w[-1] < 0.011
+        got = tm.eigenvector_centrality(g)
+        assert sorted(got) == sorted(want)
+        for v, x in got.items():
+            assert x == pytest.approx(want[v], abs=1e-8)
+        plan = plan_targets(g, Strategy("eigenvector"), limit=50)
+        assert [t.node for t in plan.targets] == sorted(
+            want, key=lambda v: -want[v])[:50]
+
+    def test_peak_memory_below_a_quarter_of_the_dense_matrix(self):
+        g = tm.generate_reference("erdos-renyi", 2000, 6000, seed=0)
+        g.simple_graph()
+        tracemalloc.start()
+        try:
+            tm.eigenvector_centrality(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.node_count ** 2 / 4
 
 
 class TestTransitivity:
