@@ -10,7 +10,7 @@ removes complete cuts.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class MetricBundle:
     F_bar: float
     g_bar: float | None = None
 
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
 
 @dataclass
 class SimReport:
@@ -81,16 +78,6 @@ class SimReport:
     delta_g: float | None
     spent: int
     removed: int
-
-    def to_dict(self) -> dict:
-        advantage = {"delta_s": self.delta_s, "delta_r": self.delta_r,
-                     "delta_F": self.delta_F}
-        if self.delta_g is not None:
-            advantage["delta_g"] = self.delta_g
-        return {"a_priori": self.a_priori.to_dict(),
-                "a_posteriori": self.a_posteriori.to_dict(),
-                "advantage": advantage, "spent": self.spent,
-                "removed": self.removed}
 
 
 @dataclass(frozen=True)

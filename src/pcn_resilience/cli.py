@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -28,10 +29,13 @@ from .attack_engine import (STRATEGY_KINDS, MetricParams, StalePlanError,
 from .graph_model import (BALANCE_MODELS, PcnGraph, SnapshotError,
                           ValidationError, load_snapshot)
 from .payment_sim import UNIT_VOLUMES, load_volumes
-from .topology_metrics import (ConvergenceError, MetricReport,
-                               degree_distribution, generate_reference,
-                               metric_report, random_failure_experiment)
+from .topology_metrics import (ConvergenceError, degree_distribution,
+                               generate_reference, metric_report,
+                               random_failure_experiment)
 
+# the paper's topology table; the column order is frozen
+METRICS_CSV_HEADER = ("graph,node_count,edge_count,diameter,avg_distance,"
+                      "central_point_dominance")
 ATTACK_CSV_HEADER = ("strategy,constraint,n_or_budget,spent,s,s_prime,"
                      "r,r_prime,F_bar,F_bar_prime,delta_s,delta_r,delta_F")
 
@@ -65,7 +69,15 @@ def _write(path: Path, text: str) -> None:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # a NaN or an infinity would make the report invalid JSON
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _fields(result) -> dict:
+    """A result dataclass as a report object: the fields that are set, a
+    None field left out, and a trailing underscore (`lambda_`) dropped."""
+    return {f.name.rstrip("_"): value for f in fields(result)
+            if (value := getattr(result, f.name)) is not None}
 
 
 def _sweep(kind: str, text: str) -> list[tuple]:
@@ -102,6 +114,9 @@ def cmd_analyze(args) -> int:
         raise ValueError("the small-world coefficient needs smallworld_runs >= 0")
     if args.betweenness_sources is not None and args.betweenness_sources < 1:
         raise ValueError("betweenness needs at least one source")
+    if args.betweenness_sources == 1:
+        raise ValueError("central point dominance needs at least two "
+                         "betweenness sources: one leaves its own score undefined")
     g, meta, comment = _setup(args)
     out, seed = Path(args.out), args.seed
 
@@ -114,13 +129,15 @@ def cmd_analyze(args) -> int:
             ref, seed=seed, betweenness_sources=args.betweenness_sources)))
 
     if args.format == "csv":
-        lines = [comment, "graph," + MetricReport.CSV_HEADER]
-        lines += [f"{name},{r.to_csv_row()}" for name, r in rows]
+        lines = [comment, METRICS_CSV_HEADER]
+        lines += [f"{name},{r.node_count},{r.edge_count},{r.diameter},"
+                  f"{r.avg_distance:.6g},{r.central_point_dominance:.6g}"
+                  for name, r in rows]
         _write(out / "metrics.csv", "\n".join(lines) + "\n")
     else:
         _write(out / "metrics.json", _json_dump({
             "meta": meta,
-            "graphs": {name: r.to_dict() for name, r in rows},
+            "graphs": {name: _fields(r) for name, r in rows},
         }))
 
     distribution = sorted(degree_distribution(g).items())
@@ -131,9 +148,9 @@ def cmd_analyze(args) -> int:
     try:
         positive = sorted(d for d in g.degrees().values() if d >= 1)
         fit = fit_power_law(positive)
-        pl["fit"] = fit.to_dict()
+        pl["fit"] = _fields(fit)
         gof = goodness_of_fit(positive, fit, synthetic_runs=args.gof_runs, seed=seed)
-        pl["goodness_of_fit"] = gof.to_dict()
+        pl["goodness_of_fit"] = _fields(gof)
         ccdf_lines = ["k,ccdf,fitted"]
         for k, emp, fitted in ccdf_table(positive, fit):
             ccdf_lines.append(f"{k},{emp:.8g},{'' if fitted is None else f'{fitted:.8g}'}")
@@ -190,14 +207,17 @@ def cmd_attack(args) -> int:
                 f"{_g6(rep.delta_s)},{_g6(rep.delta_r)},{_g6(rep.delta_F)}")
         _write(out, "\n".join(lines) + "\n")
     else:
-        _write(out, _json_dump({
-            "meta": meta,
-            "rows": [
-                {"strategy": kind, "constraint": {"kind": ck, "value": cv},
-                 **rep.to_dict()}
-                for (kind, (ck, cv)), rep in rows
-            ],
-        }))
+        _write(out, _json_dump({"meta": meta, "rows": [
+            {"strategy": kind, "constraint": {"kind": ck, "value": cv},
+             "a_priori": _fields(rep.a_priori),
+             "a_posteriori": _fields(rep.a_posteriori),
+             # an undefined delta_s, delta_r or delta_F is null; an
+             # undefined delta_g (no hub, or no a-priori fee gain) is left out
+             "advantage": {"delta_s": rep.delta_s, "delta_r": rep.delta_r,
+                           "delta_F": rep.delta_F}
+             | ({} if rep.delta_g is None else {"delta_g": rep.delta_g}),
+             "spent": rep.spent, "removed": rep.removed}
+            for (kind, (ck, cv)), rep in rows]}))
     return 0
 
 

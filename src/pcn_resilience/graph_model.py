@@ -463,8 +463,10 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
     for rec in _records(data, "edges"):
         if not isinstance(rec, dict):
             raise SnapshotError(f"edge record is not an object: {rec!r}")
-        cid = str(rec.get("channel_id", ""))
-        if not cid:
+        cid = rec.get("channel_id")
+        if type(cid) is int:  # a JSON integer, not a bool
+            cid = str(cid)
+        if not isinstance(cid, str) or not cid:
             raise ValidationError(f"edge record without channel_id: {rec!r}")
         if cid in seen:
             raise ValidationError(f"duplicate channel_id {cid}")
@@ -533,7 +535,8 @@ def load_snapshot(path, balance_model: str = "capacity-both-ways") -> PcnGraph:
         try:
             with open(path, encoding="utf-8") as f:
                 data = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        # a decoding error is a ValueError; nesting too deep, a RecursionError
+        except (OSError, ValueError, RecursionError) as exc:
             raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
         g = graph_from_dict(data, balance_model=balance_model)
         del data

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class FitResult:
     ks_distance: float
     tail_count: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class GofResult:
@@ -56,9 +53,6 @@ class GofResult:
     synthetic_runs: int
     reject: bool
     warning: str | None = None
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "warning" or v}
 
 
 # Cephes' zeta: above q = 1e8 an asymptotic expansion, else ten terms of

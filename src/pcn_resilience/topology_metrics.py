@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import compress
 
 import numpy as np
@@ -37,24 +37,6 @@ class MetricReport:
     smallworld_S: float | None = None
     gamma: float | None = None
     lambda_: float | None = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lambda_")
-        if self.smallworld_S is None:
-            for key in ("smallworld_S", "gamma", "lambda"):
-                del d[key]
-        return d
-
-    # Table-style CSV row (node count, edge count, diameter, average
-    # distance, central point dominance); column order is frozen.
-    CSV_HEADER = "node_count,edge_count,diameter,avg_distance,central_point_dominance"
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.node_count},{self.edge_count},{self.diameter},"
-            f"{self.avg_distance:.6g},{self.central_point_dominance:.6g}"
-        )
 
 
 def degree_distribution(g: PcnGraph) -> dict[int, int]:
@@ -283,6 +265,10 @@ def central_point_dominance(g: PcnGraph, sample_sources: int | None = None,
                             seed: int = 0) -> float:
     """Maximum normalized betweenness over all nodes."""
     bc = betweenness_centrality(g, sample_sources=sample_sources, seed=seed)
+    # one pivot leaves its own score NaN, and a max over a NaN is arbitrary
+    if any(math.isnan(x) for x in bc.values()):
+        raise ValueError("central point dominance is undefined: a node's "
+                         "betweenness is NaN (one pivot source)")
     return max(bc.values()) if bc else 0.0
 
 

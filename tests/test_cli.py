@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -330,10 +331,13 @@ def test_zero_counts_are_one_line(tmp_path, capsys, argv):
       "--plan-limit", "0"], "limit must be >= 1"),
     (["analyze", "--betweenness-sources", "0"],
      "betweenness needs at least one source"),
+    (["analyze", "--betweenness-sources", "1"],
+     "central point dominance needs at least two betweenness sources: "
+     "one leaves its own score undefined"),
     (["robustness", "--failures", "1", "--reps", "0"],
      "random failures need at least one run"),
 ], ids=["cut-samples", "payment-samples", "plan-limit", "betweenness-sources",
-        "reps"])
+        "one-betweenness-source", "reps"])
 def test_bad_counts_are_named_before_loading(tmp_path, capsys, argv, message):
     # a snapshot that does not exist shows the counts are checked first
     rc = main([*argv, "--snapshot", str(tmp_path / "absent.json"),
@@ -341,6 +345,12 @@ def test_bad_counts_are_named_before_loading(tmp_path, capsys, argv, message):
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_reports_refuse_nan_and_infinity(value):
+    with pytest.raises(ValueError):
+        cli._json_dump({"x": value})
 
 
 @pytest.mark.parametrize("failures, bad", [("-1", "'-1'"), ("3,1.5", "'1.5'"),

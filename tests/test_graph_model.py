@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -108,6 +109,16 @@ class TestLoadSnapshot:
         with pytest.raises(SnapshotError):
             load_snapshot(bad)
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 200000 + b"]" * 200000, b"\xff\xfe{}",
+    ], ids=["too-deep", "not-utf-8"])
+    def test_unreadable_json_names_the_file(self, tmp_path, content):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        with pytest.raises(SnapshotError,
+                           match=re.escape(f"cannot read snapshot {path}:")):
+            load_snapshot(path)
+
     def test_default_fee_policy(self):
         g = load_snapshot(FIXTURE)
         e = channels(g)["ch3"]  # no policies in the fixture
@@ -162,6 +173,16 @@ class TestRecordTypes:
     def test_wrong_field_is_validation_error(self, data):
         with pytest.raises(ValidationError):
             graph_from_dict(data)
+
+    @pytest.mark.parametrize("cid", [None, True, False, {}, [], 1.5, ""],
+                             ids=["null", "true", "false", "object", "list",
+                                  "float", "empty"])
+    def test_channel_id_not_a_string_or_integer_is_missing(self, cid):
+        with pytest.raises(ValidationError, match="without channel_id"):
+            graph_from_dict(_edge(channel_id=cid))
+
+    def test_integer_channel_id_is_its_decimal_string(self):
+        assert graph_from_dict(_edge(channel_id=70)).channel_ids.tolist() == ["70"]
 
     def test_explicit_balance_overflow(self):
         with pytest.raises(ValidationError):

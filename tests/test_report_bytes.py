@@ -4,7 +4,8 @@ Each run starts the CLI in a new interpreter under one fixed
 PYTHONHASHSEED on two small seeded snapshots, and the SHA-256 of each
 report file it writes is compared with the table in
 `tests/data/report_digests.json`. A change that moves a report byte fails
-here and names the files that moved.
+here and names the files that moved. Every JSON report must also parse
+as strict JSON, without NaN or Infinity.
 
 To re-record the table after an intended change of output, run this test
 with PCN_RECORD_DIGESTS=1 and name every changed file in CHANGES.md.
@@ -129,10 +130,18 @@ def report_digests(root: Path) -> dict[str, str]:
             _, err = proc.communicate()
             assert proc.returncode == 0, (argv, err)
         del jobs[:2]
+    reports = [path for path in sorted(root.rglob("*")) if path.is_file()
+               and path.name not in ("snapshot.json", "volumes.txt")]
+    for path in reports:
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=not_json)
     return {path.relative_to(root).as_posix():
-            hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(root.rglob("*"))
-            if path.is_file() and path.name not in ("snapshot.json", "volumes.txt")}
+            hashlib.sha256(path.read_bytes()).hexdigest() for path in reports}
+
+
+def not_json(constant: str):
+    """Python's json reads NaN, Infinity and -Infinity; JSON has none."""
+    raise AssertionError(f"a report holds {constant}, which is not JSON")
 
 
 def test_report_bytes_match_the_recorded_digests(tmp_path):

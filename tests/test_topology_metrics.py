@@ -443,6 +443,14 @@ class TestCentralPointDominance:
         assert max(bc.values()) - min(bc.values()) < 1e-12
         assert tm.central_point_dominance(g) == pytest.approx(max(want.values()))
 
+    def test_one_pivot_is_an_error_not_nan(self):
+        # one pivot leaves its own normalized betweenness NaN
+        g = tm.generate_reference("barabasi-albert", 40, 80, seed=2)
+        assert any(math.isnan(x) for x in tm.betweenness_centrality(
+            g, sample_sources=1).values())
+        with pytest.raises(ValueError, match="undefined"):
+            tm.central_point_dominance(g, sample_sources=1)
+
 
 class TestGenerateReference:
     def test_er_exact_edge_count(self):
