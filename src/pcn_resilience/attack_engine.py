@@ -1,10 +1,11 @@
 """Attack operations (channel exhaustion, node isolation), target-selection
 strategies, budget-constrained execution, and adversarial-advantage metrics.
 
-Node targets carry an isolation cost equal to the node's total outbound
-balance at planning time; cut targets carry the summed capacity of their
-channels. Budget-mode execution skips unaffordable targets and only ever
-removes complete cuts.
+A plan is the ordered list of its targets. Every target carries its
+price at planning time as `cost`: a node's isolation cost (its total
+outbound balance), or a cut's summed channel capacity. Execution refuses a
+plan whose costs no longer match the graph; budget-mode execution skips
+unaffordable targets and only ever removes complete cuts.
 """
 
 from __future__ import annotations
@@ -45,19 +46,13 @@ class Strategy:
 @dataclass(frozen=True)
 class NodeTarget:
     node: str
-    isolation_cost: int
+    cost: int
 
 
 @dataclass(frozen=True)
 class CutTarget:
     channel_ids: tuple[str, ...]
     cost: int
-
-
-@dataclass
-class AttackPlan:
-    targets: list
-    strategy: Strategy
 
 
 @dataclass
@@ -138,6 +133,12 @@ def isolation_cost(g: PcnGraph, v: str) -> int:
     return sum(g.balance.reshape(-1)[_node_slots(g, v)].tolist())
 
 
+def _cut_cost(g: PcnGraph, channel_ids) -> int:
+    """Funds an attacker needs to exhaust a cut: its summed capacity."""
+    positions = g.channel_index
+    return sum(g.capacity[[positions[c] for c in channel_ids]].tolist())
+
+
 def isolate_node(g: PcnGraph, v: str) -> tuple[PcnGraph, int]:
     """Remove `v` from the routable graph; the cost is the sum of its
     outbound balances."""
@@ -149,8 +150,10 @@ def _rank_nodes(scores: dict[str, float]) -> list[str]:
     return sorted(scores, key=lambda v: (-scores[v], v))
 
 
-def plan_targets(g: PcnGraph, strategy: Strategy, limit: int) -> AttackPlan:
-    """Ordered target list of length <= limit for the given strategy."""
+def plan_targets(g: PcnGraph, strategy: Strategy, limit: int
+                 ) -> list[NodeTarget] | list[CutTarget]:
+    """Ordered target list of length <= limit for the given strategy, each
+    target priced on `g`."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
 
@@ -169,15 +172,9 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int) -> AttackPlan:
     elif strategy.kind == "parallel-paths":
         ranked = _rank_parallel_paths(g, strategy)
     else:
-        positions = g.channel_index
-        targets = [CutTarget(channel_ids=cut, cost=sum(
-                       g.capacity[[positions[c] for c in cut]].tolist()))
-                   for cut in _rank_min_cuts(g, strategy)[:limit]]
-        return AttackPlan(targets=targets, strategy=strategy)
-
-    costs = g.outbound_balances()
-    targets = [NodeTarget(node=v, isolation_cost=costs[v]) for v in ranked[:limit]]
-    return AttackPlan(targets=targets, strategy=strategy)
+        return [CutTarget(channel_ids=cut, cost=_cut_cost(g, cut))
+                for cut in _rank_min_cuts(g, strategy)[:limit]]
+    return [NodeTarget(node=v, cost=isolation_cost(g, v)) for v in ranked[:limit]]
 
 
 def _rank_parallel_paths(g: PcnGraph, strategy: Strategy) -> list[str]:
@@ -250,9 +247,9 @@ def _measure(g: PcnGraph, specs, flow_pairs, params: MetricParams,
     return MetricBundle(s=s, r=reachability(g), F_bar=f_bar, g_bar=g_bar)
 
 
-def _walk(plan: AttackPlan, constraint: tuple, griefing: bool
+def _walk(targets: list, constraint: tuple, griefing: bool
           ) -> tuple[tuple[tuple, frozenset], int, int]:
-    """The nodes (sorted) and the channels `plan` removes under
+    """The nodes (sorted) and the channels `targets` remove under
     `constraint`, with the satoshi spent and the number of targets removed.
     Costs were fixed at planning time, so the walk only picks targets."""
     kind, value = constraint
@@ -260,14 +257,15 @@ def _walk(plan: AttackPlan, constraint: tuple, griefing: bool
     doomed_channels: set[str] = set()
     spent = removed = 0
     budget = value if kind == "budget" else None
-    for target in plan.targets:
+    for target in targets:
         if kind == "count" and removed >= value:
             break
-        cost = 0 if griefing and isinstance(target, NodeTarget) else (
-            target.isolation_cost if isinstance(target, NodeTarget) else target.cost)
+        node = isinstance(target, NodeTarget)
+        # griefing isolates a node without locking up its balance
+        cost = 0 if griefing and node else target.cost
         if budget is not None and cost > budget - spent:
             continue
-        if isinstance(target, NodeTarget):
+        if node:
             doomed_nodes.append(target.node)
         else:
             doomed_channels.update(target.channel_ids)
@@ -281,7 +279,7 @@ def _delta(m: float | None, m_prime: float | None) -> float | None:
     return advantage(m, m_prime) if m else None
 
 
-def execute_attack(g: PcnGraph, plans: list[AttackPlan], constraints: list[tuple],
+def execute_attack(g: PcnGraph, plans: list[list], constraints: list[tuple],
                    metric_params: MetricParams = MetricParams(),
                    seed: int = 0, griefing: bool = False) -> list[SimReport]:
     """One report per (plan, constraint), plan-major: walk the plan under a
@@ -296,19 +294,21 @@ def execute_attack(g: PcnGraph, plans: list[AttackPlan], constraints: list[tuple
     if any(kind not in ("count", "budget") for kind, _ in constraints):
         raise ValueError("constraint must be ('count', n) or ('budget', satoshi)")
 
-    # staleness check: planned node costs must match this graph
-    costs = g.outbound_balances()
-    for target in [t for plan in plans for t in plan.targets]:
+    # staleness check: every planned cost must be the target's price on g
+    for target in [t for plan in plans for t in plan]:
         if isinstance(target, NodeTarget):
             if target.node not in g.index:
                 raise StalePlanError(f"planned node {target.node} not in graph")
-            if costs[target.node] != target.isolation_cost:
-                raise StalePlanError(
-                    f"isolation cost of {target.node} changed since planning")
+            price = isolation_cost(g, target.node)
+            what = f"isolation cost of {target.node}"
         else:
             missing = [c for c in target.channel_ids if c not in g.channel_index]
             if missing:
                 raise StalePlanError(f"planned channels missing: {missing}")
+            price = _cut_cost(g, target.channel_ids)
+            what = f"cost of cut {' '.join(target.channel_ids)}"
+        if price != target.cost:
+            raise StalePlanError(f"{what} changed since planning")
     if metric_params.hub is not None and metric_params.hub not in g.index:
         raise KeyError(f"unknown hub {metric_params.hub}")
 

@@ -319,15 +319,6 @@ class PcnGraph:
         counts = np.bincount(self.ends.reshape(-1), minlength=len(self.ids))
         return dict(zip(self.ids, counts.tolist()))
 
-    def outbound_balances(self) -> dict[str, int]:
-        """The summed outbound balance of every node. The sums run over the
-        32-bit halves of the balances, which float64 counts hold exactly
-        for fewer than 2**21 channels per node."""
-        ends, flat = self.ends.reshape(-1), self.balance.reshape(-1)
-        high, low = (np.bincount(ends, half, len(self.ids)).astype(np.int64)
-                     .tolist() for half in (flat >> 32, flat & 0xFFFFFFFF))
-        return {v: (h << 32) + lo for v, h, lo in zip(self.ids, high, low)}
-
     def copy(self) -> "PcnGraph":
         """A graph with its own balances. A channel-id order and a
         `ChannelView` the graph has built are shared, as neither holds

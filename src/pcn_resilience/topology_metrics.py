@@ -361,6 +361,9 @@ def smallworld_coefficient(g: PcnGraph, reference_runs: int = 10, seed: int = 0)
 def _smallworld(lcc: PcnGraph, l_g: float, reference_runs: int, seed: int):
     """`smallworld_coefficient` of a largest component with mean distance l_g."""
     n = lcc.node_count
+    if n < 2:
+        raise ValueError("the small-world coefficient needs a largest component "
+                         f"of at least 2 nodes; it has {n}")
     m = len(lcc.simple_graph().indices) // 2
     c_rs, l_rs = [], []
     for i in range(reference_runs):

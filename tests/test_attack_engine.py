@@ -10,14 +10,14 @@ from pcn_resilience import attack_engine as ae
 from pcn_resilience import payment_sim as ps
 from pcn_resilience.graph_model import (MAX_SAT, graph_from_dict,
                                         largest_connected_component,
-                                        remove_nodes)
+                                        remove_channels, remove_nodes)
 from pcn_resilience.topology_metrics import generate_reference
 
 from oracles import (augmenting_path_max_flow, balance_caps, channels,
                      reference_balances, reference_drain,
                      reference_largest_component, reference_min_cut,
                      reference_remove_nodes, reference_route)
-from test_graph_model import make_graph
+from test_graph_model import explicit_channels, make_graph
 
 
 def fig3_fixture():
@@ -128,6 +128,12 @@ class TestIsolateNode:
         assert ae.isolation_cost(g, "A") == 0
         assert [channels(g)[c].balance_ba for c in ("ab", "ac", "ad")] == [10, 12, 16]
 
+    def test_cost_sums_outbound_balances(self):
+        g = explicit_channels([("c0", "b", "a", 7, 3), ("c1", "a", "b", 5, 2),
+                               ("c2", "b", "c", 4, 0)])
+        assert {v: ae.isolation_cost(g, v) for v in g.ids} == {
+            "a": 8, "b": 13, "c": 0}
+
     def test_unknown_node_is_named(self):
         g = fig3_fixture()
         for attack in (ae.isolation_cost, ae.isolate_node,
@@ -156,32 +162,44 @@ class TestPlanTargets:
         leaves = [f"l{i}" for i in range(5)]
         g = make_graph(["hub"] + leaves, [("hub", l) for l in leaves])
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
-        assert plan.targets[0].node == "hub"
+        assert plan[0].node == "hub"
 
     def test_isolation_cost_recorded(self):
         g = fig3_fixture()
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
-        assert plan.targets[0].node == "A"
-        assert plan.targets[0].isolation_cost == 21
+        assert plan[0].node == "A"
+        assert plan[0].cost == 21
+
+    def test_node_cost_exact_past_2_53(self):
+        # five channels at the supply cap and one satoshi: the sum is odd
+        # and above 2**53, so a float64 sum would round it
+        leaves = [(f"c{i}", "hub", f"l{i}", MAX_SAT, 0) for i in range(5)]
+        g = explicit_channels(leaves + [("c5", "hub", "l5", 1, 0)])
+        [target] = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
+        assert target == ae.NodeTarget(node="hub", cost=5 * MAX_SAT + 1)
+        assert float(target.cost) != target.cost
+        rep = attack(g, [target], ("budget", 6 * MAX_SAT),
+                     ae.MetricParams(attempts=5, flow_rounds=1))
+        assert rep.spent == 5 * MAX_SAT + 1 and rep.removed == 1
 
     def test_betweenness_order(self):
         g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
         plan = ae.plan_targets(g, ae.Strategy("betweenness"), limit=4)
-        assert {t.node for t in plan.targets[:2]} == {"b", "c"}
+        assert {t.node for t in plan[:2]} == {"b", "c"}
 
     def test_random_is_seeded_shuffle(self):
         g = make_graph(list("abcdef"), [("a", "b"), ("c", "d"), ("e", "f")])
         p1 = ae.plan_targets(g, ae.Strategy("random", {"seed": 3}), limit=6)
         p2 = ae.plan_targets(g, ae.Strategy("random", {"seed": 3}), limit=6)
-        assert [t.node for t in p1.targets] == [t.node for t in p2.targets]
+        assert [t.node for t in p1] == [t.node for t in p2]
 
     def test_mincut_finds_bridge(self):
         g = barbell_fixture()
         plan = ae.plan_targets(
             g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
             limit=3)
-        assert plan.targets[0].channel_ids == ("bridge",)
-        assert plan.targets[0].cost == 10
+        assert plan[0].channel_ids == ("bridge",)
+        assert plan[0].cost == 10
 
     def test_parallel_paths_ranks_interior(self):
         g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")],
@@ -189,7 +207,7 @@ class TestPlanTargets:
         plan = ae.plan_targets(
             g, ae.Strategy("parallel-paths", {"payment_samples": 200, "seed": 0}),
             limit=4)
-        top2 = {t.node for t in plan.targets[:2]}
+        top2 = {t.node for t in plan[:2]}
         assert top2 == {"b", "c"}
 
     def test_parallel_paths_excludes_hub(self):
@@ -199,7 +217,7 @@ class TestPlanTargets:
             g, ae.Strategy("parallel-paths",
                            {"payment_samples": 200, "seed": 0, "hub": "b"}),
             limit=4)
-        assert all(t.node != "b" for t in plan.targets)
+        assert all(t.node != "b" for t in plan)
 
     def test_missing_params(self):
         with pytest.raises(ValueError):
@@ -282,7 +300,7 @@ def test_min_cut_of_a_channel_at_the_supply_cap():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert plan.targets == [ae.CutTarget(channel_ids=("c0",), cost=MAX_SAT)]
+    assert plan == [ae.CutTarget(channel_ids=("c0",), cost=MAX_SAT)]
     assert peak < 256 * 1024
 
 
@@ -323,7 +341,7 @@ class TestExecuteAttack:
         plan = ae.plan_targets(
             g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
             limit=5)
-        budget = plan.targets[0].cost
+        budget = plan[0].cost
         rep = attack(g, plan, ("budget", budget), self.metric_params(), seed=1)
         assert rep.spent <= budget
         assert rep.removed >= 1
@@ -344,6 +362,43 @@ class TestExecuteAttack:
         with pytest.raises(ae.StalePlanError):
             ae.execute_attack(other, [fresh, plan], [("count", 1)],
                               self.metric_params())
+
+    def test_removed_node_is_stale(self):
+        g = generate_reference("erdos-renyi", 30, 90, seed=0)
+        plan = ae.plan_targets(g, ae.Strategy("degree"), limit=3)
+        gone = plan[0].node
+        with pytest.raises(ae.StalePlanError,
+                           match=f"^planned node {gone} not in graph$"):
+            attack(remove_nodes(g, [gone]), plan, ("count", 1),
+                   self.metric_params())
+
+    def test_removed_cut_channel_is_stale(self):
+        g = barbell_fixture()
+        plan = ae.plan_targets(
+            g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
+            limit=3)
+        assert plan[0].channel_ids == ("bridge",)
+        with pytest.raises(ae.StalePlanError,
+                           match=r"^planned channels missing: \['bridge'\]$"):
+            attack(remove_channels(g, {"bridge"}), plan, ("count", 1),
+                   self.metric_params())
+
+    def test_stale_cut_cost_rejected(self):
+        # a path a-b-c-d whose first channel grows from 10 to 1000 sat:
+        # spending the planned 110 for all three cuts would undercount
+        def path(c0):
+            return graph_from_dict({
+                "nodes": [{"pub_key": v} for v in "abcd"],
+                "edges": [{"channel_id": f"c{i}", "node1_pub": "abcd"[i],
+                           "node2_pub": "abcd"[i + 1], "capacity": cap}
+                          for i, cap in enumerate((c0, 50, 50))]})
+        plan = ae.plan_targets(path(10), ae.Strategy(
+            "ranked-min-cut", {"cut_samples": 20}), limit=5)
+        assert sorted(t.channel_ids for t in plan) == [("c0",), ("c1",), ("c2",)]
+        assert sum(t.cost for t in plan) == 110
+        with pytest.raises(ae.StalePlanError,
+                           match="^cost of cut c0 changed since planning$"):
+            attack(path(1000), plan, ("budget", 500), self.metric_params())
 
     def test_delta_r_monotone_along_plan(self):
         g = generate_reference("barabasi-albert", 60, 120, seed=2)
@@ -393,7 +448,7 @@ class TestExecuteAttack:
                        capacity=10**6)
         params = ae.MetricParams(attempts=50, flow_rounds=10, hub="b")
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
-        assert plan.targets[0].node == "b"
+        assert plan[0].node == "b"
         rep = attack(g, plan, ("count", 1), params)
         assert rep.a_posteriori.g_bar == 0.0 < rep.a_priori.g_bar
 
@@ -451,7 +506,7 @@ class TestSweep:
         rows = ae.execute_attack(g, plans, counts,
                                  ae.MetricParams(attempts=20, flow_rounds=4))
         assert len(rows) == len(plans) * len(counts)
-        distinct = {frozenset(plan.targets[:n]) for plan in plans
+        distinct = {frozenset(plan[:n]) for plan in plans
                     for _, n in counts} - {frozenset()}
         assert len(calls) == 1 + len(distinct) == 1 + 2 * len(plans)
         assert calls[0] is g
@@ -463,7 +518,7 @@ class TestSweep:
         # a plan of 10 targets picks the same ones under count 10 and 30
         g = generate_reference("barabasi-albert", 60, 120, seed=2)
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=10)
-        assert len(plan.targets) == 10
+        assert len(plan) == 10
         params = ae.MetricParams(attempts=30, flow_rounds=6, hub="n3")
         counts = [("count", 10), ("count", 30)]
         singles = [attack(g, plan, count, params, seed=4) for count in counts]
@@ -497,12 +552,11 @@ class TestSingleRemoval:
 
     def test_budget_plan_skipping_a_middle_target(self):
         g = generate_reference("barabasi-albert", 60, 120, seed=2)
-        ranked = ae.plan_targets(g, ae.Strategy("degree"), limit=8).targets
+        ranked = ae.plan_targets(g, ae.Strategy("degree"), limit=8)
         cheap, dear, cheapest, rest = ranked[1], ranked[0], ranked[-1], ranked[2]
-        assert dear.isolation_cost > cheapest.isolation_cost > 0
-        plan = ae.AttackPlan(targets=[cheap, dear, cheapest, rest],
-                             strategy=ae.Strategy("degree"))
-        budget = cheap.isolation_cost + cheapest.isolation_cost
+        assert dear.cost > cheapest.cost > 0
+        plan = [cheap, dear, cheapest, rest]
+        budget = cheap.cost + cheapest.cost
         params = ae.MetricParams(attempts=60, flow_rounds=10)
         rep = attack(g, plan, ("budget", budget), params, seed=3)
         assert rep == self.stepwise_report(
@@ -514,10 +568,10 @@ class TestSingleRemoval:
         plan = ae.plan_targets(g, ae.Strategy("betweenness"), limit=10)
         params = ae.MetricParams(attempts=60, flow_rounds=10, hub="n0")
         rep = attack(g, plan, ("count", 6), params, seed=4)
-        chosen = plan.targets[:6]
+        chosen = plan[:6]
         assert rep == self.stepwise_report(
             g, [t.node for t in chosen], params, seed=4,
-            spent=sum(t.isolation_cost for t in chosen))
+            spent=sum(t.cost for t in chosen))
 
 
 # ids whose lexicographic order differs from their insertion order

@@ -115,6 +115,19 @@ class TestAnalyze:
             "error: goodness of fit needs synthetic_runs >= 1"]
         assert not (tmp_path / "o").exists()
 
+    def test_smallworld_on_a_one_node_component_is_one_line(self, tmp_path,
+                                                            capsys):
+        snap = tmp_path / "pair.json"
+        snap.write_text(json.dumps({
+            "nodes": [{"pub_key": "a"}, {"pub_key": "b"}], "edges": []}))
+        rc = main(["analyze", "--snapshot", str(snap), "--out",
+                   str(tmp_path / "o"), "--smallworld-runs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the small-world coefficient needs a largest component "
+            "of at least 2 nodes; it has 1"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestAttack:
     def test_n_zero_gives_zero_deltas(self, tmp_path, er_snapshot):

@@ -381,13 +381,6 @@ class TestBalanceDigraph:
         assert arcs.tolist() == [MAX_SAT - 5, 5]
 
 
-def test_outbound_balances_match_per_node_query():
-    g = explicit_channels([("c0", "b", "a", 7, 3), ("c1", "a", "b", 5, 2),
-                           ("c2", "b", "c", 4, 0)])
-    assert g.outbound_balances() == {"a": 8, "b": 13, "c": 0}
-    assert g.outbound_balances() == {v: ae.isolation_cost(g, v) for v in g.ids}
-
-
 class TestRemoveNodes:
     def test_star_center(self):
         leaves = [f"l{i}" for i in range(5)]

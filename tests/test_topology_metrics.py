@@ -301,7 +301,7 @@ class TestEigenvector:
         for v, x in got.items():
             assert x == pytest.approx(want[v], abs=1e-8)
         plan = plan_targets(g, Strategy("eigenvector"), limit=50)
-        assert [t.node for t in plan.targets] == sorted(
+        assert [t.node for t in plan] == sorted(
             want, key=lambda v: -want[v])[:50]
 
     def test_peak_memory_below_a_quarter_of_the_dense_matrix(self):
