@@ -1,11 +1,12 @@
 """Attack operations (channel exhaustion, node isolation), target-selection
 strategies, budget-constrained execution, and adversarial-advantage metrics.
 
-A plan is the ordered list of its targets. Every target carries its
-price at planning time as `cost`: a node's isolation cost (its total
-outbound balance), or a cut's summed channel capacity. Execution refuses a
-plan whose costs no longer match the graph; budget-mode execution skips
-unaffordable targets and only ever removes complete cuts.
+A plan is the ordered list of its targets: node ids, or cuts as sorted
+tuples of channel ids. A target's price is a property of the graph under
+attack, so execution prices each target there: a node's isolation cost
+(its total outbound balance), or a cut's summed channel capacity.
+Budget-mode execution skips unaffordable targets and only ever removes
+complete cuts.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ STRATEGY_KINDS = ("degree", "betweenness", "eigenvector",
                   "ranked-min-cut", "parallel-paths", "random")
 
 
-class StalePlanError(Exception):
-    """Plan costs no longer match the graph they are executed against."""
-
-
 @dataclass(frozen=True)
 class Strategy:
     kind: str
@@ -41,18 +38,6 @@ class Strategy:
             raise ValueError("ranked-min-cut requires cut_samples >= 1")
         if self.kind == "parallel-paths" and self.params.get("payment_samples", 0) < 1:
             raise ValueError("parallel-paths requires payment_samples >= 1")
-
-
-@dataclass(frozen=True)
-class NodeTarget:
-    node: str
-    cost: int
-
-
-@dataclass(frozen=True)
-class CutTarget:
-    channel_ids: tuple[str, ...]
-    cost: int
 
 
 @dataclass
@@ -133,10 +118,16 @@ def isolation_cost(g: PcnGraph, v: str) -> int:
     return sum(g.balance.reshape(-1)[_node_slots(g, v)].tolist())
 
 
-def _cut_cost(g: PcnGraph, channel_ids) -> int:
-    """Funds an attacker needs to exhaust a cut: its summed capacity."""
+def _price(g: PcnGraph, target: str | tuple[str, ...]) -> int:
+    """Funds an attacker needs on `g` to take out a target: a node's
+    isolation cost, or a cut's summed capacity."""
+    if isinstance(target, str):
+        return isolation_cost(g, target)
     positions = g.channel_index
-    return sum(g.capacity[[positions[c] for c in channel_ids]].tolist())
+    for c in target:
+        if c not in positions:
+            raise KeyError(f"unknown channel {c}")
+    return sum(g.capacity[[positions[c] for c in target]].tolist())
 
 
 def isolate_node(g: PcnGraph, v: str) -> tuple[PcnGraph, int]:
@@ -151,9 +142,9 @@ def _rank_nodes(scores: dict[str, float]) -> list[str]:
 
 
 def plan_targets(g: PcnGraph, strategy: Strategy, limit: int
-                 ) -> list[NodeTarget] | list[CutTarget]:
-    """Ordered target list of length <= limit for the given strategy, each
-    target priced on `g`."""
+                 ) -> list[str] | list[tuple[str, ...]]:
+    """Ordered target list of length <= limit for the given strategy: node
+    ids, or for ranked-min-cut the sorted channel ids of each cut."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
 
@@ -172,9 +163,8 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int
     elif strategy.kind == "parallel-paths":
         ranked = _rank_parallel_paths(g, strategy)
     else:
-        return [CutTarget(channel_ids=cut, cost=_cut_cost(g, cut))
-                for cut in _rank_min_cuts(g, strategy)[:limit]]
-    return [NodeTarget(node=v, cost=isolation_cost(g, v)) for v in ranked[:limit]]
+        ranked = _rank_min_cuts(g, strategy)
+    return ranked[:limit]
 
 
 def _rank_parallel_paths(g: PcnGraph, strategy: Strategy) -> list[str]:
@@ -247,28 +237,28 @@ def _measure(g: PcnGraph, specs, flow_pairs, params: MetricParams,
     return MetricBundle(s=s, r=reachability(g), F_bar=f_bar, g_bar=g_bar)
 
 
-def _walk(targets: list, constraint: tuple, griefing: bool
+def _walk(targets: list, costs: list[int], constraint: tuple, griefing: bool
           ) -> tuple[tuple[tuple, frozenset], int, int]:
-    """The nodes (sorted) and the channels `targets` remove under
-    `constraint`, with the satoshi spent and the number of targets removed.
-    Costs were fixed at planning time, so the walk only picks targets."""
+    """The nodes (sorted) and the channels `targets`, at prices `costs`,
+    remove under `constraint`, with the satoshi spent and the number of
+    targets removed."""
     kind, value = constraint
     doomed_nodes: list[str] = []
     doomed_channels: set[str] = set()
     spent = removed = 0
     budget = value if kind == "budget" else None
-    for target in targets:
+    for target, cost in zip(targets, costs):
         if kind == "count" and removed >= value:
             break
-        node = isinstance(target, NodeTarget)
+        node = isinstance(target, str)
         # griefing isolates a node without locking up its balance
-        cost = 0 if griefing and node else target.cost
+        cost = 0 if griefing and node else cost
         if budget is not None and cost > budget - spent:
             continue
         if node:
-            doomed_nodes.append(target.node)
+            doomed_nodes.append(target)
         else:
-            doomed_channels.update(target.channel_ids)
+            doomed_channels.update(target)
         spent += cost
         removed += 1
     return (tuple(sorted(doomed_nodes)), frozenset(doomed_channels)), spent, removed
@@ -282,10 +272,11 @@ def _delta(m: float | None, m_prime: float | None) -> float | None:
 def execute_attack(g: PcnGraph, plans: list[list], constraints: list[tuple],
                    metric_params: MetricParams = MetricParams(),
                    seed: int = 0, griefing: bool = False) -> list[SimReport]:
-    """One report per (plan, constraint), plan-major: walk the plan under a
-    ('count', n) or ('budget', satoshi) constraint and measure the surviving
-    graph against the a-priori metrics of `g`, which are measured once.
-    Rows that remove the same nodes and channels share one measurement.
+    """One report per (plan, constraint), plan-major: walk the plan, each
+    target priced on `g`, under a ('count', n) or ('budget', satoshi)
+    constraint and measure the surviving graph against the a-priori metrics
+    of `g`, which are measured once. Rows that remove the same nodes and
+    channels share one measurement. A target `g` lacks raises KeyError.
 
     Every measurement shares one sampled payment/flow sequence per seed;
     sequences hitting removed nodes count as failures (s) or zero (F_bar).
@@ -294,21 +285,7 @@ def execute_attack(g: PcnGraph, plans: list[list], constraints: list[tuple],
     if any(kind not in ("count", "budget") for kind, _ in constraints):
         raise ValueError("constraint must be ('count', n) or ('budget', satoshi)")
 
-    # staleness check: every planned cost must be the target's price on g
-    for target in [t for plan in plans for t in plan]:
-        if isinstance(target, NodeTarget):
-            if target.node not in g.index:
-                raise StalePlanError(f"planned node {target.node} not in graph")
-            price = isolation_cost(g, target.node)
-            what = f"isolation cost of {target.node}"
-        else:
-            missing = [c for c in target.channel_ids if c not in g.channel_index]
-            if missing:
-                raise StalePlanError(f"planned channels missing: {missing}")
-            price = _cut_cost(g, target.channel_ids)
-            what = f"cost of cut {' '.join(target.channel_ids)}"
-        if price != target.cost:
-            raise StalePlanError(f"{what} changed since planning")
+    costs = [[_price(g, target) for target in plan] for plan in plans]
     if metric_params.hub is not None and metric_params.hub not in g.index:
         raise KeyError(f"unknown hub {metric_params.hub}")
 
@@ -321,9 +298,9 @@ def execute_attack(g: PcnGraph, plans: list[list], constraints: list[tuple],
     # the metrics of each distinct surviving graph, keyed by what it lacks
     measured = {((), frozenset()): before}
     reports = []
-    for plan in plans:
+    for plan, plan_costs in zip(plans, costs):
         for constraint in constraints:
-            doomed, spent, removed = _walk(plan, constraint, griefing)
+            doomed, spent, removed = _walk(plan, plan_costs, constraint, griefing)
             if doomed not in measured:
                 nodes, channels = doomed
                 current = remove_nodes(g, nodes) if nodes else g

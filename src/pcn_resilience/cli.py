@@ -24,8 +24,8 @@ from itertools import product
 from pathlib import Path
 
 from . import __version__
-from .attack_engine import (STRATEGY_KINDS, MetricParams, StalePlanError,
-                            Strategy, execute_attack, plan_targets)
+from .attack_engine import (STRATEGY_KINDS, MetricParams, Strategy,
+                            execute_attack, plan_targets)
 from .graph_model import (BALANCE_MODELS, PcnGraph, SnapshotError,
                           ValidationError, load_snapshot)
 from .payment_sim import UNIT_VOLUMES, load_volumes
@@ -291,7 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hub", default=None)
     p.add_argument("--attempts", type=int, default=1000)
     p.add_argument("--flow-rounds", type=int, default=100)
-    p.add_argument("--plan-limit", type=int, default=50)
+    p.add_argument("--plan-limit", type=int, default=50,
+                   help="targets planned per strategy: a budget row takes at "
+                        "most this many (a count sweep plans at least its "
+                        "largest count)")
     p.add_argument("--griefing", action="store_true",
                    help="zero-cost isolation (griefing upper bound)")
     p.set_defaults(func=cmd_attack)
@@ -311,7 +314,7 @@ def main(argv=None) -> int:
         args.seed = _seed(args.seed)
         return args.func(args)
     except (OSError, ValueError, KeyError, SnapshotError, ValidationError,
-            ConvergenceError, StalePlanError) as exc:
+            ConvergenceError) as exc:
         # a KeyError's str() is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -283,7 +283,8 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
     making the same `random.Random(seed).choice` calls.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError(f"the {kind} reference graph needs at least 2 "
+                         f"nodes, not {n}")
     if kind == "erdos-renyi":
         if target_edges > n * (n - 1) // 2:
             raise ValueError("target_edges exceeds the complete graph")
@@ -350,16 +351,11 @@ def _barabasi_albert_edges(n: int, m: int, seed: int) -> np.ndarray:
     return np.array(sorted(edges), dtype=np.int64)
 
 
-def smallworld_coefficient(g: PcnGraph, reference_runs: int = 10, seed: int = 0):
-    """(S, gamma, lambda) of the graph's largest component against
-    size-matched ER references: gamma = C_g/C_r and lambda = L_g/L_r, with
-    C_r and L_r averaged over `reference_runs` graphs."""
-    lcc = largest_connected_component(g)
-    return _smallworld(lcc, distance_stats(lcc)[1], reference_runs, seed)
-
-
-def _smallworld(lcc: PcnGraph, l_g: float, reference_runs: int, seed: int):
-    """`smallworld_coefficient` of a largest component with mean distance l_g."""
+def smallworld_coefficient(lcc: PcnGraph, l_g: float, reference_runs: int,
+                           seed: int):
+    """(S, gamma, lambda) of a largest component with mean distance l_g
+    against size-matched ER references: gamma = C_g/C_r and lambda =
+    L_g/L_r, with C_r and L_r averaged over `reference_runs` graphs."""
     n = lcc.node_count
     if n < 2:
         raise ValueError("the small-world coefficient needs a largest component "
@@ -431,6 +427,6 @@ def metric_report(g: PcnGraph, smallworld_runs: int = 0, seed: int = 0,
             g, sample_sources=betweenness_sources, seed=seed),
     )
     if smallworld_runs > 0:
-        report.smallworld_S, report.gamma, report.lambda_ = _smallworld(
-            lcc, avg, smallworld_runs, seed)
+        sw = smallworld_coefficient(lcc, avg, smallworld_runs, seed)
+        report.smallworld_S, report.gamma, report.lambda_ = sw
     return report

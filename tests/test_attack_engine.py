@@ -162,13 +162,13 @@ class TestPlanTargets:
         leaves = [f"l{i}" for i in range(5)]
         g = make_graph(["hub"] + leaves, [("hub", l) for l in leaves])
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
-        assert plan[0].node == "hub"
+        assert plan[0] == "hub"
 
     def test_isolation_cost_recorded(self):
         g = fig3_fixture()
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
-        assert plan[0].node == "A"
-        assert plan[0].cost == 21
+        assert plan == ["A"]
+        assert ae.isolation_cost(g, "A") == 21
 
     def test_node_cost_exact_past_2_53(self):
         # five channels at the supply cap and one satoshi: the sum is odd
@@ -176,8 +176,9 @@ class TestPlanTargets:
         leaves = [(f"c{i}", "hub", f"l{i}", MAX_SAT, 0) for i in range(5)]
         g = explicit_channels(leaves + [("c5", "hub", "l5", 1, 0)])
         [target] = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
-        assert target == ae.NodeTarget(node="hub", cost=5 * MAX_SAT + 1)
-        assert float(target.cost) != target.cost
+        cost = ae.isolation_cost(g, target)
+        assert target == "hub" and cost == 5 * MAX_SAT + 1
+        assert float(cost) != cost
         rep = attack(g, [target], ("budget", 6 * MAX_SAT),
                      ae.MetricParams(attempts=5, flow_rounds=1))
         assert rep.spent == 5 * MAX_SAT + 1 and rep.removed == 1
@@ -185,21 +186,21 @@ class TestPlanTargets:
     def test_betweenness_order(self):
         g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
         plan = ae.plan_targets(g, ae.Strategy("betweenness"), limit=4)
-        assert {t.node for t in plan[:2]} == {"b", "c"}
+        assert set(plan[:2]) == {"b", "c"}
 
     def test_random_is_seeded_shuffle(self):
         g = make_graph(list("abcdef"), [("a", "b"), ("c", "d"), ("e", "f")])
         p1 = ae.plan_targets(g, ae.Strategy("random", {"seed": 3}), limit=6)
         p2 = ae.plan_targets(g, ae.Strategy("random", {"seed": 3}), limit=6)
-        assert [t.node for t in p1] == [t.node for t in p2]
+        assert p1 == p2
 
     def test_mincut_finds_bridge(self):
         g = barbell_fixture()
         plan = ae.plan_targets(
             g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
             limit=3)
-        assert plan[0].channel_ids == ("bridge",)
-        assert plan[0].cost == 10
+        assert plan[0] == ("bridge",)
+        assert ae._price(g, plan[0]) == 10
 
     def test_parallel_paths_ranks_interior(self):
         g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")],
@@ -207,7 +208,7 @@ class TestPlanTargets:
         plan = ae.plan_targets(
             g, ae.Strategy("parallel-paths", {"payment_samples": 200, "seed": 0}),
             limit=4)
-        top2 = {t.node for t in plan[:2]}
+        top2 = set(plan[:2])
         assert top2 == {"b", "c"}
 
     def test_parallel_paths_excludes_hub(self):
@@ -217,7 +218,7 @@ class TestPlanTargets:
             g, ae.Strategy("parallel-paths",
                            {"payment_samples": 200, "seed": 0, "hub": "b"}),
             limit=4)
-        assert all(t.node != "b" for t in plan)
+        assert "b" not in plan
 
     def test_missing_params(self):
         with pytest.raises(ValueError):
@@ -300,7 +301,7 @@ def test_min_cut_of_a_channel_at_the_supply_cap():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert plan == [ae.CutTarget(channel_ids=("c0",), cost=MAX_SAT)]
+    assert plan == [("c0",)] and ae._price(g, plan[0]) == MAX_SAT
     assert peak < 256 * 1024
 
 
@@ -341,7 +342,7 @@ class TestExecuteAttack:
         plan = ae.plan_targets(
             g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
             limit=5)
-        budget = plan[0].cost
+        budget = ae._price(g, plan[0])
         rep = attack(g, plan, ("budget", budget), self.metric_params(), seed=1)
         assert rep.spent <= budget
         assert rep.removed >= 1
@@ -354,21 +355,29 @@ class TestExecuteAttack:
                      griefing=True)
         assert rep.removed == 3 and rep.spent == 0
 
-    def test_stale_plan_rejected(self):
+    def test_plan_priced_on_the_graph_it_runs_on(self):
         g = generate_reference("erdos-renyi", 30, 90, seed=0)
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=3)
-        other = generate_reference("erdos-renyi", 30, 90, seed=5)
+        # the same ids with other channels, each at a capacity of its own
+        snapshot = generate_reference("erdos-renyi", 30, 90,
+                                      seed=5).to_snapshot_dict()
+        for i, edge in enumerate(snapshot["edges"]):
+            edge["capacity"] = 100 + i
+        other = graph_from_dict(snapshot)
+        assert [ae.isolation_cost(g, v) for v in plan] != \
+            [ae.isolation_cost(other, v) for v in plan]
         fresh = ae.plan_targets(other, ae.Strategy("degree"), limit=3)
-        with pytest.raises(ae.StalePlanError):
-            ae.execute_attack(other, [fresh, plan], [("count", 1)],
-                              self.metric_params())
+        reports = ae.execute_attack(other, [fresh, plan], [("count", 3)],
+                                    self.metric_params())
+        assert [rep.spent for rep in reports] == [
+            sum(ae.isolation_cost(other, v) for v in targets)
+            for targets in (fresh, plan)]
 
     def test_removed_node_is_stale(self):
         g = generate_reference("erdos-renyi", 30, 90, seed=0)
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=3)
-        gone = plan[0].node
-        with pytest.raises(ae.StalePlanError,
-                           match=f"^planned node {gone} not in graph$"):
+        gone = plan[0]
+        with pytest.raises(KeyError, match=f"^'unknown node {gone}'$"):
             attack(remove_nodes(g, [gone]), plan, ("count", 1),
                    self.metric_params())
 
@@ -377,15 +386,14 @@ class TestExecuteAttack:
         plan = ae.plan_targets(
             g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
             limit=3)
-        assert plan[0].channel_ids == ("bridge",)
-        with pytest.raises(ae.StalePlanError,
-                           match=r"^planned channels missing: \['bridge'\]$"):
+        assert plan[0] == ("bridge",)
+        with pytest.raises(KeyError, match="^'unknown channel bridge'$"):
             attack(remove_channels(g, {"bridge"}), plan, ("count", 1),
                    self.metric_params())
 
-    def test_stale_cut_cost_rejected(self):
-        # a path a-b-c-d whose first channel grows from 10 to 1000 sat:
-        # spending the planned 110 for all three cuts would undercount
+    def test_cut_priced_where_it_runs(self):
+        # a path a-b-c-d whose first channel grows from 10 to 1000 sat: the
+        # c0 cut no longer fits a budget of 500, the other two cost 100
         def path(c0):
             return graph_from_dict({
                 "nodes": [{"pub_key": v} for v in "abcd"],
@@ -394,11 +402,9 @@ class TestExecuteAttack:
                           for i, cap in enumerate((c0, 50, 50))]})
         plan = ae.plan_targets(path(10), ae.Strategy(
             "ranked-min-cut", {"cut_samples": 20}), limit=5)
-        assert sorted(t.channel_ids for t in plan) == [("c0",), ("c1",), ("c2",)]
-        assert sum(t.cost for t in plan) == 110
-        with pytest.raises(ae.StalePlanError,
-                           match="^cost of cut c0 changed since planning$"):
-            attack(path(1000), plan, ("budget", 500), self.metric_params())
+        assert sorted(plan) == [("c0",), ("c1",), ("c2",)]
+        rep = attack(path(1000), plan, ("budget", 500), self.metric_params())
+        assert rep.spent == 100 and rep.removed == 2
 
     def test_delta_r_monotone_along_plan(self):
         g = generate_reference("barabasi-albert", 60, 120, seed=2)
@@ -448,7 +454,7 @@ class TestExecuteAttack:
                        capacity=10**6)
         params = ae.MetricParams(attempts=50, flow_rounds=10, hub="b")
         plan = ae.plan_targets(g, ae.Strategy("degree"), limit=1)
-        assert plan[0].node == "b"
+        assert plan == ["b"]
         rep = attack(g, plan, ("count", 1), params)
         assert rep.a_posteriori.g_bar == 0.0 < rep.a_priori.g_bar
 
@@ -554,13 +560,14 @@ class TestSingleRemoval:
         g = generate_reference("barabasi-albert", 60, 120, seed=2)
         ranked = ae.plan_targets(g, ae.Strategy("degree"), limit=8)
         cheap, dear, cheapest, rest = ranked[1], ranked[0], ranked[-1], ranked[2]
-        assert dear.cost > cheapest.cost > 0
+        cost = {v: ae.isolation_cost(g, v) for v in ranked}
+        assert cost[dear] > cost[cheapest] > 0
         plan = [cheap, dear, cheapest, rest]
-        budget = cheap.cost + cheapest.cost
+        budget = cost[cheap] + cost[cheapest]
         params = ae.MetricParams(attempts=60, flow_rounds=10)
         rep = attack(g, plan, ("budget", budget), params, seed=3)
         assert rep == self.stepwise_report(
-            g, [cheap.node, cheapest.node], params, seed=3, spent=budget)
+            g, [cheap, cheapest], params, seed=3, spent=budget)
         assert rep.removed == 2
 
     def test_count_plan(self):
@@ -570,8 +577,8 @@ class TestSingleRemoval:
         rep = attack(g, plan, ("count", 6), params, seed=4)
         chosen = plan[:6]
         assert rep == self.stepwise_report(
-            g, [t.node for t in chosen], params, seed=4,
-            spent=sum(t.cost for t in chosen))
+            g, chosen, params, seed=4,
+            spent=sum(ae.isolation_cost(g, v) for v in chosen))
 
 
 # ids whose lexicographic order differs from their insertion order

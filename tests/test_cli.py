@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from pcn_resilience import cli
-from pcn_resilience.attack_engine import StalePlanError
 from pcn_resilience.cli import main
 from pcn_resilience.graph_model import graph_from_dict
 from pcn_resilience.topology_metrics import ConvergenceError
@@ -128,6 +127,18 @@ class TestAnalyze:
             "of at least 2 nodes; it has 1"]
         assert not (tmp_path / "o").exists()
 
+    def test_reference_on_one_node_is_one_line(self, tmp_path, capsys):
+        snap = tmp_path / "one.json"
+        snap.write_text(json.dumps({"nodes": [{"pub_key": "a"}], "edges": []}))
+        rc = main(["analyze", "--snapshot", str(snap), "--out",
+                   str(tmp_path / "o"), "--reference", "erdos-renyi",
+                   "--smallworld-runs", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the erdos-renyi reference graph needs at least 2 nodes, "
+            "not 1"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestAttack:
     def test_n_zero_gives_zero_deltas(self, tmp_path, er_snapshot):
@@ -176,8 +187,8 @@ class TestAttack:
     @pytest.mark.parametrize("name, exc", [
         ("plan_targets", ConvergenceError(
             "eigenvector centrality did not converge within 300 Lanczos steps")),
-        ("execute_attack", StalePlanError(
-            "isolation cost of n1 changed since planning")),
+        ("execute_attack", ValueError(
+            "constraint must be ('count', n) or ('budget', satoshi)")),
     ])
     def test_library_error_is_one_line(self, tmp_path, er_snapshot, capsys,
                                        monkeypatch, name, exc):

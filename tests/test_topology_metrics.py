@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pcn_resilience import topology_metrics as tm
 from pcn_resilience.attack_engine import Strategy, plan_targets
-from pcn_resilience.graph_model import (graph_from_dict,
+from pcn_resilience.graph_model import (MAX_SAT, graph_from_dict,
                                         largest_connected_component)
 
 from oracles import (brute_betweenness, brute_transitivity, channels,
@@ -21,6 +21,16 @@ from oracles import (brute_betweenness, brute_transitivity, channels,
                      reference_distances, reference_simple_graph,
                      union_find_components)
 from test_graph_model import components, make_graph
+
+
+def parallel_overflow_snapshot():
+    """4,400 channels at the supply cap between a and b, whose summed
+    capacity passes int64, and one channel b-c of 1,000 sat."""
+    edges = [{"channel_id": f"ab{i}", "node1_pub": "a", "node2_pub": "b",
+              "capacity": MAX_SAT} for i in range(4400)]
+    edges.append({"channel_id": "bc", "node1_pub": "b", "node2_pub": "c",
+                  "capacity": 1000})
+    return {"nodes": [{"pub_key": v} for v in "abc"], "edges": edges}
 
 
 def adjacency(g):
@@ -257,6 +267,13 @@ class TestEigenvector:
         assert ev["a"] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
         assert ev["b"] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
+    def test_parallel_capacities_past_int64(self):
+        # the a-b pair sums to 9.2e18 sat: a wrapped int64 sum made a
+        # negative weight and scored a = -0.707
+        ev = tm.eigenvector_centrality(graph_from_dict(parallel_overflow_snapshot()))
+        assert min(ev.values()) > 0
+        assert ev["a"] == pytest.approx(ev["b"], rel=1e-9)
+
     def test_weighted_matches_dense_eigensolver(self):
         g = graph_from_dict({
             "nodes": [{"pub_key": k} for k in "abcd"],
@@ -301,7 +318,7 @@ class TestEigenvector:
         for v, x in got.items():
             assert x == pytest.approx(want[v], abs=1e-8)
         plan = plan_targets(g, Strategy("eigenvector"), limit=50)
-        assert [t.node for t in plan] == sorted(
+        assert plan == sorted(
             want, key=lambda v: -want[v])[:50]
 
     def test_peak_memory_below_a_quarter_of_the_dense_matrix(self):
@@ -506,7 +523,9 @@ def test_generate_reference_matches_networkx(kind, n, target_edges, seed):
 class TestSmallWorld:
     def test_er_against_itself_is_near_one(self):
         g = tm.generate_reference("erdos-renyi", 600, 3600, seed=4)
-        s, gamma, lam, *_ = tm.smallworld_coefficient(g, reference_runs=3, seed=9)
+        lcc = largest_connected_component(g)
+        s, gamma, lam = tm.smallworld_coefficient(
+            lcc, tm.distance_stats(lcc)[1], reference_runs=3, seed=9)
         assert 0.5 < s < 2.0
         assert s == pytest.approx(gamma / lam)
 
@@ -515,7 +534,9 @@ class TestSmallWorld:
         ws = nx.watts_strogatz_graph(1000, 10, 0.1, seed=5)
         g = make_graph([f"n{i}" for i in ws.nodes()],
                        [(f"n{u}", f"n{v}") for u, v in ws.edges()])
-        s, *_ = tm.smallworld_coefficient(g, reference_runs=3, seed=1)
+        lcc = largest_connected_component(g)
+        s, *_ = tm.smallworld_coefficient(
+            lcc, tm.distance_stats(lcc)[1], reference_runs=3, seed=1)
         assert s > 5
 
     def test_identity_s_lambda_gamma(self):
