@@ -168,21 +168,19 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int
 
 
 def _rank_parallel_paths(g: PcnGraph, strategy: Strategy) -> list[str]:
-    """Rank nodes by how often they forward simulated payments, excluding
-    paths that touch the adversary's own hub."""
+    """Rank nodes other than the adversary's hub by how often they forward
+    simulated payments, skipping payments the hub sends, receives or forwards."""
     params = strategy.params
     hub = params.get("hub")
-    rng = random.Random(params.get("seed", 0))
-    specs = payment_sim.sample_specs(g.ids, params["payment_samples"],
-                                     UNIT_VOLUMES, rng)
-    counts = dict.fromkeys(g.ids, 0)
-    for outcome in payment_sim.evaluate_payments(g, specs):
-        if not outcome.success or (hub is not None and hub in outcome.path):
-            continue
-        for v in outcome.path[1:-1]:
-            counts[v] += 1
-    counts.pop(hub, None)
-    return _rank_nodes(counts)
+    specs = payment_sim.sample_specs(g.ids, params["payment_samples"], UNIT_VOLUMES,
+                                     random.Random(params.get("seed", 0)))
+    # a route's channels join its source, forwarders and target (none on failure)
+    forwarders = [g.ends.flat[o.slots[1:]]
+                  for o in payment_sim.evaluate_payments(g, specs)
+                  if g.index.get(hub, -1) not in g.ends[o.slots >> 1]]
+    counts = np.bincount(np.concatenate([np.empty(0, np.int64), *forwarders]),
+                         minlength=g.node_count)
+    return _rank_nodes({v: c for v, c in zip(g.ids, counts.tolist()) if v != hub})
 
 
 def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
@@ -224,10 +222,8 @@ def _sink_side(view: ChannelView, capacity: np.ndarray, s: int, t: int
 
 def _measure(g: PcnGraph, specs, flow_pairs, params: MetricParams,
              seed: int) -> MetricBundle:
-    outcomes = payment_sim.evaluate_payments(g, specs)
-    s = sum(o.success for o in outcomes) / len(specs)
-    flows = payment_sim.evaluate_flows(g, flow_pairs)
-    f_bar = sum(flows) / len(flow_pairs)
+    s = sum(o.success for o in payment_sim.evaluate_payments(g, specs)) / len(specs)
+    f_bar = sum(payment_sim.evaluate_flows(g, flow_pairs)) / len(flow_pairs)
     g_bar = None
     if params.hub is not None:
         # a removed hub, or one left alone, forwards nothing

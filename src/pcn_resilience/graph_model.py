@@ -251,9 +251,9 @@ class PcnGraph:
     per side `balance[c]`, `base_fee[c]` and `fee_rate[c]`: side 0 is a's
     outbound balance and fee policy, side 1 b's. Slot 2c + side names the
     arc out of `ends[c, side]` and indexes every two-column array flattened.
-    A channel exists only as these columns: routing reads a hop's fee from
-    the fee columns by slot, and the attacks read a node's slots from its
-    `ChannelView` row.
+    A channel exists only as these columns: a routed payment is its arcs'
+    slots, `fee_gain` reads a hop's fee by slot, and the attacks read a
+    node's slots from its `ChannelView` row.
 
     Payments and max flow (through one shortest-path search) and minimum
     cuts run on a `ChannelView`, the topology measures on a `SimpleView`;

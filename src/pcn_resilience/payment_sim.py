@@ -4,14 +4,16 @@ routing, maximum flow, and hub fee gain.
 Routing follows the deployed single-path scheme: directions with
 insufficient balance are excluded, then a hop-count shortest path is taken
 (ties broken by the lexicographically smallest node-id sequence, so runs
-are deterministic). Fees are accounted per forwarding hop but never
-deducted from channel balances.
+are deterministic). A routed payment is the arcs it took; only
+`fee_gain` prices a hop, and fees are never deducted from balances.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .graph_model import PcnGraph
 
@@ -29,12 +31,17 @@ class PaymentSpec:
             raise ValueError("amount must be positive")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PaymentOutcome:
-    success: bool
-    path: list[str] = field(default_factory=list)
-    fees_paid: int = 0
-    per_hop_fees: dict[str, int] = field(default_factory=dict)
+    """The slots (2c + side) of a payment's arcs from its source; empty on failure."""
+    slots: np.ndarray
+
+    @property
+    def success(self) -> bool:
+        return len(self.slots) > 0
+
+
+_NO_ROUTE = PaymentOutcome(np.empty(0, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -74,16 +81,15 @@ def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> Paymen
     """Route one payment along the hop-count shortest path over the arcs
     with balance >= amount, choosing the lexicographically smallest node-id
     sequence (then the smallest channel id per hop): each hop takes the
-    smallest view position out of its node among `shortest_path_arcs`. On
-    success with `apply`, balances shift along the path (reverse direction
-    credited, so per-channel funds are conserved)."""
+    smallest view position out of its node among `shortest_path_arcs`.
+    Returns the arcs taken, pricing none; with `apply`, balances shift along
+    them (reverse direction credited, so per-channel funds are conserved)."""
     if spec.source not in g.index or spec.target not in g.index:
         raise KeyError("unknown payment endpoint")
-    view, amount = g.channel_view(), spec.amount
-    cur, t = g.index[spec.source], g.index[spec.target]
-    pos = view.shortest_path_arcs(g.balance.reshape(-1), cur, t, amount)
+    view, cur, t = g.channel_view(), g.index[spec.source], g.index[spec.target]
+    pos = view.shortest_path_arcs(g.balance.reshape(-1), cur, t, spec.amount)
     if pos is None:
-        return PaymentOutcome(success=False)
+        return _NO_ROUTE
     pos[::-1].sort()  # largest first, so `step` keeps each node's smallest
     step = dict(zip(view.src[pos].tolist(), pos.tolist()))
     arcs = []
@@ -91,17 +97,9 @@ def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> Paymen
         arcs.append(step[cur])
         cur = int(view.dst[arcs[-1]])
     slots = view.slot[arcs]
-    path = [spec.source] + [g.ids[v] for v in view.dst[arcs].tolist()]
-    # each forwarding hop charges by the policy of the arc it sends on; on
-    # Python ints, as a u32 rate times a 21M BTC amount overflows int64
-    base = g.base_fee.reshape(-1)[slots[1:]].tolist()
-    rate = g.fee_rate.reshape(-1)[slots[1:]].tolist()
-    per_hop = {hop: b + amount * r // 1000
-               for hop, b, r in zip(path[1:-1], base, rate)}
     if apply:
-        g.shift(slots, amount)
-    return PaymentOutcome(success=True, path=path,
-                          fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
+        g.shift(slots, spec.amount)
+    return PaymentOutcome(slots)
 
 
 def _pair_sampler(ids, rng: random.Random):
@@ -111,8 +109,7 @@ def _pair_sampler(ids, rng: random.Random):
         raise ValueError("need at least two nodes to sample endpoint pairs")
 
     def draw() -> tuple[str, str]:
-        s = ids[rng.randrange(len(ids))]
-        t = ids[rng.randrange(len(ids))]
+        s = t = ids[rng.randrange(len(ids))]
         while t == s:
             t = ids[rng.randrange(len(ids))]
         return s, t
@@ -133,11 +130,11 @@ def sample_pairs(ids, rounds: int, rng: random.Random) -> list[tuple[str, str]]:
 
 
 def evaluate_payments(g: PcnGraph, specs) -> list[PaymentOutcome]:
-    """Route a fixed payment sequence read-only; specs whose endpoints are
-    missing from the graph (it may have been attacked) count as failures."""
+    """Route a fixed payment sequence read-only, one `route_payment` per spec;
+    a spec with an endpoint missing from the (maybe attacked) graph fails."""
     return [route_payment(g, spec)
             if spec.source in g.index and spec.target in g.index
-            else PaymentOutcome(success=False) for spec in specs]
+            else _NO_ROUTE for spec in specs]
 
 
 def max_flow(g: PcnGraph, s: str, t: str) -> int:
@@ -163,7 +160,12 @@ def fee_gain(g: PcnGraph, hub: str, payments: int, volumes: VolumeModel,
     `payments` stateful payments (balances evolve between payments)."""
     if hub not in g.index:
         raise KeyError(f"unknown hub {hub}")
-    state = g.copy()
-    specs = sample_specs(g.ids, payments, volumes, random.Random(seed))
-    return sum(route_payment(state, spec, apply=True).per_hop_fees.get(hub, 0)
-               for spec in specs) / payments
+    state, h = g.copy(), g.index[hub]
+    base, rate = g.base_fee.reshape(-1), g.fee_rate.reshape(-1)
+    earned = 0
+    for spec in sample_specs(g.ids, payments, volumes, random.Random(seed)):
+        hops = route_payment(state, spec, apply=True).slots[1:]
+        # the hub's fee on Python ints: a u32 rate times 21M BTC overflows int64
+        for y in hops[g.ends.flat[hops] == h].tolist():
+            earned += int(base[y]) + spec.amount * int(rate[y]) // 1000
+    return earned / payments

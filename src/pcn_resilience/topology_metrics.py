@@ -282,17 +282,19 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
     `barabasi_albert_graph`: the helpers below replay their random streams,
     making the same `random.Random(seed).choice` calls.
     """
+    name = f"the {kind} reference graph"
     if n < 2:
-        raise ValueError(f"the {kind} reference graph needs at least 2 "
-                         f"nodes, not {n}")
+        raise ValueError(f"{name} needs at least 2 nodes, not {n}")
     if kind == "erdos-renyi":
         if target_edges > n * (n - 1) // 2:
-            raise ValueError("target_edges exceeds the complete graph")
+            raise ValueError(f"{name} on {n} nodes holds at most "
+                             f"{n * (n - 1) // 2} edges, not {target_edges}")
         edges = _gnm_edges(n, target_edges, seed)
     elif kind == "barabasi-albert":
         m = max(1, round(target_edges / n))
         if m >= n:
-            raise ValueError("attachment parameter m must be < n")
+            raise ValueError(f"{name} on {n} nodes attaches each new node "
+                             f"by at most {n - 1} edges, not {m}")
         edges = _barabasi_albert_edges(n, m, seed)
     else:
         raise ValueError(f"unknown reference kind {kind!r}")

@@ -188,17 +188,19 @@ def reference_route(g, spec, balances, apply=False):
     """Single-path routing rebuilt from scratch for every payment: for each
     node, the smallest-channel_id channel per neighbour with balance >=
     amount; a hop-count BFS toward the target over the reversed arcs; then
-    the smallest next node id at each step. Returns a PaymentOutcome.
-    Balances come from `balances` (see `reference_balances`), which `apply`
-    shifts along the path; `g` gives only channels and fee policies."""
+    the smallest next node id at each step. Returns the slots of the
+    channels taken (2 × record position, plus 1 for a hop out of node2),
+    empty on failure. Balances come from `balances` (see
+    `reference_balances`), which `apply` shifts along the path; `g` gives
+    only the channels."""
     from collections import deque
-
-    from pcn_resilience.payment_sim import PaymentOutcome
 
     if spec.source not in g.ids or spec.target not in g.ids:
         raise KeyError("unknown payment endpoint")
+    records = channels(g)
+    position = {cid: c for c, cid in enumerate(records)}
     adj = {v: {} for v in g.ids}
-    for e in sorted(channels(g).values(), key=lambda e: e.channel_id):
+    for e in sorted(records.values(), key=lambda e: e.channel_id):
         balance_ab, balance_ba = balances[e.channel_id]
         if balance_ab >= spec.amount and e.b not in adj[e.a]:
             adj[e.a][e.b] = e
@@ -217,24 +219,28 @@ def reference_route(g, spec, balances, apply=False):
                 dist[w] = dist[u] + 1
                 queue.append(w)
     if spec.source not in dist:
-        return PaymentOutcome(success=False)
+        return []
     path = [spec.source]
     while path[-1] != spec.target:
         cur = path[-1]
         path.append(min(v for v in adj[cur] if dist.get(v, -1) == dist[cur] - 1))
-    per_hop = {}
-    for hop, nxt in zip(path[1:-1], path[2:]):
-        e = adj[hop][nxt]
-        base, rate = e.fee_ab if hop == e.a else e.fee_ba
-        per_hop[hop] = base + (spec.amount * rate) // 1000
+    hops = [adj[u][v] for u, v in zip(path, path[1:])]
     if apply:
-        for u, v in zip(path, path[1:]):
-            e = adj[u][v]
+        for u, e in zip(path, hops):
             moved = spec.amount if u == e.a else -spec.amount
             balance_ab, balance_ba = balances[e.channel_id]
             balances[e.channel_id] = (balance_ab - moved, balance_ba + moved)
-    return PaymentOutcome(success=True, path=path,
-                          fees_paid=sum(per_hop.values()), per_hop_fees=per_hop)
+    return [2 * position[e.channel_id] + (u == e.b) for u, e in zip(path, hops)]
+
+
+def route_of(g, slots):
+    """The node ids a routed payment visited, source to target, and the ids
+    of the channels it took, read off its slots; ([], []) for no arcs."""
+    records = list(channels(g).values())
+    hops = [(records[y // 2], y % 2) for y in np.asarray(slots).tolist()]
+    path = [e.b if side else e.a for e, side in hops]
+    path += [e.a if side else e.b for e, side in hops[-1:]]
+    return path, [e.channel_id for e, _ in hops]
 
 
 def reference_distances(g):

@@ -16,7 +16,7 @@ from pcn_resilience.topology_metrics import generate_reference
 from oracles import (augmenting_path_max_flow, balance_caps, channels,
                      reference_balances, reference_drain,
                      reference_largest_component, reference_min_cut,
-                     reference_remove_nodes, reference_route)
+                     reference_remove_nodes, reference_route, route_of)
 from test_graph_model import explicit_channels, make_graph
 
 
@@ -154,7 +154,7 @@ class TestIsolateNode:
         rng = random.Random(0)
         specs = ps.sample_specs(g2.ids, 50, ps.UNIT_VOLUMES, rng)
         for out in ps.evaluate_payments(g2, specs):
-            assert "h" not in out.path
+            assert "h" not in route_of(g2, out.slots)[0]
 
 
 class TestPlanTargets:
@@ -219,6 +219,24 @@ class TestPlanTargets:
                            {"payment_samples": 200, "seed": 0, "hub": "b"}),
             limit=4)
         assert "b" not in plan
+
+    def test_parallel_paths_skips_payments_to_and_from_the_hub(self):
+        # seed 63 draws d->a, which c and b forward, a->c and c->a, which b
+        # forwards, b->d, which c forwards, and four that nobody forwards.
+        # Without a hub: b 3, c 2, a 0, d 0. With the hub at a, only b->d
+        # counts: c 1, b 0, d 0; counting the payments a sends would give
+        # b 2, c 2, and those it receives b 1, c 1, both ranked b, c, d.
+        g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")],
+                       capacity=10**6)
+        specs = ps.sample_specs(g.ids, 8, ps.UNIT_VOLUMES, random.Random(63))
+        assert [(spec.source, spec.target) for spec in specs] == [
+            ("d", "c"), ("d", "a"), ("a", "b"), ("a", "c"), ("b", "c"),
+            ("c", "a"), ("b", "d"), ("c", "d")]
+        params = {"payment_samples": 8, "seed": 63}
+        assert ae.plan_targets(g, ae.Strategy(
+            "parallel-paths", {**params, "hub": "a"}), limit=4) == ["c", "b", "d"]
+        assert ae.plan_targets(g, ae.Strategy(
+            "parallel-paths", params), limit=4) == ["b", "c", "a", "d"]
 
     def test_missing_params(self):
         with pytest.raises(ValueError):
@@ -653,9 +671,15 @@ def test_derived_graphs_never_alias_their_source(g, data):
 
     volumes = ps.VolumeModel((1, 3, 5))
     specs = ps.sample_specs(g.ids, 12, volumes, random.Random(7))
-    state = reference_balances(g)
-    earned = sum(reference_route(g, spec, state, apply=True)
-                 .per_hop_fees.get(v, 0) for spec in specs)
+    state, records, earned = reference_balances(g), channels(g), 0
+    for spec in specs:
+        path, taken = route_of(g, reference_route(g, spec, state, apply=True))
+        # v earns on the arcs it forwards on, by its side's policy
+        for hop, cid in zip(path[1:-1], taken[1:]):
+            e = records[cid]
+            if hop == v:
+                base, rate = e.fee_ab if hop == e.a else e.fee_ba
+                earned += base + spec.amount * rate // 1000
     assert ps.fee_gain(g, v, 12, volumes, seed=7) == earned / 12
     assert observed(g) == before
 

@@ -139,6 +139,28 @@ class TestAnalyze:
             "not 1"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind, nodes, message", [
+        ("erdos-renyi", "abc", "on 3 nodes holds at most 3 edges, not 4"),
+        ("barabasi-albert", "ab", "on 2 nodes attaches each new node by "
+                                  "at most 1 edges, not 2"),
+    ])
+    def test_reference_past_the_node_pairs_is_one_line(self, tmp_path, capsys,
+                                                       kind, nodes, message):
+        # four channels, parallel ones among them, asked of a simple graph
+        pairs = list(zip(nodes, nodes[1:] + nodes[0])) * 2
+        snap = tmp_path / "parallel.json"
+        snap.write_text(json.dumps({
+            "nodes": [{"pub_key": v} for v in nodes],
+            "edges": [{"channel_id": f"c{i}", "node1_pub": a, "node2_pub": b,
+                       "capacity": 10} for i, (a, b) in enumerate(pairs[:4])]}))
+        rc = main(["analyze", "--snapshot", str(snap), "--out",
+                   str(tmp_path / "o"), "--reference", kind,
+                   "--smallworld-runs", "0", "--gof-runs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the {kind} reference graph {message}"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestAttack:
     def test_n_zero_gives_zero_deltas(self, tmp_path, er_snapshot):

@@ -11,7 +11,7 @@ from pcn_resilience.graph_model import (MAX_SAT, graph_from_dict, remove_channel
 from pcn_resilience.topology_metrics import generate_reference
 
 from oracles import (augmenting_path_max_flow, balance_caps, channels,
-                     reference_balances, reference_route)
+                     reference_balances, reference_route, route_of)
 from test_graph_model import explicit_channels, make_graph
 
 VOLS = ps.VolumeModel(volumes=(1000, 5000, 20000))
@@ -29,21 +29,24 @@ class TestRoutePayment:
     def test_direct_payment_shifts_balances(self):
         g = two_node_channel()
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 40_000), apply=True)
-        assert out.success and out.path == ["a", "b"]
+        assert out.success and route_of(g, out.slots) == (["a", "b"], ["c0"])
         e = channels(g)["c0"]
         assert e.balance_ab == 60_000
         assert e.balance_ba == 140_000
         assert e.balance_ab + e.balance_ba == 2 * e.capacity
 
     def test_no_fee_on_direct_hop(self):
+        # every payment on one channel is direct, so nobody forwards
         g = two_node_channel()
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 40_000))
-        assert out.fees_paid == 0 and out.per_hop_fees == {}
+        assert out.slots.tolist() == [0]
+        vols = ps.VolumeModel(volumes=(40_000,))
+        assert ps.fee_gain(g, "a", 10, vols) == ps.fee_gain(g, "b", 10, vols) == 0
 
     def test_insufficient_balance_fails(self):
         g = two_node_channel(capacity=10_000)
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 20_000))
-        assert not out.success and out.path == []
+        assert not out.success and out.slots.tolist() == []
 
     def test_unknown_endpoint(self):
         g = two_node_channel()
@@ -55,9 +58,16 @@ class TestRoutePayment:
         g = make_graph(["a", "h", "b"], [("a", "h"), ("h", "b")],
                        capacity=100_000)
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 50_000))
-        assert out.path == ["a", "h", "b"]
-        assert out.per_hop_fees == {"h": 1050}
-        assert out.fees_paid == 1050
+        assert route_of(g, out.slots) == (["a", "h", "b"], ["c0", "c1"])
+        # h forwards every a -> b and b -> a payment, at 1050 msat either
+        # way; on sides of 10**6, 8 payments of 50,000 never run dry
+        g = make_graph(["a", "h", "b"], [("a", "h"), ("h", "b")],
+                       capacity=10**6)
+        vols = ps.VolumeModel(volumes=(50_000,))
+        specs = ps.sample_specs(g.ids, 8, vols, random.Random(1))
+        through = sum({s.source, s.target} == {"a", "b"} for s in specs)
+        assert through > 0
+        assert ps.fee_gain(g, "h", 8, vols, seed=1) == 1050 * through / 8
 
     def test_tie_break_prefers_smallest_node_sequence(self):
         # two 2-hop routes a-m1-b and a-m2-b: m1 < m2 wins
@@ -65,7 +75,7 @@ class TestRoutePayment:
                        [("a", "m1"), ("m1", "b"), ("a", "m2"), ("m2", "b")],
                        capacity=100_000)
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 1000))
-        assert out.path == ["a", "m1", "b"]
+        assert route_of(g, out.slots)[0] == ["a", "m1", "b"]
 
     def test_routes_around_drained_direction(self):
         g = make_graph(["a", "h", "b"], [("a", "h"), ("h", "b")],
@@ -130,7 +140,7 @@ def test_route_payment_matches_reference_route(case):
     g, payments = case
     state = reference_balances(g)
     for spec, apply in payments:
-        assert ps.route_payment(g, spec, apply=apply) == \
+        assert ps.route_payment(g, spec, apply=apply).slots.tolist() == \
             reference_route(g, spec, state, apply=apply)
         assert reference_balances(g) == state
 
@@ -178,14 +188,14 @@ def test_route_payment_matches_reference_route_on_grids(case):
     g, payments = case
     state = reference_balances(g)
     for spec, apply in payments:
-        assert ps.route_payment(g, spec, apply=apply) == \
+        assert ps.route_payment(g, spec, apply=apply).slots.tolist() == \
             reference_route(g, spec, state, apply=apply)
     assert reference_balances(g) == state
 
 
 class TestChannelView:
     def test_parallel_channels_use_smallest_channel_id(self):
-        # "c10" sorts before "c9"; the relay's fee comes from that channel
+        # "c10" sorts before "c9", so the relay sends on that channel
         g = graph_from_dict({
             "nodes": [{"pub_key": v} for v in "ahb"],
             "edges": [
@@ -197,12 +207,12 @@ class TestChannelView:
                  "capacity": 100, "node1_policy": {"fee_base_msat": 10}},
             ]})
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 60), apply=True)
-        assert out.per_hop_fees == {"h": 10}
+        assert route_of(g, out.slots) == (["a", "h", "b"], ["c0", "c10"])
         assert reference_balances(g)["c10"] == (40, 160)
         assert reference_balances(g)["c9"] == (100, 100)
         # c10 no longer carries 60 from h, so the next payment takes c9
         out = ps.route_payment(g, ps.PaymentSpec("a", "b", 60), apply=True)
-        assert out.per_hop_fees == {"h": 9}
+        assert route_of(g, out.slots) == (["a", "h", "b"], ["c0", "c9"])
 
     def test_max_flow_follows_routed_balances(self):
         g = make_graph(["a", "h", "b", "c"],
@@ -210,7 +220,8 @@ class TestChannelView:
                        capacity=50_000)
         assert ps.max_flow(g, "a", "b") == 100_000
         spec = ps.PaymentSpec("a", "b", 30_000)
-        assert ps.route_payment(g, spec, apply=True).path == ["a", "c", "b"]
+        out = ps.route_payment(g, spec, apply=True)
+        assert route_of(g, out.slots)[0] == ["a", "c", "b"]
         for s, t in (("a", "b"), ("b", "a"), ("h", "c")):
             assert ps.max_flow(g, s, t) == \
                 augmenting_path_max_flow(balance_caps(g), s, t)
@@ -264,10 +275,18 @@ def test_fee_past_int64_is_exact():
              "capacity": MAX_SAT,
              "node1_policy": {"fee_base_msat": rate, "fee_rate_milli_msat": rate}},
         ]})
-    out = ps.route_payment(g, ps.PaymentSpec("a", "b", MAX_SAT), apply=True)
     fee = rate + MAX_SAT * rate // 1000
     assert fee > 2**63
-    assert out.per_hop_fees == {"h": fee} and out.fees_paid == fee
+    # fee_gain alone prices a hop: h forwards the seed's one a -> b payment
+    # on c1, and no b -> a payment, which it would forward on c0
+    volumes = ps.VolumeModel(volumes=(MAX_SAT,))
+    pairs = [(spec.source, spec.target)
+             for spec in ps.sample_specs(g.ids, 4, volumes, random.Random(2))]
+    assert pairs.count(("a", "b")) == 1 and ("b", "a") not in pairs
+    assert ps.fee_gain(g, "h", 4, volumes, seed=2) == \
+        fee * pairs.count(("a", "b")) / 4
+    out = ps.route_payment(g, ps.PaymentSpec("a", "b", MAX_SAT), apply=True)
+    assert route_of(g, out.slots) == (["a", "h", "b"], ["c0", "c1"])
     assert reference_balances(g) == {"c0": (0, 2 * MAX_SAT),
                                      "c1": (0, 2 * MAX_SAT)}
 
@@ -511,15 +530,15 @@ class TestFeeGain:
     def test_line_hub_gain_until_exhaustion(self):
         g = make_graph(["a", "h", "b"], [("a", "h"), ("h", "b")],
                        capacity=100_000)
-        vols = ps.VolumeModel(volumes=(50_000,))
         state = g.copy()
-        gains = []
+        routes = []
         for i in range(4):
             out = ps.route_payment(state, ps.PaymentSpec("a", "b", 50_000),
                                    apply=True)
-            gains.append(out.per_hop_fees.get("h", 0))
-        # capacity supports two a->b payments of 50k, then the route is dry
-        assert gains == [1050, 1050, 0, 0]
+            routes.append(route_of(g, out.slots)[0])
+        # capacity supports two a->b payments of 50k, which h forwards, then
+        # the route is dry
+        assert routes == [["a", "h", "b"]] * 2 + [[]] * 2
 
     def test_determinism(self):
         g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")],
@@ -562,10 +581,17 @@ def test_channel_conservation_under_payment_sequences(seed):
     totals = {cid: e.balance_ab + e.balance_ba for cid, e in channels(g).items()}
     for _ in range(15):
         s, t = rng.sample(nodes, 2)
-        out = ps.route_payment(g, ps.PaymentSpec(s, t, rng.randint(1, 12_000)),
-                               apply=True)
+        amount = rng.randint(1, 12_000)
+        before = g.balance.copy()
+        out = ps.route_payment(g, ps.PaymentSpec(s, t, amount), apply=True)
         if out.success:
-            # single-path success implies the max flow covered the amount
-            pass
+            # the arcs chain from s to t, each head the next arc's tail, and
+            # each held the amount before the payment
+            tails, heads = g.ends.flat[out.slots], g.ends.flat[out.slots ^ 1]
+            assert tails[0] == g.index[s] and heads[-1] == g.index[t]
+            assert (heads[:-1] == tails[1:]).all()
+            assert (before.flat[out.slots] >= amount).all()
+        else:
+            assert (g.balance == before).all()
     assert {cid: e.balance_ab + e.balance_ba
             for cid, e in channels(g).items()} == totals
