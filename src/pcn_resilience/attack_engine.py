@@ -194,15 +194,14 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     view = g.channel_view()
     # a channel carries up to its capacity either way
     capacity = np.repeat(g.capacity, 2)
-    order = g.channel_order
-    channel_ids, (a, b) = g.channel_ids[order], g.ends[order].T
+    a, b = g.ends.T
 
     occurrences: dict[tuple[str, ...], int] = {}
     for s, t in pairs:
         sink = _sink_side(view, capacity, g.index[s], g.index[t])
         if sink is None:
             continue
-        key = tuple(channel_ids[sink[a] != sink[b]].tolist())
+        key = tuple(sorted(g.channel_ids[sink[a] != sink[b]].tolist()))
         occurrences[key] = occurrences.get(key, 0) + 1
     return sorted(occurrences, key=lambda c: (-occurrences[c], c))
 

@@ -96,7 +96,11 @@ def _sweep(kind: str, text: str) -> list[tuple]:
         start, end, step = (values + [1])[:3]
         if step <= 0:
             raise ValueError(f"sweep {text!r} has step {step}, expected >= 1")
-        values = list(range(start, end + 1, step))
+        try:
+            values = list(range(start, end + 1, step))
+        # both raise before the list is allocated
+        except (OverflowError, MemoryError):
+            raise ValueError(f"sweep {text!r} has too many points") from None
     if not values:
         raise ValueError(f"sweep {text!r} has no points")
     if min(values) < 0:

@@ -50,8 +50,9 @@ class ChannelView:
     """
 
     def __init__(self, g: PcnGraph):
-        rank = np.empty(g.edge_count, dtype=np.int64)  # in channel-id order
-        rank[g.channel_order] = np.arange(g.edge_count)
+        ids, e = g.channel_ids.tolist(), g.edge_count
+        rank = np.empty(e, dtype=np.int64)  # in channel-id order
+        rank[sorted(range(e), key=ids.__getitem__)] = np.arange(e)
         src, dst = g.ends.reshape(-1), g.ends[:, ::-1].reshape(-1)
         self.slot = np.lexsort((np.repeat(rank, 2), dst, src))
         self.position = np.empty_like(self.slot)
@@ -264,8 +265,7 @@ class PcnGraph:
     them, so every search reads the balances as last written; the other
     columns are read-only and shared with copies. `copy()`,
     `induced_subgraph`, `remove_nodes` and `remove_channels` return graphs
-    without views or caches, except the channel-id order that `copy()` and
-    `induced_subgraph` carry and the `ChannelView` that `copy()` shares.
+    without views or caches, except the `ChannelView` that `copy()` shares.
     """
 
     ids: list[str] = field(default_factory=list)
@@ -302,11 +302,6 @@ class PcnGraph:
         """Channel id -> record position, built on first use."""
         return {cid: c for c, cid in enumerate(self.channel_ids.tolist())}
 
-    @cached_property
-    def channel_order(self) -> np.ndarray:
-        """Record positions in channel-id order, built on first use."""
-        return np.argsort(self.channel_ids)
-
     def shift(self, slots, amounts) -> None:
         """Move `amounts` along the arcs `slots`: each leaves its source's
         side of the channel for the other side."""
@@ -321,13 +316,11 @@ class PcnGraph:
         return dict(zip(self.ids, counts.tolist()))
 
     def copy(self) -> "PcnGraph":
-        """A graph with its own balances. A channel-id order and a
-        `ChannelView` the graph has built are shared, as neither holds
-        balances; the `SimpleView` is built again on first use."""
+        """A graph with its own balances. A `ChannelView` the graph has
+        built is shared, as it holds no balances; the `SimpleView` and the
+        `channel_index` are built again on first use."""
         out = replace(self, balance=self.balance.copy())
         out._view = self._view  # `replace` leaves init=False fields unset
-        if "channel_order" in vars(self):
-            out.channel_order = self.channel_order
         return out
 
     def _channel_rows(self, keep) -> dict[str, np.ndarray]:
@@ -356,10 +349,10 @@ class PcnGraph:
         return arcs
 
     def to_snapshot_dict(self) -> dict:
-        """Serialize back to the snapshot schema (with explicit balances)."""
-        order = self.channel_order
-        columns = [self.channel_ids[order], self.capacity[order]] + [
-            column[order, side] for column in
+        """Serialize back to the snapshot schema (with explicit balances),
+        the channels in id order."""
+        columns = [self.channel_ids, self.capacity] + [
+            column[:, side] for column in
             (self.ends, self.balance, self.base_fee, self.fee_rate)
             for side in (0, 1)]
         return {
@@ -377,8 +370,9 @@ class PcnGraph:
                     "node2_policy": {"fee_base_msat": base_ba,
                                      "fee_rate_milli_msat": rate_ba},
                 }
+                # the ids are unique, so the rows sort by id alone
                 for cid, capacity, a, b, balance_ab, balance_ba, base_ab,
-                base_ba, rate_ab, rate_ba in zip(*(c.tolist() for c in columns))
+                base_ba, rate_ab, rate_ba in sorted(zip(*(c.tolist() for c in columns)))
             ],
         }
 
@@ -577,18 +571,14 @@ def largest_connected_component(g: PcnGraph) -> PcnGraph:
 
 def induced_subgraph(g: PcnGraph, alive: np.ndarray) -> PcnGraph:
     """The nodes the boolean mask `alive` selects and the channels between
-    them. The node order, and a channel-id order `g` has built, are carried
-    over, masked and renumbered, not recorded or sorted again."""
+    them. The node order is carried over, masked and renumbered, not
+    recorded again."""
     kept = alive[g.ends].all(axis=1)
     rows, number = g._channel_rows(kept), np.cumsum(alive) - 1
     rows["ends"] = number[rows["ends"]]
     nodes = g.node_order
-    sub = PcnGraph(ids=list(compress(g.ids, alive)),
-                   node_order=number[nodes[alive[nodes]]], **rows)
-    if "channel_order" in vars(g):
-        order = g.channel_order
-        sub.channel_order = (np.cumsum(kept) - 1)[order[kept[order]]]
-    return sub
+    return PcnGraph(ids=list(compress(g.ids, alive)),
+                    node_order=number[nodes[alive[nodes]]], **rows)
 
 
 def remove_nodes(g: PcnGraph, targets) -> PcnGraph:

@@ -269,6 +269,11 @@ class TestAttack:
         (["--n-sweep", "1:2:3:4"],
          "bad sweep spec '1:2:3:4', expected start:end[:step]"),
         (["--budget-sweep", "1,x"], "sweep '1,x' has 'x', expected an integer"),
+        # more points than a list can index, and more than memory can hold
+        (["--n-sweep", "0:100000000000000000000"],
+         "sweep '0:100000000000000000000' has too many points"),
+        (["--n-sweep", "0:4611686018427387904"],
+         "sweep '0:4611686018427387904' has too many points"),
     ])
     def test_bad_sweep_is_one_line(self, tmp_path, capsys, sweep, message):
         # a snapshot that does not exist shows the sweep is checked first
