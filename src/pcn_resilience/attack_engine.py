@@ -137,8 +137,9 @@ def isolate_node(g: PcnGraph, v: str) -> tuple[PcnGraph, int]:
     return remove_nodes(g, [v]), cost
 
 
-def _rank_nodes(scores: dict[str, float]) -> list[str]:
-    return sorted(scores, key=lambda v: (-scores[v], v))
+def _ranked(scores: dict) -> list:
+    """The keys of `scores`, highest score first; equal scores by key."""
+    return sorted(scores, key=lambda k: (-scores[k], k))
 
 
 def plan_targets(g: PcnGraph, strategy: Strategy, limit: int
@@ -149,14 +150,14 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int
         raise ValueError("limit must be >= 1")
 
     if strategy.kind == "degree":
-        ranked = _rank_nodes(g.degrees())
+        ranked = _ranked(g.degrees())
     elif strategy.kind == "betweenness":
-        ranked = _rank_nodes(betweenness_centrality(
+        ranked = _ranked(betweenness_centrality(
             g, sample_sources=strategy.params.get("sample_sources"),
             seed=strategy.params.get("seed", 0)))
     elif strategy.kind == "eigenvector":
-        ranked = _rank_nodes({**dict.fromkeys(g.ids, 0.0),
-                              **eigenvector_centrality(g)})
+        ranked = _ranked({**dict.fromkeys(g.ids, 0.0),
+                          **eigenvector_centrality(g)})
     elif strategy.kind == "random":
         ranked = list(g.ids)
         random.Random(strategy.params.get("seed", 0)).shuffle(ranked)
@@ -180,7 +181,7 @@ def _rank_parallel_paths(g: PcnGraph, strategy: Strategy) -> list[str]:
                   if g.index.get(hub, -1) not in g.ends[o.slots >> 1]]
     counts = np.bincount(np.concatenate([np.empty(0, np.int64), *forwarders]),
                          minlength=g.node_count)
-    return _rank_nodes({v: c for v, c in zip(g.ids, counts.tolist()) if v != hub})
+    return _ranked({v: c for v, c in zip(g.ids, counts.tolist()) if v != hub})
 
 
 def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
@@ -192,7 +193,7 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     rng = random.Random(params.get("seed", 0))
     pairs = payment_sim.sample_pairs(g.ids, params["cut_samples"], rng)
     view = g.channel_view()
-    # a channel carries up to its capacity either way
+    # a channel carries up to its capacity either way: 2 * MAX_SAT < 2^63
     capacity = np.repeat(g.capacity, 2)
     a, b = g.ends.T
 
@@ -203,7 +204,7 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
             continue
         key = tuple(sorted(g.channel_ids[sink[a] != sink[b]].tolist()))
         occurrences[key] = occurrences.get(key, 0) + 1
-    return sorted(occurrences, key=lambda c: (-occurrences[c], c))
+    return _ranked(occurrences)
 
 
 def _sink_side(view: ChannelView, capacity: np.ndarray, s: int, t: int

@@ -81,8 +81,8 @@ def _fields(result) -> dict:
 
 
 def _sweep(kind: str, text: str) -> list[tuple]:
-    """The (kind, value) constraints of a count sweep start:end[:step] or a
-    comma-separated budget sweep: at least one point, none negative."""
+    """The (kind, value) points of a count sweep start:end[:step] or of a
+    comma-separated list: at least one point, none negative."""
     values = []
     for part in text.split(":" if kind == "count" else ","):
         try:
@@ -225,23 +225,9 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _failure_counts(text: str) -> list[int]:
-    """The comma-separated node counts of --failures, each an int >= 0."""
-    counts = []
-    for part in text.split(","):
-        try:
-            count = int(part)
-        except ValueError:
-            count = -1
-        if count < 0:
-            raise ValueError(f"--failures has {part!r}, expected a count >= 0")
-        counts.append(count)
-    return counts
-
-
 def cmd_robustness(args) -> int:
     # checked before the snapshot loads, so that a bad count writes nothing
-    failures = _failure_counts(args.failures)
+    failures = [k for _, k in _sweep("failure count", args.failures)]
     if args.reps < 1:
         raise ValueError("random failures need at least one run")
     g, meta, comment = _setup(args)

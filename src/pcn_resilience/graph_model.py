@@ -117,6 +117,7 @@ class ChannelView:
             total += _blocking_flow(self.src[pos].tolist(), self.dst[pos].tolist(),
                                     cap, s, t, bound - total)
             pushed = before - np.array(cap, dtype=np.int64)
+            # a channel's two sides hold at most 2 * MAX_SAT < 2^63
             residual[slots] -= pushed
             residual[slots ^ 1] += pushed
         return total
@@ -222,6 +223,8 @@ class SimpleView:
     def __init__(self, g: PcnGraph):
         n = g.node_count
         a, b = g.ends.T
+        # pair keys < n^2 and row keys < n * E: int64 holds both for any
+        # graph that fits in memory
         _, first, which = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                                     return_index=True, return_inverse=True)
         summed = np.bincount(which, weights=g.capacity, minlength=len(first))
@@ -307,6 +310,7 @@ class PcnGraph:
         side of the channel for the other side."""
         slots = np.asarray(slots, dtype=np.int64)
         flat = self.balance.reshape(-1)
+        # a channel's two sides hold at most 2 * MAX_SAT < 2^63
         np.subtract.at(flat, slots, amounts)
         np.add.at(flat, slots ^ 1, amounts)
 
@@ -400,22 +404,20 @@ def _integer(value) -> int:
     raise TypeError(f"{value!r} is not an integer")
 
 
-def _parse_policy(raw) -> tuple[int, int]:
-    """(base fee, fee rate) of one side's policy record, checked to be
-    non-negative; with the u32 check in `graph_from_dict`, these are the
-    only fee checks."""
+def _parse_policy(cid: str, raw) -> tuple[int, int]:
+    """(base fee, fee rate) of one side's policy record of channel `cid`,
+    the defaults for a missing or empty one. Their range is checked in
+    `graph_from_dict`."""
     if not raw:
         return DEFAULT_BASE_FEE_MSAT, DEFAULT_RATE_PPM
     if not isinstance(raw, dict):
-        raise SnapshotError(f"fee policy is not an object: {raw!r}")
+        raise SnapshotError(f"channel {cid} has a fee policy that is not an "
+                            f"object: {raw!r}")
     try:
-        base = _integer(raw.get("fee_base_msat", DEFAULT_BASE_FEE_MSAT))
-        rate = _integer(raw.get("fee_rate_milli_msat", DEFAULT_RATE_PPM))
+        return (_integer(raw.get("fee_base_msat", DEFAULT_BASE_FEE_MSAT)),
+                _integer(raw.get("fee_rate_milli_msat", DEFAULT_RATE_PPM)))
     except (TypeError, ValueError):
-        raise ValidationError(f"bad fee policy {raw!r}")
-    if base < 0 or rate < 0:
-        raise ValidationError("fee policy fields must be non-negative")
-    return base, rate
+        raise ValidationError(f"channel {cid} has a bad fee policy {raw!r}")
 
 
 def _records(data: dict, key: str) -> list:
@@ -490,12 +492,13 @@ def graph_from_dict(data: dict, balance_model: str = "capacity-both-ways") -> Pc
                 raise ValidationError(
                     f"channel {cid} has balances {bal_ab} + {bal_ba} "
                     f"above its capacity {capacity}")
-        base_ab, rate_ab = _parse_policy(rec.get("node1_policy"))
-        base_ba, rate_ba = _parse_policy(rec.get("node2_policy"))
+        base_ab, rate_ab = _parse_policy(cid, rec.get("node1_policy"))
+        base_ba, rate_ba = _parse_policy(cid, rec.get("node2_policy"))
         # BOLT 7 gossips both fee fields as u32
-        if max(base_ab, base_ba, rate_ab, rate_ba) > 2**32 - 1:
+        fees = (base_ab, base_ba, rate_ab, rate_ba)
+        if not 0 <= min(fees) <= max(fees) <= 2**32 - 1:
             raise ValidationError(
-                f"channel {cid} has a fee field above {2**32 - 1}")
+                f"channel {cid} has a fee field outside 0..{2**32 - 1}")
 
         seen.add(cid)
         channel_ids.append(_copied(cid))

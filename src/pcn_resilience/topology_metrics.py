@@ -92,7 +92,7 @@ def _dependencies(indptr: np.ndarray, indices: np.ndarray,
     successor's place, last first: the order networkx pops its stack in.
     """
     n = len(indptr) - 1
-    size = len(sources) * n
+    size = len(sources) * n  # every b * n + v is below it, inside int64
     degree = np.diff(indptr)
     dist = np.full(size, -1)
     first = np.full(size, np.iinfo(np.int64).max)
@@ -208,27 +208,21 @@ def transitivity(g: PcnGraph) -> float:
     first = np.repeat(np.arange(len(head)), later)
     second = (np.arange(len(first))
               - np.repeat(np.cumsum(later) - later, later) + first + 1)
-    keys = np.sort(rows * n + cols)
+    keys = np.sort(rows * n + cols)  # below n^2, inside int64
     query = tail[first] * n + tail[second]
     at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     closed = 6 * int(np.count_nonzero(keys[at] == query))
     if closed == 0:
         return 0
+    # Σ d(d − 1) <= n^3: inside int64 up to 2 million nodes
     return closed / int((degree * (degree - 1)).sum())
-
-
-# Sources per distance block: a block's BFS keeps one bit per (source,
-# node) in ceil(DISTANCE_BLOCK / 64) rows of n uint64 words, and each level
-# gathers a word per arc and row. 64, one row, measured fastest at 1,200
-# and at 15,000 nodes on 2 vCPUs.
-DISTANCE_BLOCK = 64
 
 
 def distance_stats(g: PcnGraph) -> tuple[int, float]:
     """(diameter, average distance) over the ordered pairs of distinct
     nodes joined by a path, or (0, 0.0) without one: an exact BFS from
-    every node, DISTANCE_BLOCK sources at a time, bit-parallel (Then et
-    al., "The More the Merrier", VLDB 2014). Bit b % 64 of word row b // 64
+    every node, 64 sources at a time, bit-parallel (Then et al., "The More
+    the Merrier", VLDB 2014). Each node holds one uint64 word, whose bit b
     marks the block's b-th source; a level ORs the frontier words of each
     node's neighbours together and keeps the bits not seen before, and
     their popcount is the number of pairs at that distance. Nodes without
@@ -240,15 +234,14 @@ def distance_stats(g: PcnGraph) -> tuple[int, float]:
     row_starts = view.indptr[:-1][linked]
     neighbours = (np.cumsum(linked) - 1)[view.indices]  # renumbered
     diameter, total, pairs = 0, 0, 0
-    for lo in range(0, n, DISTANCE_BLOCK):
-        b = np.arange(min(DISTANCE_BLOCK, n - lo))
-        seen = np.zeros((-(-len(b) // 64), n), dtype=np.uint64)
-        seen[b // 64, lo + b] = np.uint64(1) << (b % 64).astype(np.uint64)
+    for lo in range(0, n, 64):
+        b = np.arange(min(64, n - lo))
+        seen = np.zeros(n, dtype=np.uint64)
+        seen[lo + b] = np.uint64(1) << b.astype(np.uint64)
         frontier = seen
         level = 0
         while True:
-            frontier = np.bitwise_or.reduceat(
-                np.take(frontier, neighbours, axis=1), row_starts, axis=1)
+            frontier = np.bitwise_or.reduceat(frontier[neighbours], row_starts)
             frontier &= ~seen
             count = int(np.bitwise_count(frontier).sum())
             if not count:
@@ -329,7 +322,7 @@ def _gnm_edges(n: int, m: int, seed: int) -> np.ndarray:
             4 * batch, "little"), dtype="<u4") >> shift
         drawn = np.concatenate((drawn, words[words < n]))
         u, v = drawn[:len(drawn) - 1:2], drawn[1::2]
-        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        keys = np.minimum(u, v) * n + np.maximum(u, v)  # below n^2
         keys, first = np.unique(keys[u != v], return_index=True)
         if len(keys) >= m:
             keys = np.sort(keys[np.argsort(first)[:m]])

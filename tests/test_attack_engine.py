@@ -105,6 +105,11 @@ class TestExhaustChannel:
         with pytest.raises(KeyError):
             ae.exhaust_channel(g, "nope", "ab")
 
+    def test_bad_direction(self):
+        g = make_graph(["a", "b"], [("a", "b")])
+        with pytest.raises(ValueError, match="direction must be 'ab' or 'ba'"):
+            ae.exhaust_channel(g, "c0", "both")
+
     def test_fig3_exhaustion_pattern(self):
         g = fig3_fixture()
         for cid in ("ab", "ac", "ad"):
@@ -238,6 +243,11 @@ class TestPlanTargets:
         assert ae.plan_targets(g, ae.Strategy(
             "parallel-paths", params), limit=4) == ["b", "c", "a", "d"]
 
+    def test_limit_below_one(self):
+        g = make_graph(["a", "b"], [("a", "b")])
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            ae.plan_targets(g, ae.Strategy("degree"), limit=0)
+
     def test_missing_params(self):
         with pytest.raises(ValueError):
             ae.Strategy("ranked-min-cut")
@@ -340,6 +350,11 @@ class TestExecuteAttack:
         rep = attack(g, plan, ("count", 0), self.metric_params(), seed=1)
         assert rep.delta_s == rep.delta_r == rep.delta_F == 0.0
         assert rep.spent == 0 and rep.removed == 0
+
+    def test_unknown_constraint_kind(self):
+        g = make_graph(["a", "b"], [("a", "b")])
+        with pytest.raises(ValueError, match="constraint must be"):
+            ae.execute_attack(g, [["a"]], [("nodes", 1)], self.metric_params())
 
     def test_budget_too_small_removes_nothing(self):
         g = generate_reference("erdos-renyi", 30, 90, seed=0)

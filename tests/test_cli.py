@@ -404,15 +404,19 @@ def test_json_reports_refuse_nan_and_infinity(value):
         cli._json_dump({"x": value})
 
 
-@pytest.mark.parametrize("failures, bad", [("-1", "'-1'"), ("3,1.5", "'1.5'"),
-                                           ("2,x", "'x'"), ("2,,4", "''")])
-def test_bad_failures_are_named_before_loading(tmp_path, capsys, failures, bad):
+@pytest.mark.parametrize("failures, message", [
+    ("-1", "sweep '-1' has a negative failure count -1"),
+    ("3,1.5", "sweep '3,1.5' has '1.5', expected an integer"),
+    ("2,x", "sweep '2,x' has 'x', expected an integer"),
+    ("2,,4", "sweep '2,,4' has '', expected an integer"),
+], ids=["negative", "decimal", "text", "empty"])
+def test_bad_failures_are_named_before_loading(tmp_path, capsys, failures,
+                                               message):
     # a snapshot that does not exist shows the counts are checked first
     rc = main(["robustness", "--snapshot", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "o.csv"), f"--failures={failures}"])
     assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: --failures has {bad}, expected a count >= 0"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "o.csv").exists()
 
 

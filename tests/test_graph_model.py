@@ -104,6 +104,21 @@ class TestLoadSnapshot:
                            "node2_pub": "b", "capacity": 0}],
             })
 
+    @pytest.mark.parametrize("data, message", [
+        ({"nodes": [{"pub_key": "a"}, {"pub_key": "a"}]},
+         "duplicate node key a"),
+        ({"nodes": [{"pub_key": "a"}, {"pub_key": "b"}],
+          "edges": [{"channel_id": "c", "node1_pub": "a", "node2_pub": "b",
+                     "capacity": 5}] * 2}, "duplicate channel_id c"),
+    ], ids=["node-key", "channel-id"])
+    def test_duplicate_key_is_named(self, data, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            graph_from_dict(data)
+
+    def test_unknown_balance_model_is_named(self):
+        with pytest.raises(ValueError, match="^unknown balance model 'even'$"):
+            graph_from_dict({"nodes": [], "edges": []}, balance_model="even")
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -259,11 +274,15 @@ class TestAmountBounds:
         bound = 2**32 - 1
         graph_from_dict(_edge(node1_policy={"fee_base_msat": bound,
                                             "fee_rate_milli_msat": bound}))
-        for policy in ({"fee_base_msat": bound + 1},
-                       {"fee_rate_milli_msat": 10**30}):
-            with pytest.raises(ValidationError,
-                               match=f"^channel c0 has a fee field above {bound}$"):
-                graph_from_dict(_edge(node2_policy=policy))
+        graph_from_dict(_edge(node2_policy={"fee_base_msat": 0,
+                                            "fee_rate_milli_msat": 0}))
+        for side, policy in (("node2_policy", {"fee_base_msat": bound + 1}),
+                             ("node2_policy", {"fee_rate_milli_msat": 10**30}),
+                             ("node1_policy", {"fee_base_msat": -1}),
+                             ("node2_policy", {"fee_rate_milli_msat": "-5"})):
+            with pytest.raises(ValidationError, match=(
+                    f"^channel c0 has a fee field outside 0..{bound}$")):
+                graph_from_dict(_edge(**{side: policy}))
 
 
 _json = st.recursive(

@@ -53,6 +53,15 @@ class TestRoutePayment:
         with pytest.raises(KeyError):
             ps.route_payment(g, ps.PaymentSpec("a", "zz", 1))
 
+    @pytest.mark.parametrize("source, target, amount, message", [
+        ("a", "a", 1, "source and target must differ"),
+        ("a", "b", 0, "amount must be positive"),
+        ("a", "b", -5, "amount must be positive"),
+    ], ids=["same-endpoint", "zero-amount", "negative-amount"])
+    def test_bad_spec_is_named(self, source, target, amount, message):
+        with pytest.raises(ValueError, match=message):
+            ps.PaymentSpec(source, target, amount)
+
     def test_forwarding_fee_arithmetic(self):
         # a - h - b with default policy: 1000 msat + 1 ppm on 50,000 sat
         g = make_graph(["a", "h", "b"], [("a", "h"), ("h", "b")],
@@ -351,6 +360,13 @@ class TestMaxFlow:
             ],
         })
         assert ps.max_flow(g, "a", "d") == 3
+
+    def test_bad_endpoints_are_named(self):
+        g = two_node_channel()
+        with pytest.raises(KeyError, match="unknown max-flow endpoint"):
+            ps.max_flow(g, "a", "zz")
+        with pytest.raises(ValueError, match="max-flow endpoints must differ"):
+            ps.max_flow(g, "a", "a")
 
     def test_parallel_paths_add(self):
         g = graph_from_dict({

@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -85,6 +84,11 @@ class TestBetweenness:
         leaves = [f"l{i}" for i in range(5)]
         g = make_graph(["hub"] + leaves, [("hub", l) for l in leaves])
         assert tm.betweenness_centrality(g)["hub"] == pytest.approx(1.0)
+
+    def test_zero_sources_is_named(self):
+        g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        with pytest.raises(ValueError, match="at least one source"):
+            tm.betweenness_centrality(g, sample_sources=0)
 
     def test_matches_bruteforce_on_small_graphs(self):
         rng = random.Random(11)
@@ -421,29 +425,35 @@ def split_graphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(split_graphs(), st.integers(1, 8))
-def test_distance_stats_matches_reference_bfs(g, block):
+@given(split_graphs())
+def test_distance_stats_matches_reference_bfs(g):
     assert len(components(g)) >= 3
-    want = reference_distances(g)
-    assert tm.distance_stats(g) == want
-    # blocks that split the sources, down to one source per block
-    with mock.patch.object(tm, "DISTANCE_BLOCK", block):
-        assert tm.distance_stats(g) == want
+    assert tm.distance_stats(g) == reference_distances(g)
 
 
 @pytest.mark.parametrize("block", [1, 63, 64, 65, None])
 @pytest.mark.parametrize("n, seed", [(100, 0), (190, 1), (300, 2)])
 def test_distance_stats_matches_reference_across_words(n, seed, block):
     # about one channel per node leaves a giant component, small ones and
-    # isolated nodes; blocks of 63 to 65 sources fill a 64-bit word short,
-    # exactly and one past it, and "v7x" is an isolated node mid-order
+    # isolated nodes, and "v7x" is an isolated node mid-order. A path of "w"
+    # nodes then brings the linked nodes to 64q + block: the last 64-source
+    # block holds 1, 63 or 64 sources, or with 65 one source after one more
+    # full block. None keeps the linked nodes as the channels fall.
     rng = random.Random(seed)
     nodes = [f"v{i}" for i in range(n)]
-    g = make_graph(nodes + ["v7x"], [tuple(rng.sample(nodes, 2))
-                                     for _ in range(n)])
-    want = reference_distances(g)
-    with mock.patch.object(tm, "DISTANCE_BLOCK", block or tm.DISTANCE_BLOCK):
-        assert tm.distance_stats(g) == want
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(n)]
+    if block is not None:
+        linked = len({v for pair in pairs for v in pair})
+        # the smallest 64q past linked + 1, so that the path has a channel
+        want_linked = 64 * -(-(linked + 2) // 64) + block
+        path = [f"w{i}" for i in range(want_linked - linked)]
+        nodes += path
+        pairs += list(zip(path, path[1:]))
+    g = make_graph(nodes + ["v7x"], pairs)
+    if block is not None:
+        degree = np.diff(g.simple_graph().indptr)
+        assert np.count_nonzero(degree) == want_linked
+    assert tm.distance_stats(g) == reference_distances(g)
 
 
 class TestCentralPointDominance:
@@ -551,6 +561,11 @@ class TestRandomFailures:
         g = make_graph(nodes, pairs)
         result = tm.random_failure_experiment(g, [1, 4, 8], runs=20, seed=0)
         assert all(v == 1.0 for v in result.values())
+
+    def test_zero_runs_is_named(self):
+        g = make_graph(["a", "b"], [("a", "b")])
+        with pytest.raises(ValueError, match="at least one run"):
+            tm.random_failure_experiment(g, [1], runs=0, seed=0)
 
     def test_failure_count_too_large(self):
         g = make_graph(["a", "b"], [("a", "b")])
