@@ -72,11 +72,9 @@ class MetricParams:
             raise ValueError("attempts and flow rounds must be >= 1")
 
 
-def advantage(m: float, m_prime: float) -> float:
-    """Relative decrease |1 - m'/m| of a metric under attack."""
-    if m == 0:
-        raise ValueError("advantage is undefined for a zero a-priori metric")
-    return abs(1.0 - m_prime / m)
+def advantage(m: float | None, m_prime: float | None) -> float | None:
+    """Relative decrease |1 - m'/m| under attack, or None where m is 0 or None."""
+    return abs(1.0 - m_prime / m) if m else None
 
 
 def reachability(g: PcnGraph) -> int:
@@ -260,11 +258,6 @@ def _walk(targets: list, costs: list[int], constraint: tuple, griefing: bool
     return (tuple(sorted(doomed_nodes)), frozenset(doomed_channels)), spent, removed
 
 
-def _delta(m: float | None, m_prime: float | None) -> float | None:
-    """The advantage, or None where it is undefined (no or zero m)."""
-    return advantage(m, m_prime) if m else None
-
-
 def execute_attack(g: PcnGraph, plans: list[list], constraints: list[tuple],
                    metric_params: MetricParams = MetricParams(),
                    seed: int = 0, griefing: bool = False) -> list[SimReport]:
@@ -308,10 +301,10 @@ def execute_attack(g: PcnGraph, plans: list[list], constraints: list[tuple],
             reports.append(SimReport(
                 a_priori=before,
                 a_posteriori=after,
-                delta_s=_delta(before.s, after.s),
-                delta_r=_delta(before.r, after.r),
-                delta_F=_delta(before.F_bar, after.F_bar),
-                delta_g=_delta(before.g_bar, after.g_bar),
+                delta_s=advantage(before.s, after.s),
+                delta_r=advantage(before.r, after.r),
+                delta_F=advantage(before.F_bar, after.F_bar),
+                delta_g=advantage(before.g_bar, after.g_bar),
                 spent=spent,
                 removed=removed,
             ))

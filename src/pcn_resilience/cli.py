@@ -41,13 +41,16 @@ ATTACK_CSV_HEADER = ("strategy,constraint,n_or_budget,spent,s,s_prime,"
 
 
 def _seed(seed: int | None) -> int:
-    """--seed, falling back to $PCN_RESILIENCE_SEED, then 0."""
+    """--seed, else $PCN_RESILIENCE_SEED, else 0: a non-negative integer, as
+    random.Random would seed with |seed| and numpy refuses a negative one."""
     env = os.environ.get("PCN_RESILIENCE_SEED") or "0"
+    name, given = ("$PCN_RESILIENCE_SEED", env) if seed is None else ("--seed", seed)
     try:
-        return int(env) if seed is None else seed
+        if (value := int(given)) >= 0:
+            return value
     except ValueError:
-        raise ValueError(f"$PCN_RESILIENCE_SEED has {env!r}, "
-                         "expected an integer") from None
+        pass
+    raise ValueError(f"{name} has {given!r}, expected a non-negative integer")
 
 
 def _setup(args) -> tuple[PcnGraph, dict, str]:

@@ -35,6 +35,11 @@ class ValidationError(Exception):
     """Snapshot parsed but violates a graph invariant."""
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The CSR row expansion: each range(s, s + c) end to end, exact for s < 2^53."""
+    return np.arange(counts.sum()) + (starts - counts.cumsum() + counts).repeat(counts)
+
+
 class ChannelView:
     """The directed arcs of a graph's channels, for routing, max flow and
     minimum cuts.
@@ -72,9 +77,7 @@ class ChannelView:
         arcs into `nodes` instead: position x is then the arc
         `dst[x] -> src[x]`, whose slot is `slot[x] ^ 1`. Either way `dst`
         gives the far end."""
-        lo, counts = self.indptr[nodes], self.degree[nodes]
-        ends = counts.cumsum()
-        pos = np.arange(counts.sum()) + (lo - ends + counts).repeat(counts)
+        pos = _ranges(self.indptr[nodes], self.degree[nodes])
         return pos[residual[self.slot[pos] ^ side] >= least]
 
     def hops_to(self, t: int, residual: np.ndarray) -> np.ndarray:

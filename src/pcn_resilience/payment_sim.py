@@ -66,8 +66,11 @@ UNIT_VOLUMES = VolumeModel(volumes=(1,))
 def load_volumes(path) -> VolumeModel:
     """Volume file: one positive integer (satoshi) per line, blank lines
     skipped. A bad line is named by the file and its line number."""
-    with open(path, encoding="utf-8") as f:
-        lines = [(n, line.strip()) for n, line in enumerate(f, 1) if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = [(n, line.strip()) for n, line in enumerate(f, 1) if line.strip()]
+    except UnicodeDecodeError:
+        raise ValueError(f"volume file {path} is not UTF-8") from None
     for number, text in lines:
         if not text.isdecimal() or int(text) == 0:
             raise ValueError(f"volume file {path} line {number} has {text!r}, "

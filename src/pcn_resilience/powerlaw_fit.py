@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph_model import _ranges
+
 ALPHA_MIN = 1.0 + 1e-6
 ALPHA_MAX = 6.0
 ALPHA_TOL = 1e-4
@@ -110,7 +112,7 @@ def _zeta_sum(x, q) -> np.ndarray:
     first = np.where(run, np.maximum(q, np.roll(q, 1) + _TERMS), q)
     count = (q + _TERMS - first).astype(np.int64)
     end = np.cumsum(count)  # one past the position of q + 9
-    bases = np.repeat(first - (end - count), count) + np.arange(count.sum())
+    bases = _ranges(first, count)
     powers = _pow(bases, np.repeat(-x, count))
     terms = powers[np.arange(_TERMS)[:, None] + (end - _TERMS)]
     s = terms[0].copy()
@@ -185,11 +187,11 @@ def _ks_distances(values, upto, last, cand, below, alpha) -> np.ndarray:
     gap."""
     length = last - cand
     offset = np.cumsum(length) - length
-    at = np.arange(length.sum()) + np.repeat(cand - offset, length)
+    at = _ranges(cand, length)
     under = np.repeat(below, length)
     emp_cdf = (upto[at] - under) / (np.repeat(upto[last - 1], length) - under)
     head = offset + np.arange(cand.size)  # where each x_min goes
-    rest = np.arange(at.size) + np.repeat(np.arange(1, cand.size + 1), length)
+    rest = _ranges(head + 1, length)
     q = np.empty(head.size + rest.size, dtype=np.int64)
     q[head], q[rest] = values[cand], values[at] + 1
     z = _zeta(np.repeat(alpha, length + 1), q)

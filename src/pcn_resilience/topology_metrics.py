@@ -18,8 +18,8 @@ from itertools import compress
 import numpy as np
 
 from .graph_model import (DEFAULT_BASE_FEE_MSAT, DEFAULT_RATE_PPM, PcnGraph,
-                          component_labels, graph_of_set, largest_component,
-                          largest_connected_component)
+                          _ranges, component_labels, graph_of_set,
+                          largest_component, largest_connected_component)
 
 
 class ConvergenceError(Exception):
@@ -109,9 +109,7 @@ def _dependencies(indptr: np.ndarray, indices: np.ndarray,
         counts = degree[node]
         v = np.repeat(frontier, counts)
         # the neighbours of each frontier node, in adjacency order
-        offsets = np.arange(counts.sum()) + np.repeat(
-            indptr[node] - (np.cumsum(counts) - counts), counts)
-        w = v - np.repeat(node, counts) + indices[offsets]
+        w = v - np.repeat(node, counts) + indices[_ranges(indptr[node], counts)]
         fresh = w[dist[w] < 0]
         seen_at = np.arange(fresh.size)
         np.minimum.at(first, fresh, seen_at)
@@ -203,11 +201,9 @@ def transitivity(g: PcnGraph) -> float:
     out = rank[rows] < rank[cols]
     head, tail = rows[out], cols[out]  # grouped by head, as `rows` is
     # pair each out-arc with the out-arcs after it in its head's row
-    row_end = np.searchsorted(head, head, side="right")
-    later = row_end - np.arange(len(head)) - 1
+    later = np.searchsorted(head, head, side="right") - np.arange(len(head)) - 1
     first = np.repeat(np.arange(len(head)), later)
-    second = (np.arange(len(first))
-              - np.repeat(np.cumsum(later) - later, later) + first + 1)
+    second = _ranges(np.arange(1, len(head) + 1), later)
     keys = np.sort(rows * n + cols)  # below n^2, inside int64
     query = tail[first] * n + tail[second]
     at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)

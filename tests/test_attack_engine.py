@@ -65,8 +65,9 @@ class TestAdvantage:
         assert ae.advantage(675, 67.5) == pytest.approx(0.9)
 
     def test_zero_baseline_is_error(self):
-        with pytest.raises(ValueError):
-            ae.advantage(0, 5)
+        # an undefined advantage is None, for a zero or an absent baseline
+        assert ae.advantage(0, 5) is None
+        assert ae.advantage(None, 5) is None
 
 
 class TestReachability:

@@ -387,8 +387,15 @@ def test_zero_counts_are_one_line(tmp_path, capsys, argv):
      "one leaves its own score undefined"),
     (["robustness", "--failures", "1", "--reps", "0"],
      "random failures need at least one run"),
+    (["analyze", "--seed", "-1"],
+     "--seed has -1, expected a non-negative integer"),
+    (["attack", "--strategy", "degree", "--n-sweep", "1:1", "--seed", "-3"],
+     "--seed has -3, expected a non-negative integer"),
+    (["robustness", "--failures", "1", "--seed", "-1"],
+     "--seed has -1, expected a non-negative integer"),
 ], ids=["cut-samples", "payment-samples", "plan-limit", "betweenness-sources",
-        "one-betweenness-source", "reps"])
+        "one-betweenness-source", "reps", "analyze-seed", "attack-seed",
+        "robustness-seed"])
 def test_bad_counts_are_named_before_loading(tmp_path, capsys, argv, message):
     # a snapshot that does not exist shows the counts are checked first
     rc = main([*argv, "--snapshot", str(tmp_path / "absent.json"),
@@ -424,12 +431,13 @@ def test_bad_failures_are_named_before_loading(tmp_path, capsys, failures,
     ("10\n\n1.5\n", "line 3 has '1.5', expected a positive integer"),
     ("-5\n", "line 1 has '-5', expected a positive integer"),
     ("\n", "has no volumes"),
+    ("10\xff\n", "is not UTF-8"),  # latin-1 writes the byte 0xff
 ])
 def test_bad_volume_file_is_named_before_loading(tmp_path, capsys, volumes,
                                                  message):
     # a snapshot that does not exist shows the volumes are read first
     vols = tmp_path / "vols.txt"
-    vols.write_text(volumes)
+    vols.write_text(volumes, encoding="latin-1")
     rc = main(["attack", "--snapshot", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "o.json"), "--strategy", "degree",
                "--n-sweep", "1:1", "--volumes", str(vols)])
@@ -566,11 +574,36 @@ class TestSeedFallback:
 
     def test_bad_env_seed_is_named(self, tmp_path, monkeypatch, capsys):
         # a missing snapshot shows the seed is read before loading
-        monkeypatch.setenv("PCN_RESILIENCE_SEED", "abc")
-        out = tmp_path / "rob.json"
-        rc = main(["robustness", "--snapshot", str(tmp_path / "none.json"),
-                   "--out", str(out), "--failures", "2"])
+        for value in ("abc", "-5"):
+            monkeypatch.setenv("PCN_RESILIENCE_SEED", value)
+            out = tmp_path / "rob.json"
+            rc = main(["robustness", "--snapshot", str(tmp_path / "none.json"),
+                       "--out", str(out), "--failures", "2"])
+            assert rc == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: $PCN_RESILIENCE_SEED has {value!r}, "
+                "expected a non-negative integer"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--gof-runs", "2"],
+        ["attack", "--strategy", "random", "--n-sweep", "1:1"],
+        ["robustness", "--failures", "1"],
+    ], ids=["analyze", "attack", "robustness"])
+    def test_negative_seed_leaves_no_report(self, tmp_path, ba_snapshot,
+                                            monkeypatch, capsys, how, argv):
+        # a snapshot that loads, so only the seed check stops the run before
+        # a report is written
+        if how == "env":
+            monkeypatch.setenv("PCN_RESILIENCE_SEED", "-1")
+        else:
+            argv = [*argv, "--seed", "-1"]
+        out = tmp_path / "out"
+        rc = main([*argv, "--snapshot", ba_snapshot, "--out", str(out)])
         assert rc == 1
+        name = "$PCN_RESILIENCE_SEED" if how == "env" else "--seed"
+        given = "'-1'" if how == "env" else "-1"
         assert capsys.readouterr().err.splitlines() == [
-            "error: $PCN_RESILIENCE_SEED has 'abc', expected an integer"]
+            f"error: {name} has {given}, expected a non-negative integer"]
         assert not out.exists()

@@ -8,13 +8,14 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcn_resilience import attack_engine as ae
 from pcn_resilience.graph_model import (BALANCE_MODELS, MAX_SAT, PcnGraph,
                                         SnapshotError, ValidationError,
-                                        component_labels, graph_from_dict,
+                                        _ranges, component_labels,
+                                        graph_from_dict,
                                         induced_subgraph,
                                         largest_connected_component,
                                         load_snapshot, remove_channels,
@@ -309,6 +310,20 @@ def test_any_snapshot_loads_or_raises_snapshot_error(data, balance_model):
         graph_from_dict(data, balance_model=balance_model)
     except (SnapshotError, ValidationError):
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 6)), max_size=8),
+       st.booleans())
+@example([], True)
+@example([(2**52, 3), (7, 0), (-1, 2)], True)  # exact up to 2^53
+def test_ranges_lay_each_range_end_to_end(rows, float_starts):
+    # float starts as _zeta_sum's
+    starts = np.array([s for s, _ in rows], dtype=float if float_starts else int)
+    counts = np.array([c for _, c in rows], dtype=np.int64)
+    got = _ranges(starts, counts)
+    assert got.tolist() == [s + i for s, c in rows for i in range(c)]
+    assert got.dtype == starts.dtype
 
 
 class TestComponents:
