@@ -12,13 +12,13 @@ complete cuts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import payment_sim
-from .graph_model import (ChannelView, PcnGraph, largest_component,
-                          remove_channels, remove_nodes)
+from .graph_model import (ChannelView, PcnGraph, _seed_value,
+                          largest_component, remove_channels, remove_nodes)
 from .payment_sim import VolumeModel, UNIT_VOLUMES
 from .topology_metrics import betweenness_centrality, eigenvector_centrality
 
@@ -29,14 +29,17 @@ STRATEGY_KINDS = ("degree", "betweenness", "eigenvector",
 @dataclass(frozen=True)
 class Strategy:
     kind: str
-    params: dict = field(default_factory=dict)
+    seed: int = 0  # read by random, parallel-paths and ranked-min-cut
+    cut_samples: int = 0  # ranked-min-cut's sampled terminal pairs
+    payment_samples: int = 0  # parallel-paths' sampled payments
+    hub: str | None = None  # the node parallel-paths leaves out
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "ranked-min-cut" and self.params.get("cut_samples", 0) < 1:
+        if self.kind == "ranked-min-cut" and self.cut_samples < 1:
             raise ValueError("ranked-min-cut requires cut_samples >= 1")
-        if self.kind == "parallel-paths" and self.params.get("payment_samples", 0) < 1:
+        if self.kind == "parallel-paths" and self.payment_samples < 1:
             raise ValueError("parallel-paths requires payment_samples >= 1")
 
 
@@ -121,11 +124,9 @@ def _price(g: PcnGraph, target: str | tuple[str, ...]) -> int:
     isolation cost, or a cut's summed capacity."""
     if isinstance(target, str):
         return isolation_cost(g, target)
-    positions = g.channel_index
-    for c in target:
-        if c not in positions:
-            raise KeyError(f"unknown channel {c}")
-    return sum(g.capacity[[positions[c] for c in target]].tolist())
+    if unknown := [c for c in target if c not in g.channel_index]:
+        raise KeyError(f"unknown channel {unknown[0]}")
+    return sum(g.capacity[[g.channel_index[c] for c in target]].tolist())
 
 
 def isolate_node(g: PcnGraph, v: str) -> tuple[PcnGraph, int]:
@@ -150,15 +151,13 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int
     if strategy.kind == "degree":
         ranked = _ranked(g.degrees())
     elif strategy.kind == "betweenness":
-        ranked = _ranked(betweenness_centrality(
-            g, sample_sources=strategy.params.get("sample_sources"),
-            seed=strategy.params.get("seed", 0)))
+        ranked = _ranked(betweenness_centrality(g))
     elif strategy.kind == "eigenvector":
         ranked = _ranked({**dict.fromkeys(g.ids, 0.0),
                           **eigenvector_centrality(g)})
     elif strategy.kind == "random":
         ranked = list(g.ids)
-        random.Random(strategy.params.get("seed", 0)).shuffle(ranked)
+        random.Random(_seed_value(strategy.seed)).shuffle(ranked)
     elif strategy.kind == "parallel-paths":
         ranked = _rank_parallel_paths(g, strategy)
     else:
@@ -169,10 +168,9 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int
 def _rank_parallel_paths(g: PcnGraph, strategy: Strategy) -> list[str]:
     """Rank nodes other than the adversary's hub by how often they forward
     simulated payments, skipping payments the hub sends, receives or forwards."""
-    params = strategy.params
-    hub = params.get("hub")
-    specs = payment_sim.sample_specs(g.ids, params["payment_samples"], UNIT_VOLUMES,
-                                     random.Random(params.get("seed", 0)))
+    hub = strategy.hub
+    specs = payment_sim.sample_specs(g.ids, strategy.payment_samples, UNIT_VOLUMES,
+                                     random.Random(_seed_value(strategy.seed)))
     # a route's channels join its source, forwarders and target (none on failure)
     forwarders = [g.ends.flat[o.slots[1:]]
                   for o in payment_sim.evaluate_payments(g, specs)
@@ -187,9 +185,8 @@ def _rank_min_cuts(g: PcnGraph, strategy: Strategy) -> list[tuple[str, ...]]:
     distinct cuts by occurrence count. A cut is the sorted ids of the
     channels between the sink side and the rest; pairs without a path
     are skipped."""
-    params = strategy.params
-    rng = random.Random(params.get("seed", 0))
-    pairs = payment_sim.sample_pairs(g.ids, params["cut_samples"], rng)
+    rng = random.Random(_seed_value(strategy.seed))
+    pairs = payment_sim.sample_pairs(g.ids, strategy.cut_samples, rng)
     view = g.channel_view()
     # a channel carries up to its capacity either way: 2 * MAX_SAT < 2^63
     capacity = np.repeat(g.capacity, 2)
@@ -278,7 +275,7 @@ def execute_attack(g: PcnGraph, plans: list[list], constraints: list[tuple],
     if metric_params.hub is not None and metric_params.hub not in g.index:
         raise KeyError(f"unknown hub {metric_params.hub}")
 
-    rng = random.Random(seed)
+    rng = random.Random(_seed_value(seed))
     specs = payment_sim.sample_specs(g.ids, metric_params.attempts,
                                      metric_params.volumes, rng)
     flow_pairs = payment_sim.sample_pairs(g.ids, metric_params.flow_rounds, rng)
@@ -299,13 +296,10 @@ def execute_attack(g: PcnGraph, plans: list[list], constraints: list[tuple],
                                             metric_params, seed)
             after = measured[doomed]
             reports.append(SimReport(
-                a_priori=before,
-                a_posteriori=after,
+                a_priori=before, a_posteriori=after,
                 delta_s=advantage(before.s, after.s),
                 delta_r=advantage(before.r, after.r),
                 delta_F=advantage(before.F_bar, after.F_bar),
                 delta_g=advantage(before.g_bar, after.g_bar),
-                spent=spent,
-                removed=removed,
-            ))
+                spent=spent, removed=removed))
     return reports

@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from itertools import product
 from pathlib import Path
@@ -27,7 +28,7 @@ from . import __version__
 from .attack_engine import (STRATEGY_KINDS, MetricParams, Strategy,
                             execute_attack, plan_targets)
 from .graph_model import (BALANCE_MODELS, PcnGraph, SnapshotError,
-                          ValidationError, load_snapshot)
+                          ValidationError, _seed_value, load_snapshot)
 from .payment_sim import UNIT_VOLUMES, load_volumes
 from .topology_metrics import (ConvergenceError, degree_distribution,
                                generate_reference, metric_report,
@@ -41,16 +42,15 @@ ATTACK_CSV_HEADER = ("strategy,constraint,n_or_budget,spent,s,s_prime,"
 
 
 def _seed(seed: int | None) -> int:
-    """--seed, else $PCN_RESILIENCE_SEED, else 0: a non-negative integer, as
-    random.Random would seed with |seed| and numpy refuses a negative one."""
+    """--seed, else $PCN_RESILIENCE_SEED, else 0, under the one seed rule."""
     env = os.environ.get("PCN_RESILIENCE_SEED") or "0"
     name, given = ("$PCN_RESILIENCE_SEED", env) if seed is None else ("--seed", seed)
+    with suppress(ValueError):  # the rule names text that is no integer
+        given = int(given)
     try:
-        if (value := int(given)) >= 0:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"{name} has {given!r}, expected a non-negative integer")
+        return _seed_value(given)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _setup(args) -> tuple[PcnGraph, dict, str]:
@@ -168,13 +168,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _strategy_for(kind: str, args) -> Strategy:
-    params = {"ranked-min-cut": {"cut_samples": args.cut_samples},
-              "parallel-paths": {"payment_samples": args.payment_samples,
-                                 "hub": args.hub}}.get(kind, {})
-    return Strategy(kind=kind, params={"seed": args.seed, **params})
-
-
 def _g6(x: float | None) -> str:
     # an undefined advantage is an empty field
     return "" if x is None else f"{x:.6g}"
@@ -189,7 +182,8 @@ def cmd_attack(args) -> int:
                                  flow_rounds=args.flow_rounds,
                                  volumes=volumes, hub=args.hub)
     kinds = list(STRATEGY_KINDS) if "all" in args.strategy else args.strategy
-    strategies = [_strategy_for(kind, args) for kind in kinds]
+    strategies = [Strategy(kind, args.seed, args.cut_samples,
+                           args.payment_samples, args.hub) for kind in kinds]
     limit = args.plan_limit
     if points[0][0] == "count":
         limit = max(limit, max(v for _, v in points))

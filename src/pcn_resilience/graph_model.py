@@ -40,6 +40,14 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + (starts - counts.cumsum() + counts).repeat(counts)
 
 
+def _seed_value(seed) -> int:
+    """The one seed rule: a non-negative integer, numpy's included, as an
+    int. `random.Random` would seed -4 as 4 and refuse `np.int64(3)`."""
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        return int(seed)
+    raise ValueError(f"seed {seed!r} is not a non-negative integer")
+
+
 class ChannelView:
     """The directed arcs of a graph's channels, for routing, max flow and
     minimum cuts.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import PcnGraph
+from .graph_model import PcnGraph, _seed_value
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,8 @@ def fee_gain(g: PcnGraph, hub: str, payments: int, volumes: VolumeModel,
         raise KeyError(f"unknown hub {hub}")
     state, h = g.copy(), g.index[hub]
     base, rate = g.base_fee.reshape(-1), g.fee_rate.reshape(-1)
-    earned = 0
-    for spec in sample_specs(g.ids, payments, volumes, random.Random(seed)):
+    earned, rng = 0, random.Random(_seed_value(seed))
+    for spec in sample_specs(g.ids, payments, volumes, rng):
         hops = route_payment(state, spec, apply=True).slots[1:]
         # the hub's fee on Python ints: a u32 rate times 21M BTC overflows int64
         for y in hops[g.ends.flat[hops] == h].tolist():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import _ranges
+from .graph_model import _ranges, _seed_value
 
 ALPHA_MIN = 1.0 + 1e-6
 ALPHA_MAX = 6.0
@@ -305,7 +305,7 @@ def goodness_of_fit(degrees, fit: FitResult, synthetic_runs: int = 1000,
     n = data.size
     p_tail = (n - body.size) / n
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_value(seed))
     at_least = 0
     for block in range(0, synthetic_runs, _GOF_BLOCK):
         samples = []

@@ -18,7 +18,7 @@ from itertools import compress
 import numpy as np
 
 from .graph_model import (DEFAULT_BASE_FEE_MSAT, DEFAULT_RATE_PPM, PcnGraph,
-                          _ranges, component_labels, graph_of_set,
+                          _ranges, _seed_value, component_labels, graph_of_set,
                           largest_component, largest_connected_component)
 
 
@@ -65,7 +65,7 @@ def betweenness_centrality(g: PcnGraph, sample_sources: int | None = None,
     view = g.simple_graph()
     n = g.node_count
     sampled = sample_sources is not None and sample_sources < n
-    sources = g.node_order[random.Random(seed).sample(
+    sources = g.node_order[random.Random(_seed_value(seed)).sample(
         range(n), sample_sources)] if sampled else g.node_order
     total = np.zeros(n)
     for lo in range(0, len(sources), BETWEENNESS_BLOCK):
@@ -274,6 +274,8 @@ def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGr
     name = f"the {kind} reference graph"
     if n < 2:
         raise ValueError(f"{name} needs at least 2 nodes, not {n}")
+    if target_edges < 0:
+        raise ValueError(f"{name} needs a non-negative edge count, not {target_edges}")
     if kind == "erdos-renyi":
         if target_edges > n * (n - 1) // 2:
             raise ValueError(f"{name} on {n} nodes holds at most "
@@ -309,9 +311,9 @@ def _gnm_edges(n: int, m: int, seed: int) -> np.ndarray:
     again while it is >= n. `getrandbits(32 * k)` returns the next k words,
     the first in the lowest bits, so the words are read in bulk, batch after
     batch until enough pairs survive; words drawn past them are unused."""
+    rng, shift = random.Random(_seed_value(seed)), 32 - n.bit_length()
     if m >= n * (n - 1) / 2:
         return np.column_stack(np.triu_indices(n, 1))
-    rng, shift = random.Random(seed), 32 - n.bit_length()
     drawn, batch = np.zeros(0, dtype=np.int64), 4 * m + 64
     while True:
         words = np.frombuffer(rng.getrandbits(32 * batch).to_bytes(
@@ -331,7 +333,7 @@ def _barabasi_albert_edges(n: int, m: int, seed: int) -> np.ndarray:
     as sorted rows: a star on 0..m, then each new node joins m distinct
     targets drawn from the list of edge endpoints, extended in the target
     set's order."""
-    rng, edges = random.Random(seed), [(0, v) for v in range(1, m + 1)]
+    rng, edges = random.Random(_seed_value(seed)), [(0, v) for v in range(1, m + 1)]
     repeated = [0] * m + list(range(1, m + 1))
     for source in range(m + 1, n):
         targets = set()
@@ -348,6 +350,9 @@ def smallworld_coefficient(lcc: PcnGraph, l_g: float, reference_runs: int,
     against size-matched ER references: gamma = C_g/C_r and lambda =
     L_g/L_r, with C_r and L_r averaged over `reference_runs` graphs."""
     n = lcc.node_count
+    if reference_runs < 1:
+        raise ValueError("the small-world coefficient needs reference_runs "
+                         f">= 1, not {reference_runs}")
     if n < 2:
         raise ValueError("the small-world coefficient needs a largest component "
                          f"of at least 2 nodes; it has {n}")
@@ -387,8 +392,7 @@ def random_failure_experiment(g: PcnGraph, failures: list[int], runs: int = 100,
     once = view.rows < view.indices  # each neighbour pair once
     u, v = view.rows[once], view.indices[once]
     nodes = np.arange(n)
-    rng = random.Random(seed)
-    result = {}
+    rng, result = random.Random(_seed_value(seed)), {}
     for k in failures:
         total = 0
         for _ in range(runs):

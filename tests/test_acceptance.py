@@ -160,8 +160,7 @@ def test_criterion_6_attack_strategy_ordering():
     seeds = range(20)
     for seed in seeds:
         g = tm.generate_reference("barabasi-albert", 500, 1500, seed=seed)
-        plans = [ae.plan_targets(g, ae.Strategy(kind=kind,
-                                                params={"seed": seed}),
+        plans = [ae.plan_targets(g, ae.Strategy(kind=kind, seed=seed),
                                  limit=50)
                  for kind in ("degree", "random")]
         degree, rand = ae.execute_attack(g, plans, [("count", 50)],
@@ -201,9 +200,8 @@ def test_criterion_7_budget_efficiency():
     budget = 3 * 10  # the three bridge capacities
     params = ae.MetricParams(attempts=400, flow_rounds=25)
     kinds = ("ranked-min-cut", "degree")
-    plans = [ae.plan_targets(g, ae.Strategy(
-                kind=kind, params={"seed": 0, "cut_samples": 500}
-                if kind == "ranked-min-cut" else {"seed": 0}), limit=50)
+    plans = [ae.plan_targets(g, ae.Strategy(kind=kind, seed=0, cut_samples=500),
+                             limit=50)
              for kind in kinds]
     reps = ae.execute_attack(g, plans, [("budget", budget)],
                              metric_params=params, seed=0)

@@ -196,14 +196,14 @@ class TestPlanTargets:
 
     def test_random_is_seeded_shuffle(self):
         g = make_graph(list("abcdef"), [("a", "b"), ("c", "d"), ("e", "f")])
-        p1 = ae.plan_targets(g, ae.Strategy("random", {"seed": 3}), limit=6)
-        p2 = ae.plan_targets(g, ae.Strategy("random", {"seed": 3}), limit=6)
+        p1 = ae.plan_targets(g, ae.Strategy("random", seed=3), limit=6)
+        p2 = ae.plan_targets(g, ae.Strategy("random", seed=3), limit=6)
         assert p1 == p2
 
     def test_mincut_finds_bridge(self):
         g = barbell_fixture()
         plan = ae.plan_targets(
-            g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
+            g, ae.Strategy("ranked-min-cut", cut_samples=100, seed=1),
             limit=3)
         assert plan[0] == ("bridge",)
         assert ae._price(g, plan[0]) == 10
@@ -212,7 +212,7 @@ class TestPlanTargets:
         g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")],
                        capacity=10**6)
         plan = ae.plan_targets(
-            g, ae.Strategy("parallel-paths", {"payment_samples": 200, "seed": 0}),
+            g, ae.Strategy("parallel-paths", payment_samples=200, seed=0),
             limit=4)
         top2 = set(plan[:2])
         assert top2 == {"b", "c"}
@@ -221,8 +221,8 @@ class TestPlanTargets:
         g = make_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")],
                        capacity=10**6)
         plan = ae.plan_targets(
-            g, ae.Strategy("parallel-paths",
-                           {"payment_samples": 200, "seed": 0, "hub": "b"}),
+            g, ae.Strategy("parallel-paths", payment_samples=200, seed=0,
+                           hub="b"),
             limit=4)
         assert "b" not in plan
 
@@ -238,22 +238,34 @@ class TestPlanTargets:
         assert [(spec.source, spec.target) for spec in specs] == [
             ("d", "c"), ("d", "a"), ("a", "b"), ("a", "c"), ("b", "c"),
             ("c", "a"), ("b", "d"), ("c", "d")]
-        params = {"payment_samples": 8, "seed": 63}
         assert ae.plan_targets(g, ae.Strategy(
-            "parallel-paths", {**params, "hub": "a"}), limit=4) == ["c", "b", "d"]
+            "parallel-paths", payment_samples=8, seed=63, hub="a"),
+            limit=4) == ["c", "b", "d"]
         assert ae.plan_targets(g, ae.Strategy(
-            "parallel-paths", params), limit=4) == ["b", "c", "a", "d"]
+            "parallel-paths", payment_samples=8, seed=63),
+            limit=4) == ["b", "c", "a", "d"]
 
     def test_limit_below_one(self):
         g = make_graph(["a", "b"], [("a", "b")])
         with pytest.raises(ValueError, match="limit must be >= 1"):
             ae.plan_targets(g, ae.Strategy("degree"), limit=0)
 
+    def test_strategy_is_hashable(self):
+        assert {ae.Strategy("degree"), ae.Strategy("degree")} == {
+            ae.Strategy("degree")}
+        assert len({ae.Strategy("random", seed=1), ae.Strategy("random")}) == 2
+
+    def test_a_dict_is_not_a_seed(self):
+        # a dict lands in the seed field, where it is refused, not read as settings
+        g = make_graph(list("abcdef"), [("a", "b"), ("c", "d"), ("e", "f")])
+        with pytest.raises(ValueError, match=r"^seed \{'seed': 3\} is not"):
+            ae.plan_targets(g, ae.Strategy("random", {"seed": 3}), 5)
+
     def test_missing_params(self):
         with pytest.raises(ValueError):
             ae.Strategy("ranked-min-cut")
         with pytest.raises(ValueError):
-            ae.Strategy("parallel-paths", {})
+            ae.Strategy("parallel-paths")
         with pytest.raises(ValueError):
             ae.Strategy("nonsense")
 
@@ -271,7 +283,7 @@ def reference_ranked_cuts(g, cut_samples, seed):
 
 def ranked_cuts(g, cut_samples, seed):
     return ae._rank_min_cuts(
-        g, ae.Strategy("ranked-min-cut", {"cut_samples": cut_samples, "seed": seed}))
+        g, ae.Strategy("ranked-min-cut", cut_samples=cut_samples, seed=seed))
 
 
 # Small capacities tie many cuts; the large ones pass int32, alone or with
@@ -323,7 +335,7 @@ def test_min_cut_of_a_channel_at_the_supply_cap():
         "nodes": [{"pub_key": "a"}, {"pub_key": "b"}],
         "edges": [{"channel_id": "c0", "node1_pub": "a", "node2_pub": "b",
                    "capacity": MAX_SAT}]})
-    strategy = ae.Strategy("ranked-min-cut", {"cut_samples": 3})
+    strategy = ae.Strategy("ranked-min-cut", cut_samples=3)
     tracemalloc.start()
     try:
         plan = ae.plan_targets(g, strategy, limit=5)
@@ -374,7 +386,7 @@ class TestExecuteAttack:
     def test_budget_mode_skips_unaffordable(self):
         g = barbell_fixture()
         plan = ae.plan_targets(
-            g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
+            g, ae.Strategy("ranked-min-cut", cut_samples=100, seed=1),
             limit=5)
         budget = ae._price(g, plan[0])
         rep = attack(g, plan, ("budget", budget), self.metric_params(), seed=1)
@@ -418,7 +430,7 @@ class TestExecuteAttack:
     def test_removed_cut_channel_is_stale(self):
         g = barbell_fixture()
         plan = ae.plan_targets(
-            g, ae.Strategy("ranked-min-cut", {"cut_samples": 100, "seed": 1}),
+            g, ae.Strategy("ranked-min-cut", cut_samples=100, seed=1),
             limit=3)
         assert plan[0] == ("bridge",)
         with pytest.raises(KeyError, match="^'unknown channel bridge'$"):
@@ -435,7 +447,7 @@ class TestExecuteAttack:
                            "node2_pub": "abcd"[i + 1], "capacity": cap}
                           for i, cap in enumerate((c0, 50, 50))]})
         plan = ae.plan_targets(path(10), ae.Strategy(
-            "ranked-min-cut", {"cut_samples": 20}), limit=5)
+            "ranked-min-cut", cut_samples=20), limit=5)
         assert sorted(plan) == [("c0",), ("c1",), ("c2",)]
         rep = attack(path(1000), plan, ("budget", 500), self.metric_params())
         assert rep.spent == 100 and rep.removed == 2
@@ -471,7 +483,7 @@ class TestExecuteAttack:
                        capacity=10**6)
         params = ae.MetricParams(attempts=50, flow_rounds=10, hub="b")
         plan = ae.plan_targets(g, ae.Strategy(
-            "parallel-paths", {"payment_samples": 50, "hub": "b"}), limit=4)
+            "parallel-paths", payment_samples=50, hub="b"), limit=4)
         rep = attack(g, plan, ("count", 3), params)
         assert rep.a_posteriori.g_bar == 0.0 < rep.a_priori.g_bar
         assert rep.delta_g == 1.0
@@ -509,10 +521,10 @@ class TestSweep:
     measures the unattacked graph once."""
 
     def plans(self, g):
-        return [ae.plan_targets(g, ae.Strategy(kind, {"seed": 1}), limit=8)
+        return [ae.plan_targets(g, ae.Strategy(kind, seed=1), limit=8)
                 for kind in ("degree", "random")] + [ae.plan_targets(
-                    g, ae.Strategy("ranked-min-cut",
-                                   {"cut_samples": 20, "seed": 1}), limit=8)]
+                    g, ae.Strategy("ranked-min-cut", cut_samples=20, seed=1),
+                    limit=8)]
 
     def test_each_row_equals_a_single_call(self):
         g = generate_reference("barabasi-albert", 60, 120, seed=2)

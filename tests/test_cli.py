@@ -388,11 +388,11 @@ def test_zero_counts_are_one_line(tmp_path, capsys, argv):
     (["robustness", "--failures", "1", "--reps", "0"],
      "random failures need at least one run"),
     (["analyze", "--seed", "-1"],
-     "--seed has -1, expected a non-negative integer"),
+     "--seed: seed -1 is not a non-negative integer"),
     (["attack", "--strategy", "degree", "--n-sweep", "1:1", "--seed", "-3"],
-     "--seed has -3, expected a non-negative integer"),
+     "--seed: seed -3 is not a non-negative integer"),
     (["robustness", "--failures", "1", "--seed", "-1"],
-     "--seed has -1, expected a non-negative integer"),
+     "--seed: seed -1 is not a non-negative integer"),
 ], ids=["cut-samples", "payment-samples", "plan-limit", "betweenness-sources",
         "one-betweenness-source", "reps", "analyze-seed", "attack-seed",
         "robustness-seed"])
@@ -574,15 +574,15 @@ class TestSeedFallback:
 
     def test_bad_env_seed_is_named(self, tmp_path, monkeypatch, capsys):
         # a missing snapshot shows the seed is read before loading
-        for value in ("abc", "-5"):
+        for value, named in (("abc", "'abc'"), ("-5", "-5")):
             monkeypatch.setenv("PCN_RESILIENCE_SEED", value)
             out = tmp_path / "rob.json"
             rc = main(["robustness", "--snapshot", str(tmp_path / "none.json"),
                        "--out", str(out), "--failures", "2"])
             assert rc == 1
             assert capsys.readouterr().err.splitlines() == [
-                f"error: $PCN_RESILIENCE_SEED has {value!r}, "
-                "expected a non-negative integer"]
+                f"error: $PCN_RESILIENCE_SEED: seed {named} is not a "
+                "non-negative integer"]
             assert not out.exists()
 
     @pytest.mark.parametrize("how", ["flag", "env"])
@@ -603,7 +603,6 @@ class TestSeedFallback:
         rc = main([*argv, "--snapshot", ba_snapshot, "--out", str(out)])
         assert rc == 1
         name = "$PCN_RESILIENCE_SEED" if how == "env" else "--seed"
-        given = "'-1'" if how == "env" else "-1"
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {name} has {given}, expected a non-negative integer"]
+            f"error: {name}: seed -1 is not a non-negative integer"]
         assert not out.exists()

@@ -12,9 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcn_resilience import attack_engine as ae
+from pcn_resilience import payment_sim as ps
+from pcn_resilience import powerlaw_fit as pf
+from pcn_resilience import topology_metrics as tm
 from pcn_resilience.graph_model import (BALANCE_MODELS, MAX_SAT, PcnGraph,
                                         SnapshotError, ValidationError,
-                                        _ranges, component_labels,
+                                        _ranges, _seed_value, component_labels,
                                         graph_from_dict,
                                         induced_subgraph,
                                         largest_connected_component,
@@ -324,6 +327,69 @@ def test_ranges_lay_each_range_end_to_end(rows, float_starts):
     got = _ranges(starts, counts)
     assert got.tolist() == [s + i for s, c in rows for i in range(c)]
     assert got.dtype == starts.dtype
+
+
+def seeded_entry_points():
+    """(name, run) for every library call that draws from a seeded stream;
+    run(seed) returns a value to compare with `==`."""
+    ba = tm.generate_reference("barabasi-albert", 60, 180, seed=1)
+    degrees = sorted(ba.degrees().values())
+    fit = pf.fit_power_law(degrees)
+
+    def plan(kind, **settings):
+        return lambda seed: ae.plan_targets(
+            ba, ae.Strategy(kind, seed=seed, **settings), limit=10)
+
+    def reference(kind):
+        return lambda seed: tm.generate_reference(kind, 40, 80, seed).ends.tolist()
+    return [
+        ("random", plan("random")),
+        ("parallel-paths", plan("parallel-paths", payment_samples=30)),
+        ("ranked-min-cut", plan("ranked-min-cut", cut_samples=10)),
+        ("sampled-betweenness", lambda seed: tm.betweenness_centrality(
+            ba, sample_sources=5, seed=seed)),
+        ("execute_attack", lambda seed: ae.execute_attack(
+            ba, [["n0"]], [("count", 1)],
+            ae.MetricParams(attempts=20, flow_rounds=3, hub="n1"), seed=seed)),
+        ("fee_gain", lambda seed: ps.fee_gain(ba, "n0", 30, ps.UNIT_VOLUMES,
+                                              seed=seed)),
+        ("erdos-renyi", reference("erdos-renyi")),
+        ("barabasi-albert", reference("barabasi-albert")),
+        ("random_failure_experiment", lambda seed: tm.random_failure_experiment(
+            ba, [5, 20], runs=3, seed=seed)),
+        ("goodness_of_fit", lambda seed: pf.goodness_of_fit(
+            degrees, fit, synthetic_runs=3, seed=seed)),
+    ]
+
+
+SEEDED = seeded_entry_points()
+
+
+@pytest.mark.parametrize("run", [run for _, run in SEEDED],
+                         ids=[name for name, _ in SEEDED])
+class TestOneSeedRule:
+    def test_negative_seed_is_named(self, run):
+        # random.Random would seed -1 as 1
+        with pytest.raises(ValueError,
+                           match=r"^seed -1 is not a non-negative integer$"):
+            run(-1)
+
+    def test_numpy_seed_is_its_int(self, run):
+        assert run(np.int64(3)) == run(3)
+
+
+@pytest.mark.parametrize("seed", [3.0, "3", {"seed": 3}, None, -4,
+                                  np.int64(-2)])
+def test_seed_value_refuses_what_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError) as info:
+        _seed_value(seed)
+    assert str(info.value) == f"seed {seed!r} is not a non-negative integer"
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**70, np.int64(3), np.uint8(5)])
+def test_seed_value_is_an_int(seed):
+    value = _seed_value(seed)
+    assert type(value) is int and value == seed
 
 
 class TestComponents:

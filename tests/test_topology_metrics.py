@@ -502,6 +502,21 @@ class TestGenerateReference:
         with pytest.raises(ValueError):
             tm.generate_reference("banana", 10, 20, seed=0)
 
+    @pytest.mark.parametrize("kind", ["erdos-renyi", "barabasi-albert"])
+    def test_negative_edge_count_is_named(self, kind):
+        # unchecked, erdos-renyi -1 draws 12 edges and barabasi-albert -5 runs as m = 1
+        for edges in (-1, -5):
+            with pytest.raises(ValueError, match=(
+                    f"^the {kind} reference graph needs a non-negative edge "
+                    f"count, not {edges}$")):
+                tm.generate_reference(kind, 10, edges, seed=0)
+
+    def test_zero_edges_keeps_its_meaning(self):
+        assert tm.generate_reference("erdos-renyi", 10, 0, seed=0).edge_count == 0
+        # barabasi-albert attaches by at least one edge: a star, then 8 more
+        assert tm.generate_reference("barabasi-albert", 10, 0,
+                                     seed=0).edge_count == 9
+
 
 def reference_cases():
     """(kind, n, target_edges) on a grid, with n = 2, the complete graph
@@ -548,6 +563,16 @@ class TestSmallWorld:
         s, *_ = tm.smallworld_coefficient(
             lcc, tm.distance_stats(lcc)[1], reference_runs=3, seed=1)
         assert s > 5
+
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_no_reference_run_is_named(self, runs):
+        # an average over no run would divide by zero
+        lcc = largest_connected_component(
+            tm.generate_reference("erdos-renyi", 60, 180, seed=4))
+        with pytest.raises(ValueError, match=(
+                "^the small-world coefficient needs reference_runs >= 1, "
+                f"not {runs}$")):
+            tm.smallworld_coefficient(lcc, 2.5, runs, seed=0)
 
     def test_identity_s_lambda_gamma(self):
         s, gamma, lam = tm.smallworld_from_measures(0.085, 2.92, 0.005, 3.45)
