@@ -53,17 +53,15 @@ def _seed(seed: int | None) -> int:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _setup(args) -> tuple[PcnGraph, dict, str]:
-    """A subcommand's snapshot, the report meta and the CSV comment line
-    carrying it. The output location is not part of the hashed run
-    configuration."""
+def _setup(args) -> tuple[PcnGraph, dict]:
+    """A subcommand's snapshot and report meta. The output location is not
+    part of the hashed run configuration."""
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     blob = json.dumps(cfg, sort_keys=True, default=str).encode()
     g = load_snapshot(args.snapshot, balance_model=args.balance_model)
     meta = {"version": __version__, "seed": args.seed,
             "config_hash": hashlib.sha256(blob).hexdigest()[:16]}
-    comment = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
-    return g, meta, comment
+    return g, meta
 
 
 def _write(path: Path, text: str) -> None:
@@ -74,6 +72,22 @@ def _write(path: Path, text: str) -> None:
 def _json_dump(obj) -> str:
     # a NaN or an infinity would make the report invalid JSON
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _cell(x) -> str:
+    """A CSV cell: a float to six significant digits, an undefined value empty."""
+    return "" if x is None else f"{x:.6g}" if isinstance(x, float) else str(x)
+
+
+def _report(path: Path, fmt: str, meta: dict, header: str, rows, body) -> None:
+    """CSV: the meta comment, `header` and a line of cells per row; JSON:
+    `meta` beside the keys of `body`."""
+    if fmt == "csv":
+        lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), header]
+        lines += [",".join(map(_cell, row)) for row in rows]
+        _write(path, "\n".join(lines) + "\n")
+    else:
+        _write(path, _json_dump({"meta": meta, **body}))
 
 
 def _fields(result) -> dict:
@@ -124,7 +138,7 @@ def cmd_analyze(args) -> int:
     if args.betweenness_sources == 1:
         raise ValueError("central point dominance needs at least two "
                          "betweenness sources: one leaves its own score undefined")
-    g, meta, comment = _setup(args)
+    g, meta = _setup(args)
     out, seed = Path(args.out), args.seed
 
     rows = [("pcn", metric_report(
@@ -135,17 +149,11 @@ def cmd_analyze(args) -> int:
         rows.append((kind, metric_report(
             ref, seed=seed, betweenness_sources=args.betweenness_sources)))
 
-    if args.format == "csv":
-        lines = [comment, METRICS_CSV_HEADER]
-        lines += [f"{name},{r.node_count},{r.edge_count},{r.diameter},"
-                  f"{r.avg_distance:.6g},{r.central_point_dominance:.6g}"
-                  for name, r in rows]
-        _write(out / "metrics.csv", "\n".join(lines) + "\n")
-    else:
-        _write(out / "metrics.json", _json_dump({
-            "meta": meta,
-            "graphs": {name: _fields(r) for name, r in rows},
-        }))
+    _report(out / f"metrics.{args.format}", args.format, meta,
+            METRICS_CSV_HEADER,
+            [(name, r.node_count, r.edge_count, r.diameter, r.avg_distance,
+              r.central_point_dominance) for name, r in rows],
+            {"graphs": {name: _fields(r) for name, r in rows}})
 
     distribution = sorted(degree_distribution(g).items())
     dist_lines = ["degree,count"] + [f"{deg},{count}" for deg, count in distribution]
@@ -168,11 +176,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _g6(x: float | None) -> str:
-    # an undefined advantage is an empty field
-    return "" if x is None else f"{x:.6g}"
-
-
 def cmd_attack(args) -> int:
     # checked before the snapshot loads, so that bad input writes nothing
     points = (_sweep("count", args.n_sweep) if args.n_sweep is not None
@@ -189,36 +192,27 @@ def cmd_attack(args) -> int:
         limit = max(limit, max(v for _, v in points))
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    g, meta, comment = _setup(args)
+    g, meta = _setup(args)
 
     plans = [plan_targets(g, strategy, limit=limit) for strategy in strategies]
     reports = execute_attack(g, plans, points, metric_params=metric_params,
                              seed=args.seed, griefing=args.griefing)
     rows = list(zip(product(kinds, points), reports))
-
-    out = Path(args.out)
-    if args.format == "csv":
-        lines = [comment, ATTACK_CSV_HEADER]
-        for (kind, (ckind, cval)), rep in rows:
-            lines.append(
-                f"{kind},{ckind},{cval},{rep.spent},"
-                f"{rep.a_priori.s:.6g},{rep.a_posteriori.s:.6g},"
-                f"{rep.a_priori.r},{rep.a_posteriori.r},"
-                f"{rep.a_priori.F_bar:.6g},{rep.a_posteriori.F_bar:.6g},"
-                f"{_g6(rep.delta_s)},{_g6(rep.delta_r)},{_g6(rep.delta_F)}")
-        _write(out, "\n".join(lines) + "\n")
-    else:
-        _write(out, _json_dump({"meta": meta, "rows": [
+    # an undefined delta_s, delta_r or delta_F is empty or null; an undefined
+    # delta_g (no hub, or no a-priori fee gain) is left out
+    _report(Path(args.out), args.format, meta, ATTACK_CSV_HEADER, [
+        (kind, ck, cv, rep.spent, rep.a_priori.s, rep.a_posteriori.s,
+         rep.a_priori.r, rep.a_posteriori.r, rep.a_priori.F_bar,
+         rep.a_posteriori.F_bar, rep.delta_s, rep.delta_r, rep.delta_F)
+        for (kind, (ck, cv)), rep in rows], {"rows": [
             {"strategy": kind, "constraint": {"kind": ck, "value": cv},
              "a_priori": _fields(rep.a_priori),
              "a_posteriori": _fields(rep.a_posteriori),
-             # an undefined delta_s, delta_r or delta_F is null; an
-             # undefined delta_g (no hub, or no a-priori fee gain) is left out
              "advantage": {"delta_s": rep.delta_s, "delta_r": rep.delta_r,
                            "delta_F": rep.delta_F}
              | ({} if rep.delta_g is None else {"delta_g": rep.delta_g}),
              "spent": rep.spent, "removed": rep.removed}
-            for (kind, (ck, cv)), rep in rows]}))
+            for (kind, (ck, cv)), rep in rows]})
     return 0
 
 
@@ -227,15 +221,11 @@ def cmd_robustness(args) -> int:
     failures = [k for _, k in _sweep("failure count", args.failures)]
     if args.reps < 1:
         raise ValueError("random failures need at least one run")
-    g, meta, comment = _setup(args)
+    g, meta = _setup(args)
     result = random_failure_experiment(g, failures, runs=args.reps, seed=args.seed)
-    if args.format == "csv":
-        lines = [comment, "failures,mean_components"]
-        lines += [f"{k},{result[k]:.6g}" for k in failures]
-        _write(Path(args.out), "\n".join(lines) + "\n")
-    else:
-        _write(Path(args.out), _json_dump({"meta": meta, "rows": [
-            {"failures": k, "mean_components": result[k]} for k in failures]}))
+    _report(Path(args.out), args.format, meta, "failures,mean_components",
+            [(k, result[k]) for k in failures], {"rows": [
+                {"failures": k, "mean_components": result[k]} for k in failures]})
     return 0
 
 

@@ -87,8 +87,8 @@ def route_payment(g: PcnGraph, spec: PaymentSpec, apply: bool = False) -> Paymen
     smallest view position out of its node among `shortest_path_arcs`.
     Returns the arcs taken, pricing none; with `apply`, balances shift along
     them (reverse direction credited, so per-channel funds are conserved)."""
-    if spec.source not in g.index or spec.target not in g.index:
-        raise KeyError("unknown payment endpoint")
+    if unknown := [v for v in (spec.source, spec.target) if v not in g.index]:
+        raise KeyError(f"unknown payment endpoint {unknown[0]}")
     view, cur, t = g.channel_view(), g.index[spec.source], g.index[spec.target]
     pos = view.shortest_path_arcs(g.balance.reshape(-1), cur, t, spec.amount)
     if pos is None:
@@ -143,8 +143,8 @@ def evaluate_payments(g: PcnGraph, specs) -> list[PaymentOutcome]:
 def max_flow(g: PcnGraph, s: str, t: str) -> int:
     """Exact maximum flow over the channels' arcs, each with its routable
     balance (Dinic's algorithm on an int64 copy; `ChannelView.max_flow`)."""
-    if s not in g.index or t not in g.index:
-        raise KeyError("unknown max-flow endpoint")
+    if unknown := [v for v in (s, t) if v not in g.index]:
+        raise KeyError(f"unknown max-flow endpoint {unknown[0]}")
     if s == t:
         raise ValueError("max-flow endpoints must differ")
     return g.channel_view().max_flow(g.balance_digraph().copy(),

@@ -330,16 +330,14 @@ def goodness_of_fit(degrees, fit: FitResult, synthetic_runs: int = 1000,
                      reject=p_value <= REJECT_THRESHOLD, warning=warning)
 
 
-def ccdf_table(degrees, fit: FitResult | None = None):
-    """Rows (k, empirical P(K >= k), fitted P(K >= k) or None) for log-log
-    plotting of the degree distribution."""
+def ccdf_table(degrees, fit: FitResult):
+    """Rows (k, empirical P(K >= k), fitted P(K >= k), None below x_min) for
+    log-log plotting of the degree distribution."""
     data = np.asarray(degrees, dtype=np.int64)
     values, counts = np.unique(data, return_counts=True)
     ccdf = 1.0 - np.concatenate([[0.0], np.cumsum(counts)[:-1]]) / data.size
-    fitted = [None] * values.size
-    if fit is not None:
-        tail = int(np.searchsorted(values, fit.x_min))
-        tail_frac = (data >= fit.x_min).mean()
-        fitted[tail:] = (tail_frac * _zeta(fit.alpha, values[tail:])
-                         / _zeta(fit.alpha, fit.x_min)).tolist()
+    tail = int(np.searchsorted(values, fit.x_min))
+    tail_frac = (data >= fit.x_min).mean()
+    fitted = [None] * tail + (tail_frac * _zeta(fit.alpha, values[tail:])
+                              / _zeta(fit.alpha, fit.x_min)).tolist()
     return list(zip(values.tolist(), ccdf.tolist(), fitted))

@@ -385,6 +385,8 @@ def random_failure_experiment(g: PcnGraph, failures: list[int], runs: int = 100,
     nodes of a run are `random.Random(seed).sample` of the sorted ids."""
     if runs < 1:
         raise ValueError("random failures need at least one run")
+    if failures and min(failures) < 0:
+        raise ValueError(f"failure count {min(failures)} is negative")
     if failures and max(failures) >= g.node_count:
         raise ValueError("failure count must be smaller than the node count")
     view = g.simple_graph()
@@ -410,6 +412,9 @@ def metric_report(g: PcnGraph, smallworld_runs: int = 0, seed: int = 0,
                   betweenness_sources: int | None = None) -> MetricReport:
     """Bundle the headline measures for one graph (computed on its largest
     connected component for the distance metrics)."""
+    if smallworld_runs < 0:
+        raise ValueError("the small-world coefficient needs smallworld_runs "
+                         f">= 0, not {smallworld_runs}")
     lcc = largest_connected_component(g)
     diameter, avg = distance_stats(lcc)
     report = MetricReport(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pcn_resilience import cli
@@ -324,20 +325,72 @@ class TestRobustness:
         assert [r.split(",")[1] for r in rows] == ["1", "1", "1"]
 
     def test_json_rows_match_csv(self, tmp_path):
-        outs = {}
-        for fmt in ("json", "csv"):
-            outs[fmt] = tmp_path / f"rob.{fmt}"
-            assert main(["robustness", "--snapshot", FIXTURE, "--seed", "3",
-                         "--out", str(outs[fmt]), "--failures", "0,1,2",
-                         "--reps", "7", "--format", fmt]) == 0
-        report = json.loads(outs["json"].read_text())
-        assert report["meta"]["seed"] == 3
-        assert set(report) == {"meta", "rows"}
-        csv_lines = outs["csv"].read_text().splitlines()
-        assert csv_lines[0].startswith("# version=")
-        assert csv_lines[2:] == [f"{r['failures']},{r['mean_components']:.6g}"
-                                 for r in report["rows"]]
-        assert [r["failures"] for r in report["rows"]] == [0, 1, 2]
+        # every report with rows, in both formats: each CSV cell is the JSON
+        # value, a float to six significant digits, null empty, an int by str
+        def cell(value):
+            if value is None:
+                return ""
+            return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+        def attack_rows(report):
+            return [[r["strategy"], r["constraint"]["kind"],
+                     r["constraint"]["value"], r["spent"],
+                     r["a_priori"]["s"], r["a_posteriori"]["s"],
+                     r["a_priori"]["r"], r["a_posteriori"]["r"],
+                     r["a_priori"]["F_bar"], r["a_posteriori"]["F_bar"],
+                     r["advantage"]["delta_s"], r["advantage"]["delta_r"],
+                     r["advantage"]["delta_F"]] for r in report["rows"]]
+
+        def metrics_rows(report):
+            # JSON keys are sorted; the CSV keeps the order the graphs ran in
+            graphs = report["graphs"]
+            return [[name, graphs[name]["node_count"],
+                     graphs[name]["edge_count"], graphs[name]["diameter"],
+                     graphs[name]["avg_distance"],
+                     graphs[name]["central_point_dominance"]]
+                    for name in ("pcn", "erdos-renyi", "barabasi-albert")]
+
+        attack = ["attack", "--strategy", "all", "--attempts", "30",
+                  "--flow-rounds", "5", "--cut-samples", "30",
+                  "--payment-samples", "30"]
+        # no fixture channel carries 10^6 sat, so every delta_s is undefined
+        too_large = tmp_path / "too_large.txt"
+        too_large.write_text("1000000\n")
+        cases = [
+            (["robustness", "--failures", "0,1,2", "--reps", "7"],
+             "rob", "failures,mean_components",
+             lambda report: [[r["failures"], r["mean_components"]]
+                             for r in report["rows"]]),
+            (attack + ["--n-sweep", "0:2", "--volumes", str(too_large)],
+             "count", cli.ATTACK_CSV_HEADER, attack_rows),
+            (attack + ["--budget-sweep", "0,100000,100000000", "--hub", "bob",
+                       "--volumes", str(DATA / "volumes.txt")], "budget",
+             cli.ATTACK_CSV_HEADER, attack_rows),
+            (["analyze", "--gof-runs", "5", "--reference", "erdos-renyi",
+              "--reference", "barabasi-albert"], "report",
+             cli.METRICS_CSV_HEADER, metrics_rows),
+        ]
+        for argv, name, header, json_rows in cases:
+            outs = {}
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{name}.{fmt}"
+                assert main([*argv, "--snapshot", FIXTURE, "--seed", "3",
+                             "--out", str(out), "--format", fmt]) == 0
+                # analyze writes a directory of reports
+                outs[fmt] = out / f"metrics.{fmt}" if out.is_dir() else out
+            report = json.loads(outs["json"].read_text())
+            meta = report.pop("meta")
+            assert meta["seed"] == 3
+            csv_lines = outs["csv"].read_text().splitlines()
+            assert csv_lines[0].startswith(
+                f"# version={meta['version']} seed=3 config_hash=")
+            assert csv_lines[1] == header
+            rows = json_rows(report)
+            assert csv_lines[2:] == [",".join(map(cell, r)) for r in rows]
+            assert rows
+        assert ",," in (tmp_path / "count.csv").read_text()
+        assert [r["failures"] for r in json.loads(
+            (tmp_path / "rob.json").read_text())["rows"]] == [0, 1, 2]
 
     def test_too_many_failures(self, tmp_path, er_snapshot):
         rc = main(["robustness", "--snapshot", er_snapshot,
@@ -409,6 +462,13 @@ def test_bad_counts_are_named_before_loading(tmp_path, capsys, argv, message):
 def test_json_reports_refuse_nan_and_infinity(value):
     with pytest.raises(ValueError):
         cli._json_dump({"x": value})
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""), (0.1 + 0.2, "0.3"), (-0.0, "-0"), (10**6, "1000000"),
+    (np.float64(1 / 3), "0.333333")])
+def test_csv_cell_rule(value, text):
+    assert cli._cell(value) == text
 
 
 @pytest.mark.parametrize("failures, message", [

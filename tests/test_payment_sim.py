@@ -50,8 +50,12 @@ class TestRoutePayment:
 
     def test_unknown_endpoint(self):
         g = two_node_channel()
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as exc:
             ps.route_payment(g, ps.PaymentSpec("a", "zz", 1))
+        assert exc.value.args == ("unknown payment endpoint zz",)
+        with pytest.raises(KeyError) as exc:
+            ps.route_payment(g, ps.PaymentSpec("yy", "zz", 1))
+        assert exc.value.args == ("unknown payment endpoint yy",)
 
     @pytest.mark.parametrize("source, target, amount, message", [
         ("a", "a", 1, "source and target must differ"),
@@ -363,8 +367,12 @@ class TestMaxFlow:
 
     def test_bad_endpoints_are_named(self):
         g = two_node_channel()
-        with pytest.raises(KeyError, match="unknown max-flow endpoint"):
+        with pytest.raises(KeyError, match="unknown max-flow endpoint") as exc:
             ps.max_flow(g, "a", "zz")
+        assert exc.value.args == ("unknown max-flow endpoint zz",)
+        with pytest.raises(KeyError) as exc:
+            ps.max_flow(g, "yy", "zz")
+        assert exc.value.args == ("unknown max-flow endpoint yy",)
         with pytest.raises(ValueError, match="max-flow endpoints must differ"):
             ps.max_flow(g, "a", "a")
 

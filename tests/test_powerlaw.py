@@ -131,7 +131,8 @@ class TestGoodnessOfFit:
 class TestCcdfTable:
     def test_shape_and_head(self):
         data = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
-        rows = ccdf = pl.ccdf_table(data)
+        fit = pl.FitResult(alpha=2.3, x_min=5, ks_distance=0.1, tail_count=7)
+        rows = ccdf = pl.ccdf_table(data, fit)
         assert rows[0][0] == 1
         assert rows[0][1] == pytest.approx(1.0)
         ks = [r[0] for r in ccdf]

@@ -574,6 +574,15 @@ class TestSmallWorld:
                 f"not {runs}$")):
             tm.smallworld_coefficient(lcc, 2.5, runs, seed=0)
 
+    def test_negative_smallworld_runs_are_named(self):
+        # zero runs leave the coefficient out; a negative count is refused
+        g = tm.generate_reference("erdos-renyi", 60, 180, seed=1)
+        assert tm.metric_report(g, smallworld_runs=0).smallworld_S is None
+        with pytest.raises(ValueError, match=(
+                "^the small-world coefficient needs smallworld_runs >= 0, "
+                "not -3$")):
+            tm.metric_report(g, smallworld_runs=-3)
+
     def test_identity_s_lambda_gamma(self):
         s, gamma, lam = tm.smallworld_from_measures(0.085, 2.92, 0.005, 3.45)
         assert s * lam == pytest.approx(gamma)
@@ -596,6 +605,12 @@ class TestRandomFailures:
         g = make_graph(["a", "b"], [("a", "b")])
         with pytest.raises(ValueError):
             tm.random_failure_experiment(g, [2], runs=5, seed=0)
+
+    def test_negative_failure_count_is_named_before_any_draw(self, monkeypatch):
+        g = tm.generate_reference("erdos-renyi", 60, 180, seed=1)
+        monkeypatch.setattr(random.Random, "sample", None)  # a draw fails
+        with pytest.raises(ValueError, match="^failure count -2 is negative$"):
+            tm.random_failure_experiment(g, [3, -2], runs=2)
 
     def test_matches_union_find_recount(self):
         g = tm.generate_reference("erdos-renyi", 60, 100, seed=13)
