@@ -71,8 +71,9 @@ class MetricParams:
     hub: str | None = None
 
     def __post_init__(self):
-        if self.attempts < 1 or self.flow_rounds < 1:
-            raise ValueError("attempts and flow rounds must be >= 1")
+        for name, value in ("attempts", self.attempts), ("flow rounds", self.flow_rounds):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, not {value}")
 
 
 def advantage(m: float | None, m_prime: float | None) -> float | None:
@@ -146,7 +147,7 @@ def plan_targets(g: PcnGraph, strategy: Strategy, limit: int
     """Ordered target list of length <= limit for the given strategy: node
     ids, or for ranked-min-cut the sorted channel ids of each cut."""
     if limit < 1:
-        raise ValueError("limit must be >= 1")
+        raise ValueError(f"plan limit must be >= 1, not {limit}")
 
     if strategy.kind == "degree":
         ranked = _ranked(g.degrees())

@@ -121,33 +121,33 @@ def _sweep(kind: str, text: str) -> list[tuple]:
     if not values:
         raise ValueError(f"sweep {text!r} has no points")
     if min(values) < 0:
-        raise ValueError(f"sweep {text!r} has a negative {kind} {min(values)}")
+        raise ValueError(f"sweep {text!r}: {kind} {min(values)} is negative")
     return [(kind, v) for v in values]
 
 
 def cmd_analyze(args) -> int:
     from .powerlaw_fit import (FitError, ccdf_table, fit_power_law,
                                goodness_of_fit)
-    # checked before any work, so that a bad count writes nothing
-    if args.gof_runs < 1:
-        raise ValueError("goodness of fit needs synthetic_runs >= 1")
-    if args.smallworld_runs < 0:
-        raise ValueError("the small-world coefficient needs smallworld_runs >= 0")
-    if args.betweenness_sources is not None and args.betweenness_sources < 1:
-        raise ValueError("betweenness needs at least one source")
-    if args.betweenness_sources == 1:
-        raise ValueError("central point dominance needs at least two "
-                         "betweenness sources: one leaves its own score undefined")
+    # the library's rules and words, checked first: a bad count writes nothing
+    gof_runs, runs, sources = args.gof_runs, args.smallworld_runs, args.betweenness_sources
+    if gof_runs < 1:
+        raise ValueError(f"goodness of fit needs synthetic_runs >= 1, not {gof_runs}")
+    if runs < 0:
+        raise ValueError("the small-world coefficient needs smallworld_runs "
+                         f">= 0, not {runs}")
+    if sources is not None and sources < 1:
+        raise ValueError(f"betweenness needs at least one source, not {sources}")
+    if sources == 1:
+        raise ValueError("central point dominance needs at least two betweenness "
+                         "sources, not 1: one leaves its own score undefined")
     g, meta = _setup(args)
     out, seed = Path(args.out), args.seed
 
-    rows = [("pcn", metric_report(
-        g, smallworld_runs=args.smallworld_runs, seed=seed,
-        betweenness_sources=args.betweenness_sources))]
+    rows = [("pcn", metric_report(g, smallworld_runs=runs, seed=seed,
+                                  betweenness_sources=sources))]
     for kind in args.reference or []:
         ref = generate_reference(kind, g.node_count, g.edge_count, seed=seed)
-        rows.append((kind, metric_report(
-            ref, seed=seed, betweenness_sources=args.betweenness_sources)))
+        rows.append((kind, metric_report(ref, seed=seed, betweenness_sources=sources)))
 
     _report(out / f"metrics.{args.format}", args.format, meta,
             METRICS_CSV_HEADER,
@@ -164,7 +164,7 @@ def cmd_analyze(args) -> int:
         positive = sorted(d for d in g.degrees().values() if d >= 1)
         fit = fit_power_law(positive)
         pl["fit"] = _fields(fit)
-        gof = goodness_of_fit(positive, fit, synthetic_runs=args.gof_runs, seed=seed)
+        gof = goodness_of_fit(positive, fit, synthetic_runs=gof_runs, seed=seed)
         pl["goodness_of_fit"] = _fields(gof)
         ccdf_lines = ["k,ccdf,fitted"]
         for k, emp, fitted in ccdf_table(positive, fit):
@@ -191,7 +191,7 @@ def cmd_attack(args) -> int:
     if points[0][0] == "count":
         limit = max(limit, max(v for _, v in points))
     if limit < 1:
-        raise ValueError("limit must be >= 1")
+        raise ValueError(f"plan limit must be >= 1, not {limit}")
     g, meta = _setup(args)
 
     plans = [plan_targets(g, strategy, limit=limit) for strategy in strategies]
@@ -220,7 +220,7 @@ def cmd_robustness(args) -> int:
     # checked before the snapshot loads, so that a bad count writes nothing
     failures = [k for _, k in _sweep("failure count", args.failures)]
     if args.reps < 1:
-        raise ValueError("random failures need at least one run")
+        raise ValueError(f"random failures need at least one run, not {args.reps}")
     g, meta = _setup(args)
     result = random_failure_experiment(g, failures, runs=args.reps, seed=args.seed)
     _report(Path(args.out), args.format, meta, "failures,mean_components",

@@ -221,29 +221,30 @@ def _blocking_flow(tails: list, heads: list, cap: list, s: int, t: int,
 
 class SimpleView:
     """Integer-indexed undirected simple projection, for the topology
-    measures.
-
-    CSR row i (`rows`, `indices`, `indptr`) lists node i's neighbours
-    once each, in the order of the first channel (in record order) joining
-    the two, with their summed `capacity`. With the graph's `node_order`
-    these are the orders of the networkx graph betweenness reproduces.
-    The summed capacity is float64, exact while a pair's total is below
-    2^53 sat: int64 would wrap past 4,392 parallel channels at `MAX_SAT`.
+    measures. `pairs` (2, P) holds each neighbour pair once, smaller node
+    first, ordered by their strictly increasing `keys` min * n + max. CSR
+    row i (`rows`, `indices`, `indptr`) lists node i's neighbours once
+    each, in the order of the first channel (in record order) joining the
+    two, with their summed `capacity`. With the graph's `node_order` these
+    are the orders of the networkx graph betweenness reproduces. The
+    summed capacity is float64, exact while a pair's total is below 2^53
+    sat: int64 would wrap past 4,392 parallel channels at `MAX_SAT`.
     """
 
     def __init__(self, g: PcnGraph):
-        n = g.node_count
-        a, b = g.ends.T
+        n, (a, b) = g.node_count, g.ends.T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         # pair keys < n^2 and row keys < n * E: int64 holds both for any
         # graph that fits in memory
-        _, first, which = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                                    return_index=True, return_inverse=True)
+        self.keys, first, which = np.unique(lo * n + hi, return_index=True,
+                                            return_inverse=True)
+        self.pairs = np.stack((lo[first], hi[first]))
         summed = np.bincount(which, weights=g.capacity, minlength=len(first))
         # both arcs of each pair, rows ordered by the pair's first channel
-        src = np.concatenate((a[first], b[first]))
+        src = self.pairs.ravel()
         order = np.argsort(src * len(a) + np.tile(first, 2))
         self.rows = src[order]
-        self.indices = np.concatenate((b[first], a[first]))[order]
+        self.indices = self.pairs[::-1].ravel()[order]
         self.capacity = np.tile(summed, 2)[order]
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
 
@@ -573,8 +574,7 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def largest_component(g: PcnGraph) -> np.ndarray:
     """Mask of the nodes of the largest connected component; of equal
     ones, the one with the smallest label, which holds the smallest id."""
-    view = g.simple_graph()
-    labels = component_labels(g.node_count, view.rows, view.indices)
+    labels = component_labels(g.node_count, *g.simple_graph().pairs)
     return labels == np.bincount(labels, minlength=1).argmax()
 
 

@@ -61,7 +61,7 @@ def betweenness_centrality(g: PcnGraph, sample_sources: int | None = None,
     adjacency order, and every floating-point sum taken in the same order.
     """
     if sample_sources is not None and sample_sources < 1:
-        raise ValueError("betweenness needs at least one source")
+        raise ValueError(f"betweenness needs at least one source, not {sample_sources}")
     view = g.simple_graph()
     n = g.node_count
     sampled = sample_sources is not None and sample_sources < n
@@ -94,13 +94,13 @@ def _dependencies(indptr: np.ndarray, indices: np.ndarray,
     n = len(indptr) - 1
     size = len(sources) * n  # every b * n + v is below it, inside int64
     degree = np.diff(indptr)
-    dist = np.full(size, -1)
+    seen = np.zeros(size, dtype=bool)
     first = np.full(size, np.iinfo(np.int64).max)
     pos = np.zeros(size, dtype=np.int64)
     sigma = np.zeros(size)
     delta = np.zeros(size)
     frontier = np.arange(len(sources)) * n + sources
-    dist[frontier] = 0
+    seen[frontier] = True
     pos[frontier] = np.arange(len(sources))
     sigma[frontier] = 1.0
     levels = []
@@ -110,14 +110,14 @@ def _dependencies(indptr: np.ndarray, indices: np.ndarray,
         v = np.repeat(frontier, counts)
         # the neighbours of each frontier node, in adjacency order
         w = v - np.repeat(node, counts) + indices[_ranges(indptr[node], counts)]
-        fresh = w[dist[w] < 0]
-        seen_at = np.arange(fresh.size)
-        np.minimum.at(first, fresh, seen_at)
-        nxt = fresh[first[fresh] == seen_at]
-        dist[nxt] = len(levels) + 1
+        # an end not seen before this level is in the next: a shortest-path arc
+        unseen = ~seen[w]
+        v, w = v[unseen], w[unseen]
+        seen_at = np.arange(w.size)
+        np.minimum.at(first, w, seen_at)
+        nxt = w[first[w] == seen_at]
+        seen[nxt] = True
         pos[nxt] = np.arange(nxt.size)
-        on_path = dist[w] == len(levels) + 1
-        v, w = v[on_path], w[on_path]
         sigma[nxt] = np.bincount(pos[w], weights=sigma[v], minlength=nxt.size)
         levels.append((frontier, nxt, v, w))
         frontier = nxt
@@ -189,23 +189,23 @@ def transitivity(g: PcnGraph) -> float:
     trace(A³) is six times the triangle count. Each neighbour pair is
     oriented from the endpoint of lower (degree, node) rank, so a node has
     few out-neighbours; a triangle is the one out-pair of its lowest node
-    whose two ends are neighbours, looked up among the sorted arc keys."""
+    whose two ends are neighbours, looked up among the view's pair keys."""
     view = g.simple_graph()
     n = g.node_count
     if not n:
         return 0.0
-    rows, cols = view.rows, view.indices
     degree = np.diff(view.indptr)
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((np.arange(n), degree))] = np.arange(n)
-    out = rank[rows] < rank[cols]
-    head, tail = rows[out], cols[out]  # grouped by head, as `rows` is
+    out = rank[view.rows] < rank[view.indices]
+    head, tail = view.rows[out], view.indices[out]  # grouped by head, as rows are
     # pair each out-arc with the out-arcs after it in its head's row
     later = np.searchsorted(head, head, side="right") - np.arange(len(head)) - 1
-    first = np.repeat(np.arange(len(head)), later)
-    second = _ranges(np.arange(1, len(head) + 1), later)
-    keys = np.sort(rows * n + cols)  # below n^2, inside int64
-    query = tail[first] * n + tail[second]
+    a = tail[np.repeat(np.arange(len(head)), later)]
+    b = tail[_ranges(np.arange(1, len(head) + 1), later)]
+    keys, query = view.keys, np.minimum(a, b)  # the two tails' pair key, in place
+    query *= n
+    query += np.maximum(a, b, out=a)
     at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     closed = 6 * int(np.count_nonzero(keys[at] == query))
     if closed == 0:
@@ -253,12 +253,12 @@ def distance_stats(g: PcnGraph) -> tuple[int, float]:
 def central_point_dominance(g: PcnGraph, sample_sources: int | None = None,
                             seed: int = 0) -> float:
     """Maximum normalized betweenness over all nodes."""
-    bc = betweenness_centrality(g, sample_sources=sample_sources, seed=seed)
     # one pivot leaves its own score NaN, and a max over a NaN is arbitrary
-    if any(math.isnan(x) for x in bc.values()):
-        raise ValueError("central point dominance is undefined: a node's "
-                         "betweenness is NaN (one pivot source)")
-    return max(bc.values()) if bc else 0.0
+    if sample_sources == 1:
+        raise ValueError("central point dominance needs at least two betweenness "
+                         "sources, not 1: one leaves its own score undefined")
+    return max(betweenness_centrality(g, sample_sources=sample_sources,
+                                      seed=seed).values(), default=0.0)
 
 
 def generate_reference(kind: str, n: int, target_edges: int, seed: int) -> PcnGraph:
@@ -356,7 +356,7 @@ def smallworld_coefficient(lcc: PcnGraph, l_g: float, reference_runs: int,
     if n < 2:
         raise ValueError("the small-world coefficient needs a largest component "
                          f"of at least 2 nodes; it has {n}")
-    m = len(lcc.simple_graph().indices) // 2
+    m = len(lcc.simple_graph().keys)
     c_rs, l_rs = [], []
     for i in range(reference_runs):
         ref = generate_reference("erdos-renyi", n, m, seed=seed + i)
@@ -384,16 +384,13 @@ def random_failure_experiment(g: PcnGraph, failures: list[int], runs: int = 100,
     each k in `failures`, averaged over `runs` repetitions. The removed
     nodes of a run are `random.Random(seed).sample` of the sorted ids."""
     if runs < 1:
-        raise ValueError("random failures need at least one run")
+        raise ValueError(f"random failures need at least one run, not {runs}")
     if failures and min(failures) < 0:
         raise ValueError(f"failure count {min(failures)} is negative")
-    if failures and max(failures) >= g.node_count:
-        raise ValueError("failure count must be smaller than the node count")
-    view = g.simple_graph()
     n = g.node_count
-    once = view.rows < view.indices  # each neighbour pair once
-    u, v = view.rows[once], view.indices[once]
-    nodes = np.arange(n)
+    if failures and max(failures) >= n:
+        raise ValueError(f"failure count {max(failures)} is not below the node count {n}")
+    (u, v), nodes = g.simple_graph().pairs, np.arange(n)
     rng, result = random.Random(_seed_value(seed)), {}
     for k in failures:
         total = 0

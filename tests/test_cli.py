@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcn_resilience import attack_engine as ae
 from pcn_resilience import cli
+from pcn_resilience import topology_metrics as tm
 from pcn_resilience.cli import main
 from pcn_resilience.graph_model import graph_from_dict
+from pcn_resilience.powerlaw_fit import FitResult, goodness_of_fit
 from pcn_resilience.topology_metrics import ConvergenceError
 
 DATA = Path(__file__).parent / "data"
@@ -112,7 +115,7 @@ class TestAnalyze:
                    "--gof-runs", "0"])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: goodness of fit needs synthetic_runs >= 1"]
+            "error: goodness of fit needs synthetic_runs >= 1, not 0"]
         assert not (tmp_path / "o").exists()
 
     def test_smallworld_on_a_one_node_component_is_one_line(self, tmp_path,
@@ -261,8 +264,8 @@ class TestAttack:
                 "degree,count,1,1000,0.2,0.2,2,2,0,0,0,0,"
 
     @pytest.mark.parametrize("sweep, message", [
-        (["--n-sweep=-5:5:5"], "sweep '-5:5:5' has a negative count -5"),
-        (["--budget-sweep=-100,5"], "sweep '-100,5' has a negative budget -100"),
+        (["--n-sweep=-5:5:5"], "sweep '-5:5:5': count -5 is negative"),
+        (["--budget-sweep=-100,5"], "sweep '-100,5': budget -100 is negative"),
         (["--n-sweep", "30:10"], "sweep '30:10' has no points"),
         (["--n-sweep", "10:30:0"], "sweep '10:30:0' has step 0, expected >= 1"),
         (["--n-sweep", "10:30:-5"], "sweep '10:30:-5' has step -5, expected >= 1"),
@@ -432,14 +435,14 @@ def test_zero_counts_are_one_line(tmp_path, capsys, argv):
     (["attack", "--strategy", "all", "--n-sweep", "1:1",
       "--payment-samples", "0"], "parallel-paths requires payment_samples >= 1"),
     (["attack", "--strategy", "degree", "--budget-sweep", "5",
-      "--plan-limit", "0"], "limit must be >= 1"),
+      "--plan-limit", "0"], "plan limit must be >= 1, not 0"),
     (["analyze", "--betweenness-sources", "0"],
-     "betweenness needs at least one source"),
+     "betweenness needs at least one source, not 0"),
     (["analyze", "--betweenness-sources", "1"],
-     "central point dominance needs at least two betweenness sources: "
+     "central point dominance needs at least two betweenness sources, not 1: "
      "one leaves its own score undefined"),
     (["robustness", "--failures", "1", "--reps", "0"],
-     "random failures need at least one run"),
+     "random failures need at least one run, not 0"),
     (["analyze", "--seed", "-1"],
      "--seed: seed -1 is not a non-negative integer"),
     (["attack", "--strategy", "degree", "--n-sweep", "1:1", "--seed", "-3"],
@@ -472,7 +475,7 @@ def test_csv_cell_rule(value, text):
 
 
 @pytest.mark.parametrize("failures, message", [
-    ("-1", "sweep '-1' has a negative failure count -1"),
+    ("-1", "sweep '-1': failure count -1 is negative"),
     ("3,1.5", "sweep '3,1.5' has '1.5', expected an integer"),
     ("2,x", "sweep '2,x' has 'x', expected an integer"),
     ("2,,4", "sweep '2,,4' has '', expected an integer"),
@@ -485,6 +488,62 @@ def test_bad_failures_are_named_before_loading(tmp_path, capsys, failures,
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "o.csv").exists()
+
+
+_FIT = FitResult(alpha=2.5, x_min=1, ks_distance=0.1, tail_count=10)
+_ATTACK = ["attack", "--strategy", "degree", "--n-sweep", "1:1"]
+
+
+@pytest.mark.parametrize("argv, library, value", [
+    pytest.param(["analyze", "--gof-runs", "0"],
+                 lambda g: goodness_of_fit([1] * 10, _FIT, synthetic_runs=0),
+                 0, id="gof-runs"),
+    pytest.param(["analyze", "--gof-runs", "-4"],
+                 lambda g: goodness_of_fit([1] * 10, _FIT, synthetic_runs=-4),
+                 -4, id="negative-gof-runs"),
+    pytest.param(["analyze", "--smallworld-runs", "-2"],
+                 lambda g: tm.metric_report(g, smallworld_runs=-2),
+                 -2, id="smallworld-runs"),
+    pytest.param(["analyze", "--betweenness-sources", "0"],
+                 lambda g: tm.metric_report(g, betweenness_sources=0),
+                 0, id="betweenness-sources"),
+    pytest.param(["analyze", "--betweenness-sources", "-3"],
+                 lambda g: tm.metric_report(g, betweenness_sources=-3),
+                 -3, id="negative-betweenness-sources"),
+    pytest.param(["analyze", "--betweenness-sources", "1"],
+                 lambda g: tm.metric_report(g, betweenness_sources=1),
+                 1, id="one-betweenness-source"),
+    pytest.param(["robustness", "--failures", "1", "--reps", "0"],
+                 lambda g: tm.random_failure_experiment(g, [1], runs=0),
+                 0, id="reps"),
+    pytest.param(["robustness", "--failures=-1"],
+                 lambda g: tm.random_failure_experiment(g, [-1]),
+                 -1, id="failures"),
+    pytest.param(["robustness", "--failures=3,-2"],
+                 lambda g: tm.random_failure_experiment(g, [3, -2]),
+                 -2, id="later-failure"),
+    pytest.param(["attack", "--strategy", "degree", "--budget-sweep", "5",
+                  "--plan-limit", "0"],
+                 lambda g: ae.plan_targets(g, ae.Strategy("degree"), limit=0),
+                 0, id="plan-limit"),
+    pytest.param([*_ATTACK, "--attempts", "0"],
+                 lambda g: ae.MetricParams(attempts=0), 0, id="attempts"),
+    pytest.param([*_ATTACK, "--flow-rounds", "-1"],
+                 lambda g: ae.MetricParams(flow_rounds=-1), -1, id="flow-rounds"),
+])
+def test_count_rules_have_one_wording(tmp_path, capsys, argv, library, value):
+    # the library names the refused count, and the CLI, refusing it before
+    # loading (the snapshot does not exist), ends its line with those words
+    with pytest.raises(ValueError) as refused:
+        library(tm.generate_reference("erdos-renyi", 8, 12, seed=0))
+    message = str(refused.value)
+    assert str(value) in message
+    rc = main([*argv, "--snapshot", str(tmp_path / "absent.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(message)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("volumes, message", [
@@ -609,7 +668,9 @@ def test_no_subcommand_loads_scipy(tmp_path, ba_snapshot, argv):
         f"assert main({argv!r} + ['--snapshot', {ba_snapshot!r}, '--out', "
         f"{str(tmp_path / 'out')!r}]) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n")
+        "assert not loaded, loaded\n"
+        # numpy imports numpy.ma lazily, 15-21 ms, for a plain np.unique
+        "assert 'numpy.ma' not in sys.modules\n")
 
 
 def test_analyze_runs_where_scipy_cannot_be_imported(tmp_path, ba_snapshot):

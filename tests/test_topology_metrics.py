@@ -160,6 +160,51 @@ def test_betweenness_matches_networkx_on_levels_past_16_bits():
     assert same_floats(got, want)
 
 
+def test_betweenness_matches_networkx_on_a_deep_graph():
+    # a 400-node cycle with a few chords is about 100 levels deep from most
+    # sources; an even cycle ties its antipodes, and parallel and reversed
+    # channels double some of its edges
+    rng = random.Random(5)
+    nodes = [f"c{i}" for i in range(400)]
+    pairs = [(nodes[i], nodes[(i + 1) % 400]) for i in range(400)]
+    pairs += [tuple(rng.sample(nodes, 2)) for _ in range(4)]
+    pairs += [p[::-1] if rng.random() < 0.5 else p for p in rng.sample(pairs, 60)]
+    g = make_graph(nodes, pairs)
+    for k in (None, 40):
+        got = tm.betweenness_centrality(g, sample_sources=k, seed=2)
+        want = nx.betweenness_centrality(reference_simple_graph(g), k=k, seed=2)
+        assert same_floats(got, want)
+
+
+@st.composite
+def pair_graphs(draw):
+    """Graphs of 0 to 8 nodes, isolated ones included, whose channels
+    repeat pairs in both directions."""
+    nodes = [f"v{i}" for i in draw(st.permutations(range(draw(st.integers(0, 8)))))]
+    pairs = []
+    if len(nodes) >= 2:
+        pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+            lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, max_size=20))
+        pairs += [p[::-1] for p in pairs if draw(st.booleans())]
+    return make_graph(nodes, draw(st.permutations(pairs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_graphs())
+def test_simple_view_pairs_are_the_sorted_channel_pairs(g):
+    view, n = g.simple_graph(), g.node_count
+    want = sorted({tuple(sorted(g.index[v] for v in (e.a, e.b)))
+                   for e in channels(g).values()})
+    assert view.pairs.shape == (2, len(want))
+    assert list(zip(*view.pairs.tolist())) == want
+    assert (np.diff(view.keys) > 0).all()
+    assert view.keys.tolist() == [u * n + v for u, v in want]
+    # the CSR arcs are the pairs in both directions
+    assert sorted(zip(view.rows.tolist(), view.indices.tolist())) == sorted(
+        want + [(v, u) for u, v in want])
+
+
 @st.composite
 def channel_graphs(draw):
     """Graphs with isolated nodes, several components and parallel
@@ -605,6 +650,12 @@ class TestRandomFailures:
         g = make_graph(["a", "b"], [("a", "b")])
         with pytest.raises(ValueError):
             tm.random_failure_experiment(g, [2], runs=5, seed=0)
+
+    def test_failure_count_at_the_node_count_names_both(self):
+        g = make_graph(["a", "b"], [("a", "b")])
+        with pytest.raises(ValueError, match=(
+                "^failure count 2 is not below the node count 2$")):
+            tm.random_failure_experiment(g, [1, 2], runs=5, seed=0)
 
     def test_negative_failure_count_is_named_before_any_draw(self, monkeypatch):
         g = tm.generate_reference("erdos-renyi", 60, 180, seed=1)
